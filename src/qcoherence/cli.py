@@ -6,8 +6,10 @@
                           [--samples S] [--seed SEED] [--c LIST] [--out DIR]
 
 Exit codes: 0 success / experiment pass, 1 experiment fail, 2 usage or parse
-error, 3 validation error.  Every error path prints a one-line machine code
-(E_USAGE, E_PARSE, E_VALIDATION) on stderr before the human-readable message.
+error (a negative --trials/--samples or a non-positive --n entry or --rank
+included), 3 validation error (NaN or infinite matrix entries included).
+Every error path prints a one-line machine code (E_USAGE, E_PARSE,
+E_VALIDATION) on stderr before the human-readable message.
 The default seed is the fixed constant 42, so identical invocations produce
 byte-identical report files.
 """
@@ -24,10 +26,19 @@ from .distance import basis_distance, is_mutually_unbiased
 from .errors import CoherenceError, CounterexampleNotFoundError, MatrixParseError
 from .io import read_basis, read_density
 from .linalg import OrthonormalBasis
-from .measures import MeasureId, evaluate_measure, rewrite_in_basis
+from .measures import MEASURES, MeasureId, evaluate_measure, rewrite_in_basis
 
 DEFAULT_SEED = 42
 DEFAULT_MEASURES = "eta1,eta2,eta_inf,delta"
+
+
+# suite -> (runner in experiments, (CLI flag, runner keyword) pairs).
+_SUITES = {
+    "theorem42": ("run_theorem42_suite", (("n", "n_list"), ("trials", "trials"))),
+    "prop31": ("run_proposition31_suite", (("n", "n_list"), ("trials", "trials"))),
+    "purity": ("run_purity_sweep", (("n", "n_list"), ("samples", "samples"), ("rank", "rank"))),
+    "srel": ("run_srel_demo", (("c", "c_list"),)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,8 +48,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(0)
+_positive = _int_at_least(1)
+
+
+def _dim_list(text: str) -> list[int]:
+    return [_positive(x) for x in text.split(",") if x]
 
 
 def _float_list(text: str) -> list[float]:
@@ -53,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="density-matrix file")
     p.add_argument("--basis", help="basis file (default: standard basis)")
     p.add_argument("--measures", default=DEFAULT_MEASURES,
-                   help="comma list from eta1,eta2,eta_inf,delta,s_rel")
+                   help=f"comma list from {','.join(MEASURES)}")
     p.add_argument("--c", type=float, default=1.0, help="constant for s_rel")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -65,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mub-tol", type=float, default=1e-9)
 
     p = sub.add_parser("experiment", help="run an experiment suite, write CSV")
-    p.add_argument("suite", choices=["theorem42", "prop31", "purity", "srel"])
-    p.add_argument("--n", type=_int_list, default=None, help="comma list of dimensions")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("suite", choices=list(_SUITES))
+    p.add_argument("--n", type=_dim_list, default=None, help="comma list of dimensions")
+    p.add_argument("--trials", type=_count, default=None)
+    p.add_argument("--samples", type=_count, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--c", type=_float_list, default=None, help="comma list of s_rel constants")
-    p.add_argument("--rank", type=int, default=2, help="rank of the mixed purity family")
+    p.add_argument("--rank", type=_positive, default=2, help="rank of the mixed purity family")
     p.add_argument("--out", default=".", help="output directory for CSV reports")
     return parser
 
@@ -105,30 +130,13 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    runner, flags = _SUITES[args.suite]
     kwargs = {"seed": args.seed}
-    if args.suite == "theorem42":
-        if args.n:
-            kwargs["n_list"] = args.n
-        if args.trials is not None:
-            kwargs["trials"] = args.trials
-        report = experiments.run_theorem42_suite(**kwargs)
-    elif args.suite == "prop31":
-        if args.n:
-            kwargs["n_list"] = args.n
-        if args.trials is not None:
-            kwargs["trials"] = args.trials
-        report = experiments.run_proposition31_suite(**kwargs)
-    elif args.suite == "purity":
-        if args.n:
-            kwargs["n_list"] = args.n
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        kwargs["rank"] = args.rank
-        report = experiments.run_purity_sweep(**kwargs)
-    else:
-        if args.c:
-            kwargs["c_list"] = args.c
-        report = experiments.run_srel_demo(**kwargs)
+    for flag, kwarg in flags:
+        value = getattr(args, flag)
+        if value is not None and value != []:
+            kwargs[kwarg] = value
+    report = getattr(experiments, runner)(**kwargs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{args.suite}.csv"

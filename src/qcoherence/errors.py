@@ -14,6 +14,10 @@ class ValidationError(CoherenceError):
     """A domain-type invariant does not hold for the given input."""
 
 
+class NotFiniteError(ValidationError):
+    """Matrix has NaN or infinite entries."""
+
+
 class NotHermitianError(ValidationError):
     """Matrix differs from its conjugate transpose beyond tolerance."""
 

@@ -8,7 +8,7 @@ parameters (as JSON), seed and verdict.  Identical parameters and seed
 reproduce byte-identical files.
 
 Row encodings (CSV cells are numbers only):
-  measure: 1 = eta1, 2 = eta2, 3 = eta_inf, 4 = delta, 5 = s_rel
+  measure: MEASURE_CODES, the 1-based position in measures.MEASURES
   kind (theorem42): 1 = subspace-bound check, 2 = decay path, 3 = s_rel counterexample
   family (prop31): 1 = random, 2 = commuting, 3 = unbiased eigenbases, 4 = near-degenerate
   bound (prop31): 1 = upper, 2 = lower
@@ -42,18 +42,14 @@ from .measures import (
     ETA1,
     ETA2,
     ETA_INF,
+    MEASURE_CODES,
     MeasureId,
-    adversarial_subspaces,
     approach_path,
     check_axiom1,
-    evaluate_measure,
-    random_subspace,
+    check_axiom2,
     rewrite_in_basis,
     srel_counterexample,
-    tpf_deviation,
 )
-
-MEASURE_CODES = {"eta1": 1.0, "eta2": 2.0, "eta_inf": 3.0, "delta": 4.0, "s_rel": 5.0}
 
 DEFAULT_N_LIST = (2, 4, 8, 16, 32)
 DECAY_TS = tuple(np.geomspace(1e-1, 1e-9, 9))
@@ -130,11 +126,16 @@ def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix
     return DensityMatrix(w / np.trace(w).real)
 
 
-def _measure_code_row(measure: MeasureId) -> dict:
-    return {
-        "measure": MEASURE_CODES[measure.name],
-        "c": measure.c if measure.c is not None else np.nan,
-    }
+_THEOREM42_COLUMNS = (
+    "kind n measure c count min_slack final_d final_value monotone epsilon ok".split()
+)
+
+
+def _theorem42_row(kind, n, m: MeasureId, **cells) -> dict:
+    """One theorem42 row in column order, as floats; cells not given are NaN."""
+    row = dict.fromkeys(_THEOREM42_COLUMNS, np.nan)
+    row.update(kind=kind, n=n, measure=MEASURE_CODES[m.name], c=np.nan if m.c is None else m.c)
+    return {k: float(v) for k, v in {**row, **cells}.items()}
 
 
 def run_theorem42_suite(
@@ -147,77 +148,54 @@ def run_theorem42_suite(
 ) -> ExperimentReport:
     """Subspace-bound and decay checks for the coherence-measure candidates.
 
-    Per dimension: `trials` random (state, basis, subspace) triples plus the
-    deterministic adversarial subspaces, for every measure; then decay along
-    `paths_per_n` random basis paths.  Injecting an s_rel MeasureId adds its
-    counterexample as a failing row.
+    Per dimension: check_axiom2 on `trials` random (state, basis) pairs plus
+    the maximally mixed state, with one random subspace each; then
+    check_axiom1 along `paths_per_n` random basis paths.  A bound row with
+    zero checks fails.  Injecting an s_rel MeasureId adds its counterexample
+    as a failing row.
     """
     root = SeededGenerator(seed)
     ts = np.asarray(sorted(ts, reverse=True), dtype=np.float64)
+    plain = [m for m in measures if m.name != "s_rel"]
     rows = []
     for block, n in enumerate(n_list):
         rng = root.substream(block)
-        plain = [m for m in measures if m.name != "s_rel"]
-        min_slack = {m.name: np.inf for m in plain}
-        checks = {m.name: 0 for m in plain}
+        min_slack = dict.fromkeys(plain, np.inf)
+        checks = dict.fromkeys(plain, 0)
         for trial in range(trials + 1):
             # Trial 0 exercises the degenerate maximally mixed state.
-            rho = (
-                DensityMatrix.maximally_mixed(n)
-                if trial == 0
-                else random_density_matrix(n, rng)
-            )
+            rho = random_density_matrix(n, rng) if trial else DensityMatrix.maximally_mixed(n)
             s = rewrite_in_basis(rho, random_basis(n, rng))
-            subspaces = adversarial_subspaces(s) + [random_subspace(n, rng)]
-            values = {m.name: evaluate_measure(s, m) for m in plain}
-            for f in subspaces:
-                dev = tpf_deviation(s, f)
-                for m in plain:
-                    slack = f.dim * values[m.name] - dev
-                    min_slack[m.name] = min(min_slack[m.name], slack)
-                    checks[m.name] += 1
-        for m in plain:
-            rows.append({
-                "kind": 1.0, "n": float(n), **_measure_code_row(m),
-                "count": float(checks[m.name]), "min_slack": min_slack[m.name],
-                "final_d": np.nan, "final_value": np.nan, "monotone": np.nan,
-                "epsilon": np.nan,
-                "ok": float(min_slack[m.name] >= -AXIOM_SLACK_TOL),
-            })
+            for m, reports in check_axiom2(s, plain, 1, rng).items():
+                min_slack[m] = min([min_slack[m]] + [r.slack for r in reports])
+                checks[m] += len(reports)
+        rows += [
+            _theorem42_row(1, n, m, count=checks[m], min_slack=min_slack[m],
+                           ok=checks[m] > 0 and min_slack[m] >= -AXIOM_SLACK_TOL)
+            for m in plain
+        ]
         for _ in range(paths_per_n):
             rho = random_density_matrix(n, rng)
             path = approach_path(rho.eigensystem()[1], ts, rng)
-            eta2_vals = check_axiom1(rho, ETA2, path)[1]
+            ds, values = check_axiom1(rho, (*plain, ETA2), path)
             for m in plain:
-                ds, vals = check_axiom1(rho, m, path)
+                vals = values[m]
                 # Pointwise envelopes from the continuity argument:
                 # eta2 <= d, delta = d, and eta1, eta_inf <= n * eta2.
-                bound = ds if m.name in ("eta2", "delta") else n * eta2_vals
+                bound = ds if m.name in ("eta2", "delta") else n * values[ETA2]
                 slack = float((bound - vals).min())
                 monotone = bool((np.diff(vals) < 0).all())
-                rows.append({
-                    "kind": 2.0, "n": float(n), **_measure_code_row(m),
-                    "count": float(len(ts)), "min_slack": slack,
-                    "final_d": float(ds[-1]), "final_value": float(vals[-1]),
-                    "monotone": float(monotone), "epsilon": np.nan,
-                    "ok": float(
-                        slack >= -AXIOM_SLACK_TOL
-                        and monotone
-                        and ds[-1] < 1e-6
-                        and vals[-1] < 1e-6
-                    ),
-                })
+                ok = slack >= -AXIOM_SLACK_TOL and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6
+                rows.append(_theorem42_row(
+                    2, n, m, count=len(ts), min_slack=slack, final_d=ds[-1],
+                    final_value=vals[-1], monotone=monotone, ok=ok,
+                ))
     for m in measures:
-        if m.name != "s_rel":
-            continue
-        found = srel_counterexample(m.c)
-        rows.append({
-            "kind": 3.0, "n": 2.0, **_measure_code_row(m),
-            "count": 1.0, "min_slack": found.bound - found.deviation,
-            "final_d": np.nan, "final_value": np.nan, "monotone": np.nan,
-            "epsilon": found.epsilon,
-            "ok": float(found.bound - found.deviation >= -AXIOM_SLACK_TOL),
-        })
+        if m.name == "s_rel":
+            found = srel_counterexample(m.c)
+            slack = found.bound - found.deviation
+            rows.append(_theorem42_row(3, 2, m, count=1, min_slack=slack,
+                                       epsilon=found.epsilon, ok=slack >= -AXIOM_SLACK_TOL))
     parameters = {
         "n_list": list(n_list), "trials": trials, "paths_per_n": paths_per_n,
         "measures": [m.label() for m in measures],
@@ -292,8 +270,8 @@ def run_proposition31_suite(
     return ExperimentReport.from_rows("prop31", parameters, rows, seed)
 
 
-PURITY_FAMILIES = ("pure", "mixed", "maximally_mixed")
 _FAMILY_CODES = {"pure": 1.0, "mixed": 2.0, "maximally_mixed": 3.0}
+PURITY_FAMILIES = tuple(_FAMILY_CODES)
 
 
 def run_purity_sweep(

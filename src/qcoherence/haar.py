@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DimensionMismatchError
-from .linalg import DensityMatrix, OrthonormalBasis, _matrix_of, purity
+from .linalg import OrthonormalBasis, _matrix_of, purity
 
 # Chunk cap for batched sampling, in complex entries; bounds peak memory.
 _CHUNK_ENTRIES = 2_000_000
@@ -34,7 +34,7 @@ _CHUNK_ENTRIES = 2_000_000
 
 @dataclass(frozen=True)
 class SeededGenerator:
-    """Reproducible randomness root: same (seed, algorithm) => same stream.
+    """Reproducible PCG64 randomness root: same seed => same stream.
 
     Worker substream i is derived as SeedSequence(seed, spawn_key=(i,)), so
     fanning trials out over workers cannot change results: they depend only
@@ -42,11 +42,6 @@ class SeededGenerator:
     """
 
     seed: int
-    algorithm: str = "pcg64"
-
-    def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unknown generator algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
@@ -106,18 +101,23 @@ def _haar_chunk(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def _haar_chunks(n: int, count: int, rng: np.random.Generator):
+    """Yield (start, unitaries) chunks covering `count` Haar draws, in order.
+
+    Drawing in _haar_chunk frees its work arrays before the caller uses a chunk.
+    """
+    step = max(1, _CHUNK_ENTRIES // (n * n))
+    for start in range(0, count, step):
+        yield start, _haar_chunk(n, min(step, count - start), rng)
+
+
 def sample_haar_unitaries(n: int, count: int, g) -> np.ndarray:
     """Stack of `count` independent Haar unitaries, shape (count, n, n)."""
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
-    rng = as_generator(g)
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
     out = np.empty((count, n, n), dtype=np.complex128)
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        out[done:done + take] = _haar_chunk(n, take, rng)
-        done += take
+    for start, u in _haar_chunks(n, count, as_generator(g)):
+        out[start:start + len(u)] = u
     return out
 
 
@@ -159,28 +159,19 @@ def exact_expected_eta2_sq(rho) -> float:
     return (n * purity(m) - 1.0) / (n + 1.0)
 
 
-def _diag_square_sum_samples(matrix: np.ndarray, samples: int, rng) -> np.ndarray:
+def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     """Per-sample sum_i rho_ii^2 with rho rewritten in a Haar-random basis."""
-    n = matrix.shape[0]
+    matrix = _matrix_of(rho)
     out = np.empty(samples, dtype=np.float64)
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        u = _haar_chunk(n, take, rng)
+    for start, u in _haar_chunks(matrix.shape[0], samples, as_generator(g)):
         diag = np.einsum("sai,sai->si", u.conj(), matrix @ u).real
-        out[done:done + take] = (diag**2).sum(axis=1)
-        done += take
+        out[start:start + len(u)] = (diag**2).sum(axis=1)
     return out
 
 
 def estimate_diag_square_sum(rho, samples: int, g) -> MonteCarloEstimate:
     """Monte Carlo estimate of E sum_i rho_ii^2 over Haar-random bases."""
-    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    rng = as_generator(g)
-    return MonteCarloEstimate.from_samples(
-        _diag_square_sum_samples(rho.matrix, samples, rng)
-    )
+    return MonteCarloEstimate.from_samples(_diag_square_sum_samples(rho, samples, g))
 
 
 def estimate_expected_eta2_sq(rho, samples: int, g) -> MonteCarloEstimate:
@@ -188,10 +179,8 @@ def estimate_expected_eta2_sq(rho, samples: int, g) -> MonteCarloEstimate:
 
     Uses eta2^2 = tr(rho^2) - sum_i rho_ii^2 per sample.
     """
-    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    rng = as_generator(g)
-    t = _diag_square_sum_samples(rho.matrix, samples, rng)
-    return MonteCarloEstimate.from_samples(purity(rho.matrix) - t)
+    t = _diag_square_sum_samples(rho, samples, g)
+    return MonteCarloEstimate.from_samples(purity(rho) - t)
 
 
 @dataclass(frozen=True)
@@ -212,13 +201,8 @@ def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> Mom
     rng = as_generator(g)
     exact = (2.0 if k == l else 1.0) / (n * (n + 1.0))
     xs = np.empty(samples, dtype=np.float64)
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        u = _haar_chunk(n, take, rng)
-        xs[done:done + take] = (np.abs(u[:, i, k]) ** 2) * (np.abs(u[:, i, l]) ** 2)
-        done += take
+    for start, u in _haar_chunks(n, samples, rng):
+        xs[start:start + len(u)] = (np.abs(u[:, i, k]) ** 2) * (np.abs(u[:, i, l]) ** 2)
     est = MonteCarloEstimate.from_samples(xs)
     z = est.z_score(exact)
     return MomentCheck(est, exact, z, bool(abs(z) <= 4.0))

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
+    NotFiniteError,
     NotHermitianError,
     NotOrthonormalError,
     NotPSDError,
@@ -40,9 +41,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _square_complex(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square, finite complex128 array; the shared validation entry."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise NotFiniteError(f"{name} has {int((~finite).sum())} NaN or infinite entries")
     return a
 
 

@@ -35,9 +35,6 @@ from .linalg import (
     von_neumann_entropy,
 )
 
-_MEASURE_NAMES = ("eta1", "eta2", "eta_inf", "delta", "s_rel")
-
-
 @dataclass(frozen=True)
 class StateInBasis:
     """A density matrix together with its representation rep_ij = <e_i|rho|e_j>.
@@ -132,15 +129,21 @@ def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
     return float(abs(np.einsum("ak,ab,bk->", w.conj(), q, w).real))
 
 
+MEASURES = {"eta1": eta1, "eta2": eta2, "eta_inf": eta_inf, "delta": delta, "s_rel": s_rel}
+
+# CSV code = position in MEASURES + 1, so reordering MEASURES changes reports.
+MEASURE_CODES = {name: float(code) for code, name in enumerate(MEASURES, 1)}
+
+
 @dataclass(frozen=True)
 class MeasureId:
-    """Names one of the coherence-measure candidates; s_rel carries its constant."""
+    """Names one entry of MEASURES (hashable); s_rel carries its constant."""
 
     name: str
     c: float | None = None
 
     def __post_init__(self):
-        if self.name not in _MEASURE_NAMES:
+        if self.name not in MEASURES:
             raise ValueError(f"unknown measure {self.name!r}")
         if self.name == "s_rel":
             if self.c is None or self.c <= 0:
@@ -163,15 +166,8 @@ def srel_id(c: float) -> MeasureId:
 
 
 def evaluate_measure(s: StateInBasis, measure: MeasureId) -> float:
-    if measure.name == "eta1":
-        return eta1(s)
-    if measure.name == "eta2":
-        return eta2(s)
-    if measure.name == "eta_inf":
-        return eta_inf(s)
-    if measure.name == "delta":
-        return delta(s)
-    return s_rel(s, measure.c)
+    evaluator = MEASURES[measure.name]
+    return evaluator(s) if measure.c is None else evaluator(s, measure.c)
 
 
 def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
@@ -207,21 +203,23 @@ def adversarial_subspaces(s: StateInBasis) -> list[Subspace]:
     return [Subspace(u @ f) for f in frames]
 
 
-def check_axiom2(s: StateInBasis, measure: MeasureId, trials: int, rng) -> list[BoundReport]:
+def check_axiom2(s: StateInBasis, measures, trials: int, rng) -> dict:
     """Check tpf_deviation <= dim(F) * measure over random and adversarial F.
 
     Randomized coverage of the universal quantifier over subspaces, plus the
     deterministic sign-eigenspace candidates of Q; a sound but necessarily
-    incomplete check.
+    incomplete check.  Returns {measure: [BoundReport per subspace]}; each
+    deviation is computed once, and the draws from `rng` ignore `measures`.
     """
     rng = as_generator(rng)
-    n = s.dim
-    value = evaluate_measure(s, measure)
+    values = {m: evaluate_measure(s, m) for m in measures}
     subspaces = adversarial_subspaces(s)
-    subspaces += [random_subspace(n, rng) for _ in range(trials)]
-    return [
-        BoundReport.check(tpf_deviation(s, f), f.dim * value) for f in subspaces
-    ]
+    subspaces += [random_subspace(s.dim, rng) for _ in range(trials)]
+    deviations = [(f.dim, tpf_deviation(s, f)) for f in subspaces]
+    return {
+        m: [BoundReport.check(dev, k * value) for k, dev in deviations]
+        for m, value in values.items()
+    }
 
 
 def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
@@ -243,19 +241,22 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
     return out
 
 
-def check_axiom1(rho, measure: MeasureId, path) -> tuple[np.ndarray, np.ndarray]:
-    """Pair d(B_rho, B_t) with measure(rho, B_t) along a path of bases.
+def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
+    """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
 
-    The caller asserts the continuity claims: values tend to 0 with d, and
-    for eta2 the pointwise bound eta2 <= d.
+    One rewrite and one distance per path point.  The caller asserts the
+    continuity claims: values tend to 0 with d, and for eta2 the pointwise
+    bound eta2 <= d.
     """
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     _, eigenbasis = rho.eigensystem()
-    ds, values = [], []
+    ds, values = [], {m: [] for m in measures}
     for b in path:
         ds.append(basis_distance(eigenbasis, b))
-        values.append(evaluate_measure(rewrite_in_basis(rho, b), measure))
-    return np.asarray(ds), np.asarray(values)
+        s = rewrite_in_basis(rho, b)
+        for m, vals in values.items():
+            vals.append(evaluate_measure(s, m))
+    return np.asarray(ds), {m: np.asarray(vals) for m, vals in values.items()}
 
 
 class SrelCounterexample(NamedTuple):

@@ -116,6 +116,24 @@ class TestMeasureCommand:
         assert err[0] == "E_VALIDATION"
         assert "tr" in err[1]
 
+    def test_nan_state_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("2\n0.5 nan\nnan 0.5\n")
+        rc = main(["measure", str(bad), "--json"])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "E_VALIDATION", "state has 2 NaN or infinite entries"
+        ]
+
+    def test_inf_basis_exit_3(self, eps_state_file, tmp_path, capsys):
+        bad = tmp_path / "inf.txt"
+        bad.write_text("2\n1 0\n0 inf\n")
+        rc = main(["measure", eps_state_file, "--basis", str(bad)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "E_VALIDATION", "basis has 1 NaN or infinite entries"
+        ]
+
     def test_unknown_measure_exit_2(self, eps_state_file, capsys):
         rc = main(["measure", eps_state_file, "--measures", "eta7"])
         assert rc == 2
@@ -192,3 +210,28 @@ class TestExperimentCommand:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["theorem42", "--n", "2", "--trials", "-5"],
+        ["prop31", "--trials", "-1"],
+        ["purity", "--samples", "-3"],
+        ["purity", "--n", "0"],
+        ["theorem42", "--n", "2,-4"],
+        ["purity", "--rank", "0"],
+    ], ids=["negative-trials", "negative-prop31-trials", "negative-samples",
+            "zero-n", "negative-n", "zero-rank"])
+    def test_bad_parameter_exit_2(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *args, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "E_USAGE"
+        assert "must be >=" in err[1]
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_trials_reach_the_runner(self, tmp_path):
+        # 0 is a legal count: only the maximally mixed trial runs, and passes
+        rc = main(["experiment", "theorem42", "--n", "2", "--trials", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert '"trials": 0' in (tmp_path / "theorem42.csv").read_text()

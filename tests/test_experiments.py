@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qcoherence import (
@@ -11,6 +13,7 @@ from qcoherence import (
     srel_id,
     write_report,
 )
+from qcoherence.cli import main as cli_main
 from qcoherence.experiments import MEASURE_CODES
 
 
@@ -145,3 +148,32 @@ def test_theorem42_includes_maximally_mixed_trial():
     report = run_theorem42_suite(n_list=(3,), trials=0, seed=9)
     bound_rows = [r for r in report.rows if r["kind"] == 1.0]
     assert bound_rows and all(r["ok"] == 1.0 for r in bound_rows)
+
+
+def test_theorem42_bound_rows_fail_without_checks():
+    # negative trials run no bound check at all: that must not read as a pass
+    report = run_theorem42_suite(n_list=(2,), trials=-5, seed=9, paths_per_n=0)
+    assert [r["count"] for r in report.rows] == [0.0] * 4
+    assert all(r["ok"] == 0.0 for r in report.rows)
+    assert not report.verdict
+
+
+# sha256 of small seeded reports; a change here must be deliberate and
+# explained in CHANGES.md.
+GOLDEN = {
+    ("theorem42", "--n", "2,4", "--trials", "20"):
+        "dd86e518e2e161b5262ec75e05778c9ff03a8a1ec7e4d2fdd15a2202f16ad35d",
+    ("prop31", "--n", "2,4", "--trials", "30"):
+        "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
+    ("purity", "--n", "4,8", "--samples", "300"):
+        "9989bc78542d98bc1259b7fb29f60fa95c5fad2bd98f973feb662f4f273b7232",
+    ("srel",):
+        "12ce540ec1cc9fdaf00aff72fb7bb8e0326f600af65e98db50c074e4d60f6a7a",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN), ids=lambda a: a[0])
+def test_golden_report_hashes(tmp_path, args):
+    assert cli_main(["experiment", *args, "--seed", "42", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{args[0]}.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN[args]

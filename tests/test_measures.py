@@ -28,6 +28,7 @@ from qcoherence import (
     operator_norm,
     purity,
     random_basis,
+    random_subspace,
     rewrite_in_basis,
     s_rel,
     srel_counterexample,
@@ -37,6 +38,7 @@ from qcoherence import (
     validate_density,
 )
 from qcoherence.experiments import random_density_matrix
+from qcoherence.measures import MEASURE_CODES, MEASURES, adversarial_subspaces
 
 EPS = 0.1
 STANDARD2 = OrthonormalBasis.standard(2)
@@ -245,24 +247,25 @@ class TestAxiomHarness:
             n = 2 + 2 * seed
             rho = random_density_matrix(n, rng)
             s = rewrite_in_basis(rho, random_basis(n, rng))
-            reports = check_axiom2(s, ETA2, trials=40, rng=rng)
+            reports = check_axiom2(s, (ETA2,), trials=40, rng=rng)[ETA2]
             assert all(r.satisfied for r in reports)
 
     def test_axiom2_catches_srel_counterexample(self):
         # the adversarial candidate here is exactly the plus-state projector
-        reports = check_axiom2(_eps_state(), srel_id(1.0), trials=0, rng=1)
+        reports = check_axiom2(_eps_state(), (srel_id(1.0),), trials=0, rng=1)[srel_id(1.0)]
         assert any(not r.satisfied for r in reports)
 
     def test_axiom2_maximally_mixed_all_zero(self):
         s = rewrite_in_basis(DensityMatrix.maximally_mixed(4), random_basis(4, 2))
-        reports = check_axiom2(s, ETA_INF, trials=25, rng=3)
+        reports = check_axiom2(s, (ETA_INF,), trials=25, rng=3)[ETA_INF]
         assert all(r.lhs < 1e-12 for r in reports)
         assert all(r.satisfied for r in reports)
 
     def test_axiom1_at_t_zero(self):
         rho = random_density_matrix(3, np.random.default_rng(4))
         path = approach_path(rho.eigensystem()[1], [0.0], 11)
-        ds, vals = check_axiom1(rho, ETA2, path)
+        ds, values = check_axiom1(rho, (ETA2,), path)
+        vals = values[ETA2]
         assert ds[0] < 1e-12 and vals[0] < 1e-12
 
     def test_axiom1_eta2_below_distance(self):
@@ -272,10 +275,32 @@ class TestAxiomHarness:
             n = int(rng.integers(2, 9))
             rho = random_density_matrix(n, rng)
             path = approach_path(rho.eigensystem()[1], ts, rng)
-            ds, vals = check_axiom1(rho, ETA2, path)
+            ds, values = check_axiom1(rho, (ETA2,), path)
+            vals = values[ETA2]
             assert (vals <= ds + 1e-12).all()
             assert vals[-1] < 1e-7
             assert (np.diff(vals) < 0).all()
+
+    def test_harnesses_equal_scalar_definitions_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        measures = (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5))
+        ts = np.geomspace(0.1, 1e-7, 5)
+        for n in (1, 2, 3, 5, 8):
+            rho = random_density_matrix(n, rng)
+            s = rewrite_in_basis(rho, random_basis(n, rng))
+            reports = check_axiom2(s, measures, 6, np.random.default_rng(n))
+            replay = np.random.default_rng(n)
+            subspaces = adversarial_subspaces(s) + [random_subspace(n, replay) for _ in range(6)]
+            for m in measures:
+                want = [f.dim * evaluate_measure(s, m) - tpf_deviation(s, f) for f in subspaces]
+                assert [r.slack for r in reports[m]] == want
+            path = approach_path(rho.eigensystem()[1], ts, rng)
+            ds, values = check_axiom1(rho, measures, path)
+            eigenbasis = rho.eigensystem()[1]
+            assert ds.tolist() == [basis_distance(eigenbasis, b) for b in path]
+            for m in measures:
+                want = [evaluate_measure(rewrite_in_basis(rho, b), m) for b in path]
+                assert values[m].tolist() == want
 
     def test_axiom1_eta1_below_n_eta2(self):
         rng = np.random.default_rng(8)
@@ -283,9 +308,8 @@ class TestAxiomHarness:
         n = 5
         rho = random_density_matrix(n, rng)
         path = approach_path(rho.eigensystem()[1], ts, rng)
-        _, e1 = check_axiom1(rho, ETA1, path)
-        _, e2 = check_axiom1(rho, ETA2, path)
-        assert (e1 <= n * e2 + 1e-12).all()
+        _, values = check_axiom1(rho, (ETA1, ETA2), path)
+        assert (values[ETA1] <= n * values[ETA2] + 1e-12).all()
 
 
 class TestSrelCounterexample:
@@ -327,6 +351,13 @@ class TestMeasureId:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             MeasureId("eta3")
+
+    def test_registry_drives_names_and_codes(self):
+        assert list(MEASURES) == ["eta1", "eta2", "eta_inf", "delta", "s_rel"]
+        assert MEASURE_CODES == dict(zip(MEASURES, (1.0, 2.0, 3.0, 4.0, 5.0)))
+        s = _eps_state()
+        assert evaluate_measure(s, ETA1) == eta1(s)
+        assert evaluate_measure(s, srel_id(2.0)) == s_rel(s, 2.0)
 
     def test_labels(self):
         assert srel_id(0.5).label() == "s_rel(c=0.5)"
