@@ -6,10 +6,11 @@
                           [--samples S] [--seed SEED] [--c LIST] [--out DIR]
 
 Exit codes: 0 success / experiment pass, 1 experiment fail, 2 usage or parse
-error (a negative --trials/--samples or a non-positive --n entry or --rank
-included), 3 validation error (NaN or infinite matrix entries included).
-Every error path prints a one-line machine code (E_USAGE, E_PARSE,
-E_VALIDATION) on stderr before the human-readable message.
+error (a negative --trials/--samples, a non-positive --n entry or --rank, or
+a theorem42 --n entry below 2 included), 3 validation error (NaN or infinite
+matrix entries included), 4 I/O error (a missing input file or an unwritable
+--out).  Every error path prints a one-line machine code (E_USAGE, E_PARSE,
+E_VALIDATION, E_NOT_FOUND, E_IO) on stderr before the human-readable message.
 The default seed is the fixed constant 42, so identical invocations produce
 byte-identical report files.
 """
@@ -169,6 +170,10 @@ def main(argv=None) -> int:
         print("E_USAGE", file=sys.stderr)
         print(str(exc), file=sys.stderr)
         return 2
+    except OSError as exc:
+        print("E_IO", file=sys.stderr)
+        print(str(exc), file=sys.stderr)
+        return 4
 
 
 def entry_point():

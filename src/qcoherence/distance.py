@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
+    NotFiniteError,
     NotOrthonormalError,
     PointsNotDistinctError,
     WeightsNotNormalizedError,
@@ -57,17 +58,7 @@ class OverlapMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        o = np.asarray(self.entries, dtype=np.float64)
-        n = o.shape[0]
-        tol = TOL_ORTHO * n
-        row_defect = float(np.abs(o.sum(axis=1) - 1.0).max())
-        col_defect = float(np.abs(o.sum(axis=0) - 1.0).max())
-        if max(row_defect, col_defect) > tol:
-            raise NotOrthonormalError(
-                f"overlap table not doubly stochastic: worst sum defect "
-                f"{max(row_defect, col_defect):.3e} exceeds {tol:.1e}"
-            )
-        o = np.clip(o, 0.0, 1.0)  # roundoff can push |.|^2 a hair outside [0, 1]
+        o = _doubly_stochastic(np.asarray(self.entries, dtype=np.float64))
         o.setflags(write=False)
         object.__setattr__(self, "entries", o)
 
@@ -106,6 +97,18 @@ class BoundReport:
         return self.slack / max(1.0, self.rhs)
 
 
+def _doubly_stochastic(o: np.ndarray) -> np.ndarray:
+    """Check overlap tables (..., n, n) for unit row and column sums within
+    tol_ortho * n; return them clipped to [0, 1]."""
+    tol = TOL_ORTHO * o.shape[-1]
+    defect = max(float(np.abs(o.sum(axis=axis) - 1.0).max()) for axis in (-1, -2))
+    if defect > tol:
+        raise NotOrthonormalError(
+            f"overlap table not doubly stochastic: worst sum defect {defect:.3e} exceeds {tol:.1e}"
+        )
+    return np.clip(o, 0.0, 1.0)  # roundoff can push |.|^2 a hair outside [0, 1]
+
+
 def _check_same_dim(a, b):
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -117,16 +120,25 @@ def overlap_matrix(b1: OrthonormalBasis, b2: OrthonormalBasis) -> OverlapMatrix:
     return OverlapMatrix(np.abs(b1.vectors.conj().T @ b2.vectors) ** 2)
 
 
-def basis_distance(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:
-    """Distance between two orthonormal bases, in [0, sqrt(n-1)]."""
-    o = overlap_matrix(b1, b2).entries
+def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Distances between stacked bases: u1 and u2 of shape (..., n, n) hold
+    basis vectors as columns; the result has the leading shape."""
+    o = _doubly_stochastic(np.abs(np.swapaxes(u1.conj(), -1, -2) @ u2) ** 2)
     one_minus = 1.0 - o
     # An entry near 1 makes 1 - o cancel catastrophically, which floors the
     # distance at ~sqrt(n)*1e-8 for nearby bases.  Row sums equal 1, so
     # rewrite 1 - o_ij as the sum of the other (small, accurate) row entries.
-    for i, j in zip(*np.nonzero(o > 0.5)):
-        one_minus[i, j] = float(o[i, :j].sum() + o[i, j + 1:].sum())
-    return float(np.sqrt(np.sum(o * one_minus)))
+    # At most one entry per row exceeds 1/2.
+    for *t, i, j in zip(*np.nonzero(o > 0.5)):
+        row = o[(*t, i)]
+        one_minus[(*t, i, j)] = float(row[:j].sum() + row[j + 1:].sum())
+    return np.sqrt(np.sum(o * one_minus, axis=(-2, -1)))
+
+
+def basis_distance(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:
+    """Distance between two orthonormal bases, in [0, sqrt(n-1)]."""
+    _check_same_dim(b1, b2)
+    return float(basis_distances(b1.vectors, b2.vectors))
 
 
 def is_mutually_unbiased(
@@ -225,6 +237,10 @@ def jensen_gap_bound(weights, points, epsilon: float, tol_norm: float = 1e-10) -
         raise DimensionMismatchError(
             f"weights and points must be equal-length vectors, got {w.shape} and {x.shape}"
         )
+    for name, v in (("weights", w), ("points", x), ("epsilon", np.float64(epsilon))):
+        bad = int(np.size(v) - np.isfinite(v).sum())
+        if bad:
+            raise NotFiniteError(f"{name} has {bad} NaN or infinite entries")
     if w.min() < 0.0:
         raise WeightsNotNormalizedError(f"weight {w.min():.3e} is negative")
     norm_defect = abs(w.sum() - 1.0)

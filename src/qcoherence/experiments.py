@@ -30,6 +30,7 @@ from .distance import (
 from .errors import DegenerateSpectrumError
 from .haar import (
     SeededGenerator,
+    _haar_from_ginibre,
     as_generator,
     estimate_diag_square_sum,
     exact_expected_diag_square_sum,
@@ -44,11 +45,13 @@ from .measures import (
     ETA_INF,
     MEASURE_CODES,
     MeasureId,
+    StateBatch,
     approach_path,
     check_axiom1,
-    check_axiom2,
-    rewrite_in_basis,
+    draw_subspace,
+    measure_values,
     srel_counterexample,
+    subspace_deviations,
 )
 
 DEFAULT_N_LIST = (2, 4, 8, 16, 32)
@@ -56,6 +59,10 @@ DECAY_TS = tuple(np.geomspace(1e-1, 1e-9, 9))
 
 # Absolute slack tolerance for the subspace-bound checks.
 AXIOM_SLACK_TOL = 1e-10
+
+# Complex entries per stacked (trials, n, n) array of the subspace-bound
+# checks; bounds their peak memory (1024 trials at n = 2, 4 at n = 32).
+_STACK_ENTRIES = 4096
 
 
 @dataclass
@@ -117,13 +124,68 @@ def random_hermitian(n: int, rng) -> HermitianObservable:
     return HermitianObservable.from_matrix((g + g.conj().T) / 2.0)
 
 
+def _wishart(gauss: np.ndarray) -> np.ndarray:
+    """Normalized G G^H / tr over any leading axes, where
+    G = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]."""
+    g = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
+    w = g @ np.swapaxes(g.conj(), -1, -2)
+    return w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
     """Normalized Wishart state G G^H / tr with controllable rank (default full)."""
     rng = as_generator(rng)
     rank = n if rank is None else min(rank, n)
-    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
-    w = g @ g.conj().T
-    return DensityMatrix(w / np.trace(w).real)
+    return DensityMatrix(_wishart(rng.standard_normal((2, n, rank))))
+
+
+def _draw_trials(n: int, trials: range, rng):
+    """(StateBatch, frames, ks) of the subspace-bound trials in `trials`.
+
+    Each trial draws, in order, a Wishart state (trial 0 is the maximally
+    mixed state and draws none), a Haar basis and one random subspace, as
+    random_density_matrix, random_basis and check_axiom2 do; the stacks
+    are then factored and rewritten in one call each.
+    """
+    count = len(trials)
+    states, bases, subspaces = np.empty((3, count, 2, n, n))
+    ks = np.empty((count, 1), dtype=np.int64)
+    for t, trial in enumerate(trials):
+        if trial:
+            rng.standard_normal(out=states[t])
+        rng.standard_normal(out=bases[t])
+        ks[t, 0] = draw_subspace(n, rng, subspaces[t])
+    mixed = np.array([trial == 0 for trial in trials])
+    rho = np.empty((count, n, n), dtype=np.complex128)
+    rho[mixed] = DensityMatrix.maximally_mixed(n).matrix
+    rho[~mixed] = _wishart(states[~mixed])
+    basis = _haar_from_ginibre(bases[:, 0] + 1j * bases[:, 1])
+    frames = _haar_from_ginibre(subspaces[:, 0] + 1j * subspaces[:, 1])
+    return StateBatch(rho, basis), frames[:, None], ks
+
+
+def check_subspace_bound(n: int, trials: range, rng, measures) -> dict:
+    """{measure: (min slack, checks)} of the subspace bound over `trials`.
+
+    `trials` is a range of trial indices: trial 0 is the maximally mixed
+    state, every other trial a Wishart state, each in a Haar-random basis
+    with its adversarial subspaces and one random subspace; the slacks are
+    those check_axiom2 reports.  Trials are drawn one at a time in stream
+    order and checked in stacked chunks.
+    """
+    rng = as_generator(rng)
+    min_slack = dict.fromkeys(measures, np.inf)
+    checks = dict.fromkeys(measures, 0)
+    step = max(1, _STACK_ENTRIES // (n * n))
+    for start in range(0, len(trials), step):
+        batch, frames, ks = _draw_trials(n, trials[start:start + step], rng)
+        dims, devs = subspace_deviations(batch, frames, ks)
+        present = dims > 0
+        for m in measures:
+            slack = dims * measure_values(batch, m)[:, None] - devs
+            min_slack[m] = min(min_slack[m], float(slack[present].min()))
+            checks[m] += int(present.sum())
+    return {m: (min_slack[m], checks[m]) for m in measures}
 
 
 _THEOREM42_COLUMNS = (
@@ -148,32 +210,25 @@ def run_theorem42_suite(
 ) -> ExperimentReport:
     """Subspace-bound and decay checks for the coherence-measure candidates.
 
-    Per dimension: check_axiom2 on `trials` random (state, basis) pairs plus
-    the maximally mixed state, with one random subspace each; then
-    check_axiom1 along `paths_per_n` random basis paths.  A bound row with
-    zero checks fails.  Injecting an s_rel MeasureId adds its counterexample
-    as a failing row.
+    Per dimension: check_subspace_bound on `trials` random (state, basis)
+    pairs plus the maximally mixed state, with one random subspace each;
+    then check_axiom1 along `paths_per_n` random basis paths.  A bound row
+    with zero checks fails.  Injecting an s_rel MeasureId adds its
+    counterexample as a failing row.  Every n must be at least 2: at n = 1
+    the decay path is constant 0, so it cannot decrease.
     """
+    if any(n < 2 for n in n_list):
+        raise ValueError(f"theorem42 needs every n >= 2, got {list(n_list)}")
     root = SeededGenerator(seed)
     ts = np.asarray(sorted(ts, reverse=True), dtype=np.float64)
     plain = [m for m in measures if m.name != "s_rel"]
     rows = []
     for block, n in enumerate(n_list):
         rng = root.substream(block)
-        min_slack = dict.fromkeys(plain, np.inf)
-        checks = dict.fromkeys(plain, 0)
-        for trial in range(trials + 1):
-            # Trial 0 exercises the degenerate maximally mixed state.
-            rho = random_density_matrix(n, rng) if trial else DensityMatrix.maximally_mixed(n)
-            s = rewrite_in_basis(rho, random_basis(n, rng))
-            for m, reports in check_axiom2(s, plain, 1, rng).items():
-                min_slack[m] = min([min_slack[m]] + [r.slack for r in reports])
-                checks[m] += len(reports)
-        rows += [
-            _theorem42_row(1, n, m, count=checks[m], min_slack=min_slack[m],
-                           ok=checks[m] > 0 and min_slack[m] >= -AXIOM_SLACK_TOL)
-            for m in plain
-        ]
+        # Trial 0 exercises the degenerate maximally mixed state.
+        for m, (slack, count) in check_subspace_bound(n, range(trials + 1), rng, plain).items():
+            rows.append(_theorem42_row(1, n, m, count=count, min_slack=slack,
+                                       ok=count > 0 and slack >= -AXIOM_SLACK_TOL))
         for _ in range(paths_per_n):
             rho = random_density_matrix(n, rng)
             path = approach_path(rho.eigensystem()[1], ts, rng)
@@ -247,11 +302,12 @@ def run_proposition31_suite(
         }
         for family, pairs in families.items():
             upper = [commutator_upper_bound(a, b) for a, b in pairs]
+            # A family with no pairs (trials = 0) gives a failing zero-check row.
             rows.append({
                 "n": float(n), "family": family, "bound": 1.0,
                 "count": float(len(upper)),
-                "min_rel_slack": min(r.relative_slack for r in upper),
-                "ok": float(all(r.satisfied for r in upper)),
+                "min_rel_slack": min((r.relative_slack for r in upper), default=np.inf),
+                "ok": float(bool(upper) and all(r.satisfied for r in upper)),
             })
             lower = []
             for a, b in pairs:

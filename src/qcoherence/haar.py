@@ -92,13 +92,23 @@ class MonteCarloEstimate:
         return diff / self.std_error
 
 
-def _haar_chunk(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (count, n, n) stack of re + 1j * im standard
+    Gaussian draws, which is overwritten: one stacked QR, then the phase fix.
+
+    Callers that interleave other draws can fill the stack one unitary at a
+    time and still factor it in one call.
+    """
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.einsum("sii->si", r)
     q *= (d.conj() / np.abs(d))[:, None, :]
     return q
+
+
+def _haar_chunk(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return _haar_from_ginibre(z)
 
 
 def _haar_chunks(n: int, count: int, rng: np.random.Generator):

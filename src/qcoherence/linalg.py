@@ -80,8 +80,16 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def eigensystem(self) -> tuple[np.ndarray, "OrthonormalBasis"]:
-        """Ascending eigenvalues and one orthonormal eigenbasis."""
-        return hermitian_eigendecomposition(self.matrix)
+        """Ascending eigenvalues and one orthonormal eigenbasis.
+
+        Computed on the first call and kept: both parts are read-only, so
+        every caller can share them.
+        """
+        cached = self.__dict__.get("_eigensystem")
+        if cached is None:
+            cached = hermitian_eigendecomposition(self.matrix)
+            object.__setattr__(self, "_eigensystem", cached)
+        return cached
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":

@@ -15,18 +15,23 @@ of rho and (2) bound the deviation from classical total-probability
 statistics: |tr(rho P_F) - tr(D P_F)| <= dim(F) * measure for every subspace
 F.  The first four satisfy both; s_rel fails (2) for every constant c, and
 :func:`srel_counterexample` exhibits a violating instance.
+
+The measures and the subspace-bound kernel compute on a StateBatch, T
+states rewritten in T bases stacked on a leading axis.  The scalar API
+(eta1(s), tpf_deviation(s, f), check_axiom2, ...) evaluates a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .distance import BoundReport, basis_distance
+from .distance import BoundReport, basis_distance, basis_distances
 from .errors import CounterexampleNotFoundError, DimensionMismatchError
-from .haar import as_generator, sample_haar_unitary
+from .haar import _haar_from_ginibre, as_generator, sample_haar_unitary
 from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
@@ -56,13 +61,58 @@ class StateInBasis:
         return self.rep.shape[0]
 
 
+def _rewrite(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u^H rho u over any leading axes."""
+    return np.swapaxes(u.conj(), -1, -2) @ rho @ u
+
+
+def _off_diagonal(rep: np.ndarray) -> np.ndarray:
+    q = rep.copy()
+    i = np.arange(rep.shape[-1])
+    q[..., i, i] = 0.0
+    return q
+
+
 def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
     """Express rho in the given basis."""
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     if rho.dim != basis.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} vs basis dim {basis.dim}")
-    u = basis.vectors
-    return StateInBasis(rho, basis, u.conj().T @ rho.matrix @ u)
+    return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))
+
+
+class StateBatch:
+    """T states rewritten in T bases, stacked on a leading axis.
+
+    `rho` and `basis` are (T, n, n) stacks of density matrices and of
+    unitaries whose columns are the basis vectors; `rep` defaults to their
+    rewrite.  The off-diagonal parts and the eigenbases of rho are computed
+    once, when first needed; `eigenbases`, a zero-argument callable returning
+    the (T, n, n) eigenbases, replaces the batched eigh when they are known.
+    The batch trusts its input, like the DensityMatrix constructor.
+    """
+
+    def __init__(self, rho: np.ndarray, basis: np.ndarray, rep=None, eigenbases=None):
+        self.rho, self.basis = rho, basis
+        self.rep = _rewrite(rho, basis) if rep is None else rep
+        self._eigenbases = eigenbases or (lambda: np.linalg.eigh(rho)[1])
+
+    @classmethod
+    def of(cls, s: StateInBasis) -> "StateBatch":
+        """The batch of one holding s; its eigenbasis is s.rho's cached one."""
+        return cls(
+            s.rho.matrix[None], s.basis.vectors[None], s.rep[None],
+            lambda: s.rho.eigensystem()[1].vectors[None],
+        )
+
+    @cached_property
+    def offdiag(self) -> np.ndarray:
+        """rep with each diagonal zeroed: the interference parts Q."""
+        return _off_diagonal(self.rep)
+
+    @cached_property
+    def eigenbases(self) -> np.ndarray:
+        return self._eigenbases()
 
 
 def diagonal_part(s: StateInBasis) -> DensityMatrix:
@@ -72,64 +122,40 @@ def diagonal_part(s: StateInBasis) -> DensityMatrix:
 
 def off_diagonal_part(s: StateInBasis) -> np.ndarray:
     """rep with its diagonal zeroed; Hermitian and traceless."""
-    q = s.rep.copy()
-    np.fill_diagonal(q, 0.0)
-    return q
+    return _off_diagonal(s.rep)
 
 
-def eta1(s: StateInBasis) -> float:
-    """l1 coherence: sum of |rep_ij| over i != j."""
-    return float(np.abs(off_diagonal_part(s)).sum())
+# Batched evaluators: StateBatch (and s_rel's constant) -> one value per state.
+
+def _eta1(b: StateBatch) -> np.ndarray:
+    return np.abs(b.offdiag).sum(axis=(-2, -1))
 
 
-def eta2(s: StateInBasis) -> float:
-    """l2 coherence: sqrt(sum of |rep_ij|^2 over i != j)."""
-    q = off_diagonal_part(s)
-    return float(np.sqrt(np.vdot(q, q).real))
+def _eta2(b: StateBatch) -> np.ndarray:
+    q = b.offdiag
+    q = q.reshape(len(q), 1, -1)
+    # One BLAS dot q^H q per state, as np.vdot computes it.
+    return np.sqrt((q.conj() @ np.swapaxes(q, -1, -2))[:, 0, 0].real)
 
 
-def eta_inf(s: StateInBasis) -> float:
-    """n times the largest off-diagonal magnitude (the decoherence-factor scale)."""
-    if s.dim == 1:
-        return 0.0
-    return float(s.dim * np.abs(off_diagonal_part(s)).max())
+def _eta_inf(b: StateBatch) -> np.ndarray:
+    q = b.offdiag
+    return q.shape[-1] * np.abs(q).max(axis=(-2, -1))
 
 
-def delta(s: StateInBasis) -> float:
-    """Distance from an eigenbasis of rho to the basis of interest.
-
-    With a degenerate rho the eigenbasis is not unique; the value at the
-    solver's returned eigenbasis is used.
-    """
-    _, eigenbasis = s.rho.eigensystem()
-    return basis_distance(eigenbasis, s.basis)
+def _delta(b: StateBatch) -> np.ndarray:
+    return basis_distances(b.eigenbases, b.basis)
 
 
-def s_rel(s: StateInBasis, c: float) -> float:
-    """Relative entropy of coherence c * [S(diagonal part) - S(rho)], in nats."""
-    if c <= 0:
-        raise ValueError(f"constant c must be positive, got {c}")
-    value = c * (von_neumann_entropy(diagonal_part(s)) - von_neumann_entropy(s.rho))
+def _s_rel(b: StateBatch, c: float) -> np.ndarray:
     # Dephasing cannot lower entropy; clip the roundoff-negative case.
-    return max(value, 0.0)
+    return np.array([
+        max(c * (von_neumann_entropy(np.diag(np.diag(rep))) - von_neumann_entropy(rho)), 0.0)
+        for rep, rho in zip(b.rep, b.rho)
+    ])
 
 
-def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
-    """|tr(rho P_F) - tr(D P_F)|, the deviation from total-probability statistics.
-
-    Computed as |sum_k <pi_k| Q |pi_k>| with the frame vectors rewritten in
-    the basis of s; agrees with the trace difference to 1e-12.
-    """
-    if f.ambient_dim != s.dim:
-        raise DimensionMismatchError(
-            f"subspace ambient dim {f.ambient_dim} vs state dim {s.dim}"
-        )
-    w = s.basis.vectors.conj().T @ f.frame
-    q = off_diagonal_part(s)
-    return float(abs(np.einsum("ak,ab,bk->", w.conj(), q, w).real))
-
-
-MEASURES = {"eta1": eta1, "eta2": eta2, "eta_inf": eta_inf, "delta": delta, "s_rel": s_rel}
+MEASURES = {"eta1": _eta1, "eta2": _eta2, "eta_inf": _eta_inf, "delta": _delta, "s_rel": _s_rel}
 
 # CSV code = position in MEASURES + 1, so reordering MEASURES changes reports.
 MEASURE_CODES = {name: float(code) for code, name in enumerate(MEASURES, 1)}
@@ -165,9 +191,75 @@ def srel_id(c: float) -> MeasureId:
     return MeasureId("s_rel", c)
 
 
-def evaluate_measure(s: StateInBasis, measure: MeasureId) -> float:
+def measure_values(b: StateBatch, measure: MeasureId) -> np.ndarray:
+    """The measure of every state in the batch, shape (T,)."""
     evaluator = MEASURES[measure.name]
-    return evaluator(s) if measure.c is None else evaluator(s, measure.c)
+    return evaluator(b) if measure.c is None else evaluator(b, measure.c)
+
+
+def evaluate_measure(s: StateInBasis, measure: MeasureId) -> float:
+    return float(measure_values(StateBatch.of(s), measure)[0])
+
+
+def eta1(s: StateInBasis) -> float:
+    """l1 coherence: sum of |rep_ij| over i != j."""
+    return evaluate_measure(s, ETA1)
+
+
+def eta2(s: StateInBasis) -> float:
+    """l2 coherence: sqrt(sum of |rep_ij|^2 over i != j)."""
+    return evaluate_measure(s, ETA2)
+
+
+def eta_inf(s: StateInBasis) -> float:
+    """n times the largest off-diagonal magnitude (the decoherence-factor scale)."""
+    return evaluate_measure(s, ETA_INF)
+
+
+def delta(s: StateInBasis) -> float:
+    """Distance from an eigenbasis of rho to the basis of interest.
+
+    With a degenerate rho the eigenbasis is not unique; the value at the
+    solver's returned eigenbasis is used.
+    """
+    return evaluate_measure(s, DELTA)
+
+
+def s_rel(s: StateInBasis, c: float) -> float:
+    """Relative entropy of coherence c * [S(diagonal part) - S(rho)], in nats."""
+    if c <= 0:
+        raise ValueError(f"constant c must be positive, got {c}")
+    return evaluate_measure(s, srel_id(c))
+
+
+def _deviations(b: StateBatch, frames: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """|tr(rho P_F) - tr(D P_F)| for S subspaces per state, shape (T, S).
+
+    frames[t, s] is an ambient n x n frame whose first dims[t, s] columns
+    span subspace s of state t; its other columns are ignored.  Computed as
+    |sum_k <pi_k| Q |pi_k>| with the frame vectors rewritten in the basis.
+    """
+    w = np.swapaxes(b.basis.conj(), -1, -2)[:, None] @ frames
+    qw = b.offdiag[:, None] @ w
+    qw *= np.conj(w, out=w)
+    per_column = qw.real.sum(axis=-2)
+    used = np.arange(w.shape[-1]) < dims[..., None]
+    return np.abs(np.where(used, per_column, 0.0).sum(axis=-1))
+
+
+def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
+    """|tr(rho P_F) - tr(D P_F)|, the deviation from total-probability statistics.
+
+    Computed as |sum_k <pi_k| Q |pi_k>| with the frame vectors rewritten in
+    the basis of s; agrees with the trace difference to 1e-12.
+    """
+    if f.ambient_dim != s.dim:
+        raise DimensionMismatchError(
+            f"subspace ambient dim {f.ambient_dim} vs state dim {s.dim}"
+        )
+    frame = np.zeros((s.dim, s.dim), dtype=np.complex128)
+    frame[:, :f.dim] = f.frame
+    return float(_deviations(StateBatch.of(s), frame[None, None], np.array([[f.dim]]))[0, 0])
 
 
 def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
@@ -180,6 +272,32 @@ def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
     return Subspace(u[:, :k])
 
 
+def draw_subspace(n: int, rng: np.random.Generator, out: np.ndarray) -> int:
+    """random_subspace's draws, in its stream order: return the dimension and
+    write the frame's Gaussians (re, im) into `out`, shape (2, n, n), for
+    haar._haar_from_ginibre."""
+    k = int(rng.integers(1, n + 1))
+    rng.standard_normal(out=out)
+    return k
+
+
+def _adversarial(b: StateBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Frames (T, 3, n, n) and dims (T, 3) of the sign-eigenspace candidates.
+
+    Per state: the span of Q's positive eigenvectors, of its negative ones,
+    and its top-|eigenvalue| eigenvector, in ambient coordinates with the
+    chosen columns first in eigenvalue order; dim 0 marks an empty span.
+    """
+    w, v = np.linalg.eigh(b.offdiag)
+    mag = np.abs(w)
+    cut = 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
+    top = np.arange(w.shape[-1]) == mag.argmax(axis=-1)[:, None]
+    chosen = np.stack([w > cut, w < -cut, top], axis=1)
+    order = np.argsort(~chosen, axis=-1, kind="stable")
+    frames = np.take_along_axis((b.basis @ v)[:, None], order[:, :, None, :], axis=-1)
+    return frames, chosen.sum(axis=-1)
+
+
 def adversarial_subspaces(s: StateInBasis) -> list[Subspace]:
     """Worst-case candidates for the total-probability bound.
 
@@ -188,19 +306,20 @@ def adversarial_subspaces(s: StateInBasis) -> list[Subspace]:
     negative eigenvectors, plus the single top-|eigenvalue| eigenvector.
     Frames are mapped back to ambient coordinates.
     """
-    q = off_diagonal_part(s)
-    w, v = np.linalg.eigh(q)
-    u = s.basis.vectors
-    cut = 1e-12 * max(1.0, float(np.abs(w).max()))
-    frames = []
-    pos = v[:, w > cut]
-    neg = v[:, w < -cut]
-    if pos.shape[1]:
-        frames.append(pos)
-    if neg.shape[1]:
-        frames.append(neg)
-    frames.append(v[:, [int(np.abs(w).argmax())]])
-    return [Subspace(u @ f) for f in frames]
+    frames, dims = _adversarial(StateBatch.of(s))
+    return [Subspace(f[:, :k]) for f, k in zip(frames[0], dims[0]) if k]
+
+
+def subspace_deviations(b: StateBatch, frames: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dims, deviations), each (T, 3 + R), for the subspace-bound check.
+
+    Per state: the three adversarial_subspaces candidates (dim 0 where one
+    is empty), then R random subspaces, spanned by the first ks[t, r]
+    columns of the Haar unitaries frames[t, r]; frames is (T, R, n, n).
+    """
+    adversarial, adversarial_dims = _adversarial(b)
+    devs = [_deviations(b, adversarial, adversarial_dims), _deviations(b, frames, ks)]
+    return np.concatenate([adversarial_dims, ks], axis=1), np.concatenate(devs, axis=1)
 
 
 def check_axiom2(s: StateInBasis, measures, trials: int, rng) -> dict:
@@ -212,14 +331,15 @@ def check_axiom2(s: StateInBasis, measures, trials: int, rng) -> dict:
     deviation is computed once, and the draws from `rng` ignore `measures`.
     """
     rng = as_generator(rng)
-    values = {m: evaluate_measure(s, m) for m in measures}
-    subspaces = adversarial_subspaces(s)
-    subspaces += [random_subspace(s.dim, rng) for _ in range(trials)]
-    deviations = [(f.dim, tpf_deviation(s, f)) for f in subspaces]
-    return {
-        m: [BoundReport.check(dev, k * value) for k, dev in deviations]
-        for m, value in values.items()
-    }
+    n = s.dim
+    gauss = np.empty((max(trials, 0), 2, n, n))
+    ks = np.array([draw_subspace(n, rng, g) for g in gauss], dtype=np.int64)
+    frames = _haar_from_ginibre(gauss[:, 0] + 1j * gauss[:, 1])
+    b = StateBatch.of(s)
+    dims, devs = subspace_deviations(b, frames[None], ks[None])
+    checks = [(int(k), float(dev)) for k, dev in zip(dims[0], devs[0]) if k]
+    values = {m: float(measure_values(b, m)[0]) for m in measures}
+    return {m: [BoundReport.check(dev, k * value) for k, dev in checks] for m, value in values.items()}
 
 
 def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:

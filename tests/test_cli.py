@@ -134,6 +134,13 @@ class TestMeasureCommand:
             "E_VALIDATION", "basis has 1 NaN or infinite entries"
         ]
 
+    def test_missing_input_exit_4(self, tmp_path, capsys):
+        rc = main(["measure", str(tmp_path / "absent.txt")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "E_IO"
+        assert "absent.txt" in err[1] and len(err) == 2
+
     def test_unknown_measure_exit_2(self, eps_state_file, capsys):
         rc = main(["measure", eps_state_file, "--measures", "eta7"])
         assert rc == 2
@@ -227,6 +234,24 @@ class TestExperimentCommand:
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "E_USAGE"
         assert "must be >=" in err[1]
+        assert not list(tmp_path.iterdir())
+
+    def test_unwritable_out_exit_4(self, tmp_path, capsys):
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("not a directory\n")
+        rc = main(["experiment", "srel", "--c", "1", "--out", str(blocker / "reports")])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "E_IO"
+        assert len(err) == 2
+
+    def test_theorem42_dimension_one_exit_2(self, tmp_path, capsys):
+        rc = main(["experiment", "theorem42", "--n", "1", "--trials", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "E_USAGE"
+        assert "n >= 2" in err[1]
         assert not list(tmp_path.iterdir())
 
     def test_zero_trials_reach_the_runner(self, tmp_path):

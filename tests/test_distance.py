@@ -9,6 +9,7 @@ from qcoherence import (
     DegenerateSpectrumError,
     DimensionMismatchError,
     HermitianObservable,
+    NotFiniteError,
     OrthonormalBasis,
     PointsNotDistinctError,
     WeightsNotNormalizedError,
@@ -239,6 +240,16 @@ class TestJensenGapBound:
     def test_coincident_points(self):
         with pytest.raises(PointsNotDistinctError):
             jensen_gap_bound([0.5, 0.25, 0.25], [0.0, 1.0, 1.0], 0.1)
+
+    @pytest.mark.parametrize("weights, points, epsilon", [
+        ([0.5, 0.5], [0.0, np.nan], 0.1),
+        ([0.5, 0.5], [0.0, 1.0], np.nan),
+        ([0.5, 0.5], [0.0, np.inf], 0.1),
+        ([np.nan, 0.5], [0.0, 1.0], 0.1),
+    ], ids=["nan-point", "nan-epsilon", "inf-point", "nan-weight"])
+    def test_non_finite_input(self, weights, points, epsilon):
+        with pytest.raises(NotFiniteError):
+            jensen_gap_bound(weights, points, epsilon)
 
 
 @settings(max_examples=200, deadline=None)

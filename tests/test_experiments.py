@@ -1,11 +1,20 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from qcoherence import (
+    DELTA,
+    ETA1,
     ETA2,
+    ETA_INF,
+    DensityMatrix,
     ExperimentReport,
+    SeededGenerator,
+    check_axiom2,
     load_report,
+    random_basis,
+    rewrite_in_basis,
     run_proposition31_suite,
     run_purity_sweep,
     run_srel_demo,
@@ -14,7 +23,7 @@ from qcoherence import (
     write_report,
 )
 from qcoherence.cli import main as cli_main
-from qcoherence.experiments import MEASURE_CODES
+from qcoherence.experiments import MEASURE_CODES, check_subspace_bound, random_density_matrix
 
 
 def test_theorem42_passes_for_genuine_measures():
@@ -150,6 +159,39 @@ def test_theorem42_includes_maximally_mixed_trial():
     assert bound_rows and all(r["ok"] == 1.0 for r in bound_rows)
 
 
+def test_theorem42_rejects_dimension_one():
+    # at n = 1 the decay path is constant 0 and cannot decrease
+    with pytest.raises(ValueError, match="n >= 2"):
+        run_theorem42_suite(n_list=(2, 1), trials=1, seed=0)
+
+
+def test_prop31_zero_trials_writes_failing_zero_check_rows():
+    report = run_proposition31_suite(n_list=(2,), trials=0, seed=0)
+    random_rows = [r for r in report.rows if r["family"] == 1.0]
+    assert random_rows == [{"n": 2.0, "family": 1.0, "bound": 1.0, "count": 0.0,
+                            "min_rel_slack": float("inf"), "ok": 0.0}]
+    assert not report.verdict
+
+
+def test_subspace_bound_chunks_equal_the_scalar_loop():
+    # the stacked path against a loop over check_axiom2 on the same stream,
+    # across chunk edges (1024 trials per chunk at n = 2)
+    measures = (ETA1, ETA2, ETA_INF, DELTA)
+    for n, trials in ((2, range(1030)), (3, range(5, 40))):
+        got = check_subspace_bound(n, trials, 11, measures)
+        rng = SeededGenerator(11).generator()
+        want = {m: (np.inf, 0) for m in measures}
+        for trial in trials:
+            rho = random_density_matrix(n, rng) if trial else DensityMatrix.maximally_mixed(n)
+            s = rewrite_in_basis(rho, random_basis(n, rng))
+            for m, reports in check_axiom2(s, measures, 1, rng).items():
+                slack, count = want[m]
+                want[m] = (min([slack] + [r.slack for r in reports]), count + len(reports))
+        for m in measures:
+            assert got[m][1] == want[m][1]
+            assert abs(got[m][0] - want[m][0]) <= 1e-12
+
+
 def test_theorem42_bound_rows_fail_without_checks():
     # negative trials run no bound check at all: that must not read as a pass
     report = run_theorem42_suite(n_list=(2,), trials=-5, seed=9, paths_per_n=0)
@@ -162,7 +204,7 @@ def test_theorem42_bound_rows_fail_without_checks():
 # explained in CHANGES.md.
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "dd86e518e2e161b5262ec75e05778c9ff03a8a1ec7e4d2fdd15a2202f16ad35d",
+        "ef4175f6fd85a0dcd430dfb36b2698b8c13ba246cd37547da32203726c81b263",
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):

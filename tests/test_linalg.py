@@ -102,6 +102,13 @@ class TestEigendecomposition:
         assert basis is obs.eigenbasis
         assert np.all(np.diff(obs.spectrum) >= 0)
 
+    def test_state_caches_its_eigensystem(self):
+        rho = DensityMatrix(_random_state(5, np.random.default_rng(6)))
+        w, basis = rho.eigensystem()
+        assert rho.eigensystem()[1] is basis
+        w2, basis2 = hermitian_eigendecomposition(rho.matrix)
+        assert (w == w2).all() and (basis.vectors == basis2.vectors).all()
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             HermitianObservable.from_matrix([[0.0, 1.0], [0.0, 0.0]])

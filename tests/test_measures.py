@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import qcoherence.linalg
 from qcoherence import (
     DELTA,
     ETA1,
@@ -38,7 +41,15 @@ from qcoherence import (
     validate_density,
 )
 from qcoherence.experiments import random_density_matrix
-from qcoherence.measures import MEASURE_CODES, MEASURES, adversarial_subspaces
+from qcoherence.haar import sample_haar_unitary
+from qcoherence.measures import (
+    MEASURE_CODES,
+    MEASURES,
+    StateBatch,
+    adversarial_subspaces,
+    measure_values,
+    subspace_deviations,
+)
 
 EPS = 0.1
 STANDARD2 = OrthonormalBasis.standard(2)
@@ -302,6 +313,28 @@ class TestAxiomHarness:
                 want = [evaluate_measure(rewrite_in_basis(rho, b), m) for b in path]
                 assert values[m].tolist() == want
 
+    def test_axiom1_diagonalises_rho_once(self, monkeypatch):
+        # delta at every path point reuses the state's cached eigensystem
+        calls = []
+        real = qcoherence.linalg.hermitian_eigendecomposition
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(qcoherence.linalg, "hermitian_eigendecomposition", counting)
+        rho = random_density_matrix(4, np.random.default_rng(2))
+        path = approach_path(OrthonormalBasis.standard(4), np.geomspace(0.1, 1e-9, 9), 3)
+        check_axiom1(rho, (ETA1, ETA2, ETA_INF, DELTA), path)
+        assert len(calls) == 1
+
+    def test_axiom2_accepts_dimension_one(self):
+        s = rewrite_in_basis(DensityMatrix.maximally_mixed(1), OrthonormalBasis.standard(1))
+        reports = check_axiom2(s, (ETA1, ETA2, ETA_INF, DELTA), 3, 4)
+        for m, rs in reports.items():
+            assert len(rs) == 4  # the top eigenvector plus three random subspaces
+            assert all(r.lhs == 0.0 and r.satisfied for r in rs)
+
     def test_axiom1_eta1_below_n_eta2(self):
         rng = np.random.default_rng(8)
         ts = np.geomspace(0.2, 1e-6, 6)
@@ -310,6 +343,49 @@ class TestAxiomHarness:
         path = approach_path(rho.eigensystem()[1], ts, rng)
         _, values = check_axiom1(rho, (ETA1, ETA2), path)
         assert (values[ETA1] <= n * values[ETA2] + 1e-12).all()
+
+
+def _state_of_kind(kind, n, rng):
+    if kind == "wishart":
+        return random_density_matrix(n, rng)
+    if kind == "pure":  # n - 1 zero eigenvalues
+        return random_density_matrix(n, rng, rank=1)
+    if kind == "degenerate":  # eigenvalues repeated in pairs
+        p = np.repeat(rng.random((n + 1) // 2) + 0.1, 2)[:n]
+        v = random_basis(n, rng).vectors
+        return DensityMatrix((v * (p / p.sum())) @ v.conj().T)
+    return DensityMatrix.maximally_mixed(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(["wishart", "pure", "degenerate", "mixed"]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, kinds=["mixed", "wishart"], seed=0)
+@example(n=4, kinds=["degenerate", "pure", "mixed", "wishart"], seed=1)
+def test_batched_kernel_equals_scalar_harness(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    states = [_state_of_kind(kind, n, rng) for kind in kinds]
+    bases = [random_basis(n, rng) for _ in kinds]
+    seeds = rng.integers(2**32, size=len(kinds))
+    ks, frames = [], []
+    for sd in seeds:  # the random subspace check_axiom2 draws from each seed
+        replay = np.random.default_rng(sd)
+        ks.append(int(replay.integers(1, n + 1)))
+        frames.append(sample_haar_unitary(n, replay))
+    batch = StateBatch(np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases]))
+    dims, devs = subspace_deviations(batch, np.stack(frames)[:, None], np.array(ks)[:, None])
+    for m in (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5)):
+        values = measure_values(batch, m)
+        for t, (rho, b) in enumerate(zip(states, bases)):
+            s = rewrite_in_basis(rho, b)
+            assert abs(values[t] - evaluate_measure(s, m)) <= 1e-12
+            reports = check_axiom2(s, (m,), 1, np.random.default_rng(seeds[t]))[m]
+            slacks = (dims[t] * values[t] - devs[t])[dims[t] > 0]
+            assert len(reports) == len(slacks)
+            assert all(abs(r.slack - x) <= 1e-12 for r, x in zip(reports, slacks))
 
 
 class TestSrelCounterexample:
