@@ -1,16 +1,19 @@
 """Command-line front end.
 
     qcoherence measure STATE [--basis FILE] [--measures LIST] [--c C] [--json|--csv]
-    qcoherence distance BASIS_A BASIS_B
+    qcoherence distance BASIS_A BASIS_B [--mub-tol TOL]
     qcoherence experiment {theorem42,prop31,purity,srel} [--n LIST] [--trials T]
                           [--samples S] [--seed SEED] [--c LIST] [--out DIR]
 
 Exit codes: 0 success / experiment pass, 1 experiment fail, 2 usage or parse
-error (a negative --trials/--samples, a non-positive --n entry or --rank, or
-a theorem42 --n entry below 2 included), 3 validation error (NaN or infinite
-matrix entries included), 4 I/O error (a missing input file or an unwritable
---out).  Every error path prints a one-line machine code (E_USAGE, E_PARSE,
-E_VALIDATION, E_NOT_FOUND, E_IO) on stderr before the human-readable message.
+error (a negative --trials/--samples, a non-positive --n entry or --rank, a
+theorem42 or prop31 --n entry below 2, an empty --measures list, a NaN,
+infinite or non-positive s_rel --c, or a NaN, infinite or negative --mub-tol
+included), 3 validation error (NaN or infinite matrix entries included), 4
+I/O error (a missing input file, or an --out that cannot be created, checked
+before the suite runs).  Every error path prints a one-line machine code
+(E_USAGE, E_PARSE, E_VALIDATION, E_NOT_FOUND, E_IO) on stderr before the
+human-readable message.
 The default seed is the fixed constant 42, so identical invocations produce
 byte-identical report files.
 """
@@ -107,6 +110,8 @@ def _cmd_measure(args) -> int:
     basis = read_basis(args.basis) if args.basis else OrthonormalBasis.standard(rho.dim)
     state = rewrite_in_basis(rho, basis)
     names = [x.strip() for x in args.measures.split(",") if x.strip()]
+    if not names:
+        raise ValueError("--measures names no measure")
     values = {}
     for name in names:
         measure = MeasureId(name, args.c) if name == "s_rel" else MeasureId(name)
@@ -125,8 +130,9 @@ def _cmd_measure(args) -> int:
 def _cmd_distance(args) -> int:
     a = read_basis(args.basis_a)
     b = read_basis(args.basis_b)
+    unbiased = is_mutually_unbiased(a, b, args.mub_tol)
     print(f"distance = {basis_distance(a, b):.12g}")
-    print(f"mutually_unbiased = {str(is_mutually_unbiased(a, b, args.mub_tol)).lower()}")
+    print(f"mutually_unbiased = {str(unbiased).lower()}")
     return 0
 
 
@@ -137,9 +143,10 @@ def _cmd_experiment(args) -> int:
         value = getattr(args, flag)
         if value is not None and value != []:
             kwargs[kwarg] = value
-    report = getattr(experiments, runner)(**kwargs)
+    # Fail on an unusable --out before the run, not after it.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    report = getattr(experiments, runner)(**kwargs)
     path = out_dir / f"{args.suite}.csv"
     experiments.write_report(report, path)
     print(f"{path}: {'pass' if report.verdict else 'fail'} ({len(report.rows)} rows)")

@@ -145,6 +145,8 @@ def is_mutually_unbiased(
     b1: OrthonormalBasis, b2: OrthonormalBasis, tol: float = MUB_DEFAULT_TOL
 ) -> bool:
     """True when every squared overlap equals 1/n within tol."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     o = overlap_matrix(b1, b2).entries
     return bool(np.abs(o - 1.0 / b1.dim).max() <= tol)
 

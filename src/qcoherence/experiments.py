@@ -289,7 +289,10 @@ def run_proposition31_suite(
     Random Gaussian pairs have non-degenerate spectra almost surely and
     exercise both bounds; the near-degenerate family exercises only the
     upper bound (the lower one's precondition fails by construction).
+    Every n must be at least 2, the smallest dimension with a spectral gap.
     """
+    if any(n < 2 for n in n_list):
+        raise ValueError(f"prop31 needs every n >= 2, got {list(n_list)}")
     root = SeededGenerator(seed)
     rows = []
     for block, n in enumerate(n_list):

@@ -15,6 +15,11 @@ serve as the analytic anchor for all Monte Carlo estimates, in particular
 
 for the diagonal of a state rewritten in a Haar-random basis, and hence
 E eta2^2 = (n tr(rho^2) - 1) / (n + 1).
+
+The Monte Carlo estimates of sum_i rho_ii^2 use unitary invariance: the
+statistic depends on the basis only through the r rows of V^H U that belong
+to eigenvalues above the lowest, so each sample draws just the n x r Haar
+isometry (Mezzadri, Notices AMS 2007) instead of a full unitary.
 """
 
 from __future__ import annotations
@@ -93,8 +98,9 @@ class MonteCarloEstimate:
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a (count, n, n) stack of re + 1j * im standard
-    Gaussian draws, which is overwritten: one stacked QR, then the phase fix.
+    """The first k columns of Haar unitaries from a (count, n, k) stack of
+    re + 1j * im standard Gaussian draws, which is overwritten: one stacked
+    QR, then the phase fix.
 
     Callers that interleave other draws can fill the stack one unitary at a
     time and still factor it in one call.
@@ -106,19 +112,20 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def _haar_chunk(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+def _haar_chunk(n: int, cols: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((count, n, cols)) + 1j * rng.standard_normal((count, n, cols))
     return _haar_from_ginibre(z)
 
 
-def _haar_chunks(n: int, count: int, rng: np.random.Generator):
-    """Yield (start, unitaries) chunks covering `count` Haar draws, in order.
+def _haar_chunks(n: int, cols: int, count: int, rng: np.random.Generator):
+    """Yield (start, isometries) chunks covering `count` Haar draws of the
+    first `cols` columns of an n x n unitary (all of it at cols = n), in order.
 
     Drawing in _haar_chunk frees its work arrays before the caller uses a chunk.
     """
-    step = max(1, _CHUNK_ENTRIES // (n * n))
+    step = max(1, _CHUNK_ENTRIES // (n * cols))
     for start in range(0, count, step):
-        yield start, _haar_chunk(n, min(step, count - start), rng)
+        yield start, _haar_chunk(n, cols, min(step, count - start), rng)
 
 
 def sample_haar_unitaries(n: int, count: int, g) -> np.ndarray:
@@ -126,7 +133,7 @@ def sample_haar_unitaries(n: int, count: int, g) -> np.ndarray:
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
     out = np.empty((count, n, n), dtype=np.complex128)
-    for start, u in _haar_chunks(n, count, as_generator(g)):
+    for start, u in _haar_chunks(n, n, count, as_generator(g)):
         out[start:start + len(u)] = u
     return out
 
@@ -169,13 +176,40 @@ def exact_expected_eta2_sq(rho) -> float:
     return (n * purity(m) - 1.0) / (n + 1.0)
 
 
+def _excited_levels(rho) -> tuple[np.ndarray, int]:
+    """Ascending spectrum of rho and the number r of its levels above the
+    lowest by more than eigh's own error, n * eps * max |lam|.
+
+    The eigenvectors are not needed: the sampled law depends on lam alone.
+    """
+    lam = np.linalg.eigvalsh(_matrix_of(rho))
+    tol = lam.size * np.finfo(np.float64).eps * np.abs(lam).max()
+    return lam, int((lam - lam[0] > tol).sum())
+
+
+def _diag_square_sums(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i (lam_0 + sum_k mu_k |w_ik|^2)^2 for each n x r isometry in the
+    stack w, where mu holds the r top gaps lam_k - lam_0."""
+    mu = lam[lam.size - w.shape[-1]:] - lam[0]
+    diag = lam[0] + (np.abs(w) ** 2) @ mu
+    return (diag**2).sum(axis=-1)
+
+
 def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
-    """Per-sample sum_i rho_ii^2 with rho rewritten in a Haar-random basis."""
-    matrix = _matrix_of(rho)
+    """Per-sample sum_i rho_ii^2 with rho rewritten in a Haar-random basis.
+
+    With rho = V diag(lam) V^H, lam ascending, and U the basis,
+    (U^H rho U)_ii = lam_0 + sum_k (lam_k - lam_0) |(V^H U)_ki|^2.  V^H U
+    and its transpose are Haar, so the r rows with lam_k > lam_0 have the
+    law of the first r columns of a Haar unitary: only that n x r isometry
+    is drawn.  r = 0 (rho a multiple of the identity) needs no draw.
+    """
+    lam, r = _excited_levels(rho)
+    if r == 0:
+        return np.full(samples, lam.size * lam[0] ** 2)
     out = np.empty(samples, dtype=np.float64)
-    for start, u in _haar_chunks(matrix.shape[0], samples, as_generator(g)):
-        diag = np.einsum("sai,sai->si", u.conj(), matrix @ u).real
-        out[start:start + len(u)] = (diag**2).sum(axis=1)
+    for start, w in _haar_chunks(lam.size, r, samples, as_generator(g)):
+        out[start:start + len(w)] = _diag_square_sums(lam, w)
     return out
 
 
@@ -211,7 +245,7 @@ def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> Mom
     rng = as_generator(g)
     exact = (2.0 if k == l else 1.0) / (n * (n + 1.0))
     xs = np.empty(samples, dtype=np.float64)
-    for start, u in _haar_chunks(n, samples, rng):
+    for start, u in _haar_chunks(n, n, samples, rng):
         xs[start:start + len(u)] = (np.abs(u[:, i, k]) ** 2) * (np.abs(u[:, i, l]) ** 2)
     est = MonteCarloEstimate.from_samples(xs)
     z = est.z_score(exact)

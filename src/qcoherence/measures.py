@@ -161,6 +161,12 @@ MEASURES = {"eta1": _eta1, "eta2": _eta2, "eta_inf": _eta_inf, "delta": _delta, 
 MEASURE_CODES = {name: float(code) for code, name in enumerate(MEASURES, 1)}
 
 
+def _check_srel_constant(c) -> None:
+    # NaN fails every comparison, so test the range positively.
+    if c is None or not 0.0 < c < np.inf:
+        raise ValueError(f"s_rel requires a positive finite constant c, got {c}")
+
+
 @dataclass(frozen=True)
 class MeasureId:
     """Names one entry of MEASURES (hashable); s_rel carries its constant."""
@@ -172,8 +178,7 @@ class MeasureId:
         if self.name not in MEASURES:
             raise ValueError(f"unknown measure {self.name!r}")
         if self.name == "s_rel":
-            if self.c is None or self.c <= 0:
-                raise ValueError("s_rel requires a positive constant c")
+            _check_srel_constant(self.c)
         elif self.c is not None:
             raise ValueError(f"{self.name} takes no constant")
 
@@ -227,8 +232,6 @@ def delta(s: StateInBasis) -> float:
 
 def s_rel(s: StateInBasis, c: float) -> float:
     """Relative entropy of coherence c * [S(diagonal part) - S(rho)], in nats."""
-    if c <= 0:
-        raise ValueError(f"constant c must be positive, got {c}")
     return evaluate_measure(s, srel_id(c))
 
 
@@ -415,8 +418,7 @@ def srel_counterexample(
     returned.  Raises CounterexampleNotFoundError with the scan bound if
     the margin never clears the tolerance (astronomically large c).
     """
-    if c <= 0:
-        raise ValueError(f"constant c must be positive, got {c}")
+    _check_srel_constant(c)
     basis = OrthonormalBasis.standard(2)
     f = Subspace.from_vectors(np.array([1.0, 1.0]) / np.sqrt(2.0))
     eps = 1.0

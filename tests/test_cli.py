@@ -141,6 +141,19 @@ class TestMeasureCommand:
         assert err[0] == "E_IO"
         assert "absent.txt" in err[1] and len(err) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--measures", ""],
+        ["--measures", " , "],
+        ["--measures", "s_rel", "--c", "nan"],
+        ["--measures", "s_rel", "--c", "inf"],
+    ], ids=["empty", "blank", "nan-c", "inf-c"])
+    def test_vacuous_or_non_finite_request_exit_2(self, eps_state_file, capsys, args):
+        rc = main(["measure", eps_state_file, "--json", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == "E_USAGE"
+
     def test_unknown_measure_exit_2(self, eps_state_file, capsys):
         rc = main(["measure", eps_state_file, "--measures", "eta7"])
         assert rc == 2
@@ -171,6 +184,16 @@ class TestDistanceCommand:
         rc = main(["distance", z, str(other)])
         assert rc == 3
         assert capsys.readouterr().err.splitlines()[0] == "E_VALIDATION"
+
+    def test_nan_mub_tol_exit_2(self, basis_files, capsys):
+        z, x = basis_files
+        rc = main(["distance", z, x, "--mub-tol", "nan"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "E_USAGE", "tolerance must be finite and nonnegative, got nan"
+        ]
 
 
 class TestExperimentCommand:
@@ -244,6 +267,31 @@ class TestExperimentCommand:
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "E_IO"
         assert len(err) == 2
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        import qcoherence.experiments
+
+        def never(**kwargs):
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setattr(qcoherence.experiments, "run_purity_sweep", never)
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("not a directory\n")
+        rc = main(["experiment", "purity", "--out", str(blocker)])
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines()[0] == "E_IO"
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("args", [
+        ["srel", "--c", "nan"],
+        ["srel", "--c", "1,inf"],
+        ["prop31", "--n", "1", "--trials", "3"],
+    ], ids=["srel-nan-c", "srel-inf-c", "prop31-dimension-one"])
+    def test_runner_usage_error_exit_2(self, tmp_path, capsys, args):
+        rc = main(["experiment", *args, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[0] == "E_USAGE"
+        assert not list(tmp_path.iterdir())
 
     def test_theorem42_dimension_one_exit_2(self, tmp_path, capsys):
         rc = main(["experiment", "theorem42", "--n", "1", "--trials", "1",

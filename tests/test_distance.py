@@ -122,6 +122,11 @@ class TestMutuallyUnbiased:
             b = OrthonormalBasis.standard(n)
             assert not is_mutually_unbiased(b, b)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
+    def test_rejects_tolerance_that_decides_nothing(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            is_mutually_unbiased(Z_BASIS, X_BASIS, tol)
+
     def test_dim4_fourier_vs_standard(self):
         f = fourier_basis(4)
         # oracle: every squared overlap with the standard basis is exactly 1/4

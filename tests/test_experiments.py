@@ -165,6 +165,12 @@ def test_theorem42_rejects_dimension_one():
         run_theorem42_suite(n_list=(2, 1), trials=1, seed=0)
 
 
+def test_prop31_rejects_dimension_one():
+    # n = 1 has no spectral gap, so the near-degenerate family cannot be built
+    with pytest.raises(ValueError, match="n >= 2"):
+        run_proposition31_suite(n_list=(2, 1), trials=3, seed=0)
+
+
 def test_prop31_zero_trials_writes_failing_zero_check_rows():
     report = run_proposition31_suite(n_list=(2,), trials=0, seed=0)
     random_rows = [r for r in report.rows if r["family"] == 1.0]
@@ -208,7 +214,7 @@ GOLDEN = {
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):
-        "9989bc78542d98bc1259b7fb29f60fa95c5fad2bd98f973feb662f4f273b7232",
+        "a4e91c40051cae63940e7ae243ad1af5b24033d812581482dad70d86c5b60272",
     ("srel",):
         "12ce540ec1cc9fdaf00aff72fb7bb8e0326f600af65e98db50c074e4d60f6a7a",
 }

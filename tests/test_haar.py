@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import qcoherence.haar as haar_mod
 from qcoherence import (
     DensityMatrix,
     MonteCarloEstimate,
@@ -10,6 +11,7 @@ from qcoherence import (
     estimate_expected_eta2_sq,
     exact_expected_diag_square_sum,
     exact_expected_eta2_sq,
+    hermitian_eigendecomposition,
     monomial_moment,
     overlap_moment_check,
     random_basis,
@@ -217,3 +219,59 @@ class TestOverlapMomentCheck:
 
         with pytest.raises(DimensionMismatchError):
             overlap_moment_check(3, 3, 0, 0, 10, 1)
+
+
+def _direct_diag_square_sums(rho, us):
+    """sum_i diag(U^H rho U)_i^2 for each full unitary in the stack: the
+    reference the isometry estimator replaces."""
+    diag = np.einsum("sai,sai->si", us.conj(), rho @ us).real
+    return (diag**2).sum(axis=1)
+
+
+def _state(kind, n, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "pure":
+        return random_density_matrix(n, rng, rank=1)
+    if kind == "rank2":
+        return random_density_matrix(n, rng, rank=2)
+    return random_density_matrix(n, rng)
+
+
+class TestIsometryEstimator:
+    @pytest.mark.parametrize("rho, r", [
+        (_state("pure", 6), 1),
+        (_state("rank2", 6), 2),
+        (_state("full", 6), 5),
+        (_state("full", 5).matrix, 4),  # a plain array is accepted too
+        (DensityMatrix(np.diag([0.4, 0.3, 0.3]).astype(complex)), 1),
+        (DensityMatrix.maximally_mixed(5), 0),
+        (DensityMatrix.maximally_mixed(1), 0),
+    ], ids=["pure", "rank2", "full", "array", "two-level", "maximally-mixed", "n1"])
+    def test_shifted_spectrum_identity(self, rho, r):
+        # for a fixed Haar U the top r rows of V^H U give the direct value
+        lam, got_r = haar_mod._excited_levels(rho)
+        assert got_r == r
+        matrix = rho.matrix if isinstance(rho, DensityMatrix) else rho
+        n = lam.size
+        v = hermitian_eigendecomposition(matrix)[1].vectors
+        us = sample_haar_unitaries(n, 5, 17)
+        w = np.swapaxes(us, 1, 2) @ v.conj()
+        got = haar_mod._diag_square_sums(lam, w[:, :, n - r:])
+        assert np.abs(got - _direct_diag_square_sums(matrix, us)).max() < 1e-12
+
+    @pytest.mark.parametrize("rho", [DensityMatrix.maximally_mixed(4),
+                                     DensityMatrix.maximally_mixed(1)], ids=["n4", "n1"])
+    def test_multiple_of_identity_draws_nothing(self, rho):
+        g = np.random.default_rng(3)
+        before = g.bit_generator.state
+        xs = haar_mod._diag_square_sum_samples(rho, 50, g)
+        assert g.bit_generator.state == before
+        assert np.abs(xs - 1.0 / rho.dim).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("kind", ["pure", "rank2", "full"])
+    def test_same_law_as_full_unitaries(self, kind, n):
+        rho = _state(kind, n, seed=n)
+        reduced = haar_mod._diag_square_sum_samples(rho, 4000, 41)
+        full = _direct_diag_square_sums(rho.matrix, sample_haar_unitaries(n, 4000, 42))
+        assert ks_2samp(reduced, full).pvalue > 0.01

@@ -412,6 +412,11 @@ class TestSrelCounterexample:
         with pytest.raises(ValueError):
             srel_counterexample(0.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_rejects_non_finite_c(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            srel_counterexample(c)
+
 
 class TestMeasureId:
     def test_srel_requires_constant(self):
@@ -419,6 +424,14 @@ class TestMeasureId:
             MeasureId("s_rel")
         with pytest.raises(ValueError):
             MeasureId("s_rel", -1.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_srel_rejects_non_finite_constant(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            MeasureId("s_rel", c)
+        s = rewrite_in_basis(DensityMatrix.maximally_mixed(2), OrthonormalBasis.standard(2))
+        with pytest.raises(ValueError, match="finite"):
+            s_rel(s, c)
 
     def test_plain_measures_reject_constant(self):
         with pytest.raises(ValueError):
