@@ -30,7 +30,7 @@ from .distance import basis_distance, is_mutually_unbiased
 from .errors import CoherenceError, CounterexampleNotFoundError, MatrixParseError
 from .io import read_basis, read_density
 from .linalg import OrthonormalBasis
-from .measures import MEASURES, MeasureId, evaluate_measure, rewrite_in_basis
+from .measures import MEASURES, MeasureId, _check_srel_constant, evaluate_measure, rewrite_in_basis
 
 DEFAULT_SEED = 42
 DEFAULT_MEASURES = "eta1,eta2,eta_inf,delta"
@@ -106,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_measure(args) -> int:
+    _check_srel_constant(args.c)  # even when s_rel is not requested
     rho = read_density(args.state)
     basis = read_basis(args.basis) if args.basis else OrthonormalBasis.standard(rho.dim)
     state = rewrite_in_basis(rho, basis)

@@ -101,7 +101,7 @@ def _doubly_stochastic(o: np.ndarray) -> np.ndarray:
     """Check overlap tables (..., n, n) for unit row and column sums within
     tol_ortho * n; return them clipped to [0, 1]."""
     tol = TOL_ORTHO * o.shape[-1]
-    defect = max(float(np.abs(o.sum(axis=axis) - 1.0).max()) for axis in (-1, -2))
+    defect = max(float(np.abs(o.sum(axis=axis) - 1.0).max(initial=0.0)) for axis in (-1, -2))
     if defect > tol:
         raise NotOrthonormalError(
             f"overlap table not doubly stochastic: worst sum defect {defect:.3e} exceeds {tol:.1e}"
@@ -128,10 +128,11 @@ def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     # An entry near 1 makes 1 - o cancel catastrophically, which floors the
     # distance at ~sqrt(n)*1e-8 for nearby bases.  Row sums equal 1, so
     # rewrite 1 - o_ij as the sum of the other (small, accurate) row entries.
-    # At most one entry per row exceeds 1/2.
-    for *t, i, j in zip(*np.nonzero(o > 0.5)):
-        row = o[(*t, i)]
-        one_minus[(*t, i, j)] = float(row[:j].sum() + row[j + 1:].sum())
+    # At most one entry per row exceeds 1/2; rows are grouped by its column.
+    big = o > 0.5
+    for j in np.flatnonzero(big.any(axis=tuple(range(o.ndim - 1)))):
+        rows = o[big[..., j]]
+        one_minus[..., j][big[..., j]] = rows[:, :j].sum(-1) + rows[:, j + 1:].sum(-1)
     return np.sqrt(np.sum(o * one_minus, axis=(-2, -1)))
 
 

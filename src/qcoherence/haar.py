@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatchError
 from .linalg import OrthonormalBasis, _matrix_of, purity
@@ -159,8 +158,8 @@ def monomial_moment(a, n: int) -> float:
     if (a < 0).any():
         raise ValueError("exponents must be nonnegative")
     m = int(a.sum())
-    log_value = gammaln(n) - gammaln(m + n) + gammaln(a + 1).sum()
-    return float(np.exp(log_value))
+    log_value = math.lgamma(n) - math.lgamma(m + n) + sum(math.lgamma(k + 1) for k in a.tolist())
+    return math.exp(log_value)
 
 
 def exact_expected_diag_square_sum(rho) -> float:

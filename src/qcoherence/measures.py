@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distance import BoundReport, basis_distance, basis_distances
+from .distance import BoundReport, basis_distances
 from .errors import CounterexampleNotFoundError, DimensionMismatchError
 from .haar import _haar_from_ginibre, as_generator, sample_haar_unitary
 from .linalg import (
@@ -133,7 +133,7 @@ def _eta1(b: StateBatch) -> np.ndarray:
 
 def _eta2(b: StateBatch) -> np.ndarray:
     q = b.offdiag
-    q = q.reshape(len(q), 1, -1)
+    q = q.reshape(len(q), 1, q.shape[-1] ** 2)
     # One BLAS dot q^H q per state, as np.vdot computes it.
     return np.sqrt((q.conj() @ np.swapaxes(q, -1, -2))[:, 0, 0].real)
 
@@ -284,21 +284,13 @@ def draw_subspace(n: int, rng: np.random.Generator, out: np.ndarray) -> int:
     return k
 
 
-def _adversarial(b: StateBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Frames (T, 3, n, n) and dims (T, 3) of the sign-eigenspace candidates.
-
-    Per state: the span of Q's positive eigenvectors, of its negative ones,
-    and its top-|eigenvalue| eigenvector, in ambient coordinates with the
-    chosen columns first in eigenvalue order; dim 0 marks an empty span.
-    """
-    w, v = np.linalg.eigh(b.offdiag)
+def _sign_eigenspaces(w: np.ndarray) -> np.ndarray:
+    """Masks (..., 3, n) over an ascending spectrum w (..., n) of Q: its
+    positive eigenvalues, its negative ones, and its top-|eigenvalue| one."""
     mag = np.abs(w)
     cut = 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
-    top = np.arange(w.shape[-1]) == mag.argmax(axis=-1)[:, None]
-    chosen = np.stack([w > cut, w < -cut, top], axis=1)
-    order = np.argsort(~chosen, axis=-1, kind="stable")
-    frames = np.take_along_axis((b.basis @ v)[:, None], order[:, :, None, :], axis=-1)
-    return frames, chosen.sum(axis=-1)
+    top = np.arange(w.shape[-1]) == mag.argmax(axis=-1)[..., None]
+    return np.stack([w > cut, w < -cut, top], axis=-2)
 
 
 def adversarial_subspaces(s: StateInBasis) -> list[Subspace]:
@@ -307,10 +299,11 @@ def adversarial_subspaces(s: StateInBasis) -> list[Subspace]:
     Q is Hermitian, so tr(Q P_F) is extremal over subspaces of fixed
     dimension on its sign eigenspaces: the spans of the positive and of the
     negative eigenvectors, plus the single top-|eigenvalue| eigenvector.
-    Frames are mapped back to ambient coordinates.
+    Frames are mapped back to ambient coordinates, in eigenvalue order.
     """
-    frames, dims = _adversarial(StateBatch.of(s))
-    return [Subspace(f[:, :k]) for f, k in zip(frames[0], dims[0]) if k]
+    w, v = np.linalg.eigh(off_diagonal_part(s))
+    frame = s.basis.vectors @ v
+    return [Subspace(frame[:, chosen]) for chosen in _sign_eigenspaces(w) if chosen.any()]
 
 
 def subspace_deviations(b: StateBatch, frames: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,10 +312,14 @@ def subspace_deviations(b: StateBatch, frames: np.ndarray, ks: np.ndarray) -> tu
     Per state: the three adversarial_subspaces candidates (dim 0 where one
     is empty), then R random subspaces, spanned by the first ks[t, r]
     columns of the Haar unitaries frames[t, r]; frames is (T, R, n, n).
+    A candidate spanned by eigenvectors of Q deviates by |sum of their
+    eigenvalues|, so those need only Q's spectrum.
     """
-    adversarial, adversarial_dims = _adversarial(b)
-    devs = [_deviations(b, adversarial, adversarial_dims), _deviations(b, frames, ks)]
-    return np.concatenate([adversarial_dims, ks], axis=1), np.concatenate(devs, axis=1)
+    w = np.linalg.eigvalsh(b.offdiag)
+    chosen = _sign_eigenspaces(w)
+    adversarial = np.abs(np.where(chosen, w[:, None], 0.0).sum(axis=-1))
+    dims = np.concatenate([chosen.sum(axis=-1), ks], axis=1)
+    return dims, np.concatenate([adversarial, _deviations(b, frames, ks)], axis=1)
 
 
 def check_axiom2(s: StateInBasis, measures, trials: int, rng) -> dict:
@@ -367,19 +364,18 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
 def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
 
-    One rewrite and one distance per path point.  The caller asserts the
-    continuity claims: values tend to 0 with d, and for eta2 the pointwise
-    bound eta2 <= d.
+    The path is one StateBatch: rho and its eigenbasis broadcast over the
+    stacked path bases.  The caller asserts the continuity claims: values
+    tend to 0 with d, and for eta2 the pointwise bound eta2 <= d.
     """
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    _, eigenbasis = rho.eigensystem()
-    ds, values = [], {m: [] for m in measures}
-    for b in path:
-        ds.append(basis_distance(eigenbasis, b))
-        s = rewrite_in_basis(rho, b)
-        for m, vals in values.items():
-            vals.append(evaluate_measure(s, m))
-    return np.asarray(ds), {m: np.asarray(vals) for m, vals in values.items()}
+    if any(b.dim != rho.dim for b in path):
+        raise DimensionMismatchError(f"path bases must have the state dim {rho.dim}")
+    bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)
+    eigenbasis = rho.eigensystem()[1].vectors
+    b = StateBatch(np.broadcast_to(rho.matrix, bases.shape), bases,
+                   eigenbases=lambda: np.broadcast_to(eigenbasis, bases.shape))
+    return basis_distances(b.eigenbases, bases), {m: measure_values(b, m) for m in measures}
 
 
 class SrelCounterexample(NamedTuple):

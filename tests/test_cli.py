@@ -146,7 +146,13 @@ class TestMeasureCommand:
         ["--measures", " , "],
         ["--measures", "s_rel", "--c", "nan"],
         ["--measures", "s_rel", "--c", "inf"],
-    ], ids=["empty", "blank", "nan-c", "inf-c"])
+        # --c is checked even when s_rel is not requested
+        ["--measures", "eta1", "--c", "nan"],
+        ["--measures", "eta1", "--c", "inf"],
+        ["--measures", "eta1", "--c", "0"],
+        ["--measures", "eta1", "--c", "-1"],
+    ], ids=["empty", "blank", "nan-c", "inf-c", "eta1-nan-c", "eta1-inf-c", "eta1-zero-c",
+            "eta1-negative-c"])
     def test_vacuous_or_non_finite_request_exit_2(self, eps_state_file, capsys, args):
         rc = main(["measure", eps_state_file, "--json", *args])
         assert rc == 2

@@ -24,6 +24,8 @@ from qcoherence import (
     quadratic_jensen_gap,
     random_basis,
 )
+from qcoherence.distance import _doubly_stochastic, basis_distances
+from qcoherence.haar import sample_haar_unitaries
 
 Z_BASIS = OrthonormalBasis.standard(2)
 X_BASIS = OrthonormalBasis.from_columns(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
@@ -111,6 +113,33 @@ class TestBasisDistance:
             rotated = OrthonormalBasis.from_columns(np.array([[c, -s], [s, c]]))
             d = basis_distance(Z_BASIS, rotated)
             assert abs(d - abs(np.sin(2 * t))) < 1e-6 * abs(np.sin(2 * t))
+
+
+def _per_entry_distances(u1, u2):
+    # reference: the rewrite of 1 - o_ij one overlap entry at a time
+    o = _doubly_stochastic(np.abs(np.swapaxes(u1.conj(), -1, -2) @ u2) ** 2)
+    one_minus = 1.0 - o
+    for *t, i, j in zip(*np.nonzero(o > 0.5)):
+        row = o[(*t, i)]
+        one_minus[(*t, i, j)] = float(row[:j].sum() + row[j + 1:].sum())
+    return np.sqrt(np.sum(o * one_minus, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16, 17, 32, 64])
+def test_stacked_distances_equal_per_entry_rewrite_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    u1 = sample_haar_unitaries(n, 7, rng)
+    # random pairs, and pairs within exp(i eps H) of a relabelling of u1
+    pairs = [(u1, sample_haar_unitaries(n, 7, rng))]
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(g + g.conj().T)
+    eps = np.geomspace(1e-1, 1e-9, 7)[:, None]
+    flows = (v * np.exp(1j * eps[:, None] * w)) @ v.conj().T
+    pairs.append((u1, (u1 @ flows)[..., rng.permutation(n)]))
+    pairs.append((u1[:1], pairs[-1][1][-1:]))
+    for a, b in pairs:
+        assert (basis_distances(a, b) == _per_entry_distances(a, b)).all()
+        assert (basis_distances(a[0], b[0]) == _per_entry_distances(a[0], b[0])).all()
 
 
 class TestMutuallyUnbiased:

@@ -210,7 +210,7 @@ def test_theorem42_bound_rows_fail_without_checks():
 # explained in CHANGES.md.
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "ef4175f6fd85a0dcd430dfb36b2698b8c13ba246cd37547da32203726c81b263",
+        "16ec56d42cd1b396bca1da5efdb0480066fecca1bc1640d75c7ed6fddc7dfeb1",
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -79,6 +84,14 @@ class TestSampling:
         t2 = np.einsum("ij,sji->s", v, u2)
         assert ks_2samp(t1.real, t2.real).pvalue > 0.05
         assert ks_2samp(t1.imag, t2.imag).pvalue > 0.05
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package must import without it
+    env = {**os.environ, "PYTHONPATH": str(Path(haar_mod.__file__).parents[1])}
+    code = "import sys, qcoherence; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMonomialMoment:

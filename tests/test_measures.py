@@ -279,6 +279,19 @@ class TestAxiomHarness:
         vals = values[ETA2]
         assert ds[0] < 1e-12 and vals[0] < 1e-12
 
+    def test_axiom1_empty_and_one_point_paths(self):
+        measures = (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5))
+        rho = random_density_matrix(3, np.random.default_rng(5))
+        ds, values = check_axiom1(rho, measures, [])
+        assert ds.shape == (0,) and all(values[m].shape == (0,) for m in measures)
+        b = random_basis(3, 6)
+        ds, values = check_axiom1(rho, measures, [b])
+        assert ds.tolist() == [basis_distance(rho.eigensystem()[1], b)]
+        for m in measures:
+            assert values[m].tolist() == [evaluate_measure(rewrite_in_basis(rho, b), m)]
+        with pytest.raises(DimensionMismatchError):
+            check_axiom1(rho, measures, [b, random_basis(2, 7)])
+
     def test_axiom1_eta2_below_distance(self):
         rng = np.random.default_rng(6)
         ts = np.geomspace(0.2, 1e-8, 8)
@@ -301,10 +314,15 @@ class TestAxiomHarness:
             s = rewrite_in_basis(rho, random_basis(n, rng))
             reports = check_axiom2(s, measures, 6, np.random.default_rng(n))
             replay = np.random.default_rng(n)
-            subspaces = adversarial_subspaces(s) + [random_subspace(n, replay) for _ in range(6)]
+            adversarial = adversarial_subspaces(s)
+            subspaces = adversarial + [random_subspace(n, replay) for _ in range(6)]
             for m in measures:
                 want = [f.dim * evaluate_measure(s, m) - tpf_deviation(s, f) for f in subspaces]
-                assert [r.slack for r in reports[m]] == want
+                got = [r.slack for r in reports[m]]
+                # Adversarial deviations are eigenvalue sums, not frame contractions.
+                k = len(adversarial)
+                assert_allclose(got[:k], want[:k], rtol=0, atol=1e-12)
+                assert got[k:] == want[k:]
             path = approach_path(rho.eigensystem()[1], ts, rng)
             ds, values = check_axiom1(rho, measures, path)
             eigenbasis = rho.eigensystem()[1]
@@ -386,6 +404,25 @@ def test_batched_kernel_equals_scalar_harness(n, kinds, seed):
             slacks = (dims[t] * values[t] - devs[t])[dims[t] > 0]
             assert len(reports) == len(slacks)
             assert all(abs(r.slack - x) <= 1e-12 for r, x in zip(reports, slacks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["wishart", "pure", "degenerate", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, kind="mixed", seed=0)
+@example(n=8, kind="degenerate", seed=1)
+def test_spectral_adversarial_deviations_equal_frame_contractions(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    s = rewrite_in_basis(_state_of_kind(kind, n, rng), random_basis(n, rng))
+    no_frames = np.zeros((1, 0, n, n), dtype=np.complex128)
+    dims, devs = subspace_deviations(StateBatch.of(s), no_frames, np.zeros((1, 0), dtype=np.int64))
+    spectral = [(int(k), dev) for k, dev in zip(dims[0], devs[0]) if k]
+    framed = [(f.dim, tpf_deviation(s, f)) for f in adversarial_subspaces(s)]
+    assert [k for k, _ in spectral] == [k for k, _ in framed]
+    assert_allclose([d for _, d in spectral], [d for _, d in framed], rtol=0, atol=1e-12)
 
 
 class TestSrelCounterexample:
