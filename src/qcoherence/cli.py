@@ -6,14 +6,9 @@
                           [--samples S] [--seed SEED] [--c LIST] [--out DIR]
 
 Exit codes: 0 success / experiment pass, 1 experiment fail, 2 usage or parse
-error (a negative --trials/--samples, a non-positive --n entry or --rank, a
-theorem42 or prop31 --n entry below 2, an empty --measures list, a NaN,
-infinite or non-positive s_rel --c, or a NaN, infinite or negative --mub-tol
-included), 3 validation error (NaN or infinite matrix entries included), 4
-I/O error (a missing input file, or an --out that cannot be created, checked
-before the suite runs).  Every error path prints a one-line machine code
-(E_USAGE, E_PARSE, E_VALIDATION, E_NOT_FOUND, E_IO) on stderr before the
-human-readable message.
+error, 3 validation error, 4 I/O error; the README lists what raises each.
+Every error path prints a one-line machine code (E_USAGE, E_PARSE,
+E_VALIDATION, E_NOT_FOUND, E_IO) on stderr before the human-readable message.
 The default seed is the fixed constant 42, so identical invocations produce
 byte-identical report files.
 """
@@ -142,7 +137,9 @@ def _cmd_experiment(args) -> int:
     kwargs = {"seed": args.seed}
     for flag, kwarg in flags:
         value = getattr(args, flag)
-        if value is not None and value != []:
+        if value == []:
+            raise ValueError(f"--{flag} names no value")
+        if value is not None:
             kwargs[kwarg] = value
     # Fail on an unusable --out before the run, not after it.
     out_dir = Path(args.out)

@@ -30,12 +30,7 @@ from .errors import (
     PointsNotDistinctError,
     WeightsNotNormalizedError,
 )
-from .linalg import (
-    TOL_ORTHO,
-    HermitianObservable,
-    OrthonormalBasis,
-    operator_norm,
-)
+from .linalg import TOL_ORTHO, HermitianObservable, OrthonormalBasis
 
 # Degenerate-spectrum detection threshold, relative to the spectral spread:
 # separates true degeneracy from eigen-solver jitter at double precision.
@@ -45,6 +40,7 @@ GAP_SCALE = 1e-8
 REPORT_SCALE = 1e-9
 
 MUB_DEFAULT_TOL = 1e-9
+WEIGHT_SUM_TOL = 1e-10  # allowed |sum(weights) - 1| in jensen_gap_bound
 
 
 @dataclass(frozen=True)
@@ -66,11 +62,11 @@ class OverlapMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_relabelling(self, tol_ortho: float = TOL_ORTHO) -> bool:
-        """True when every row has a single entry >= 1 - n * tol_ortho,
+    def is_relabelling(self) -> bool:
+        """True when every row has a single entry >= 1 - n * TOL_ORTHO,
         i.e. the table is a permutation matrix up to tolerance."""
         n = self.dim
-        return bool((self.entries.max(axis=1) >= 1.0 - n * tol_ortho).all())
+        return bool((self.entries.max(axis=1) >= 1.0 - n * TOL_ORTHO).all())
 
 
 @dataclass(frozen=True)
@@ -89,12 +85,19 @@ class BoundReport:
     def check(cls, lhs: float, rhs: float) -> "BoundReport":
         lhs = float(lhs)
         rhs = float(rhs)
-        slack = rhs - lhs
-        return cls(lhs, rhs, slack, bool(slack >= -REPORT_SCALE * max(1.0, rhs)))
+        return cls(lhs, rhs, rhs - lhs, bool(relative_slacks(lhs, rhs)[1]))
 
     @property
     def relative_slack(self) -> float:
         return self.slack / max(1.0, self.rhs)
+
+
+def relative_slacks(lhs, rhs):
+    """(relative slack, satisfied) of stacked checks lhs <= rhs, elementwise:
+    slack / max(1, rhs) and slack >= -REPORT_SCALE * max(1, rhs)."""
+    scale = np.maximum(1.0, rhs)
+    slack = np.subtract(rhs, lhs)
+    return slack / scale, slack >= -REPORT_SCALE * scale
 
 
 def _doubly_stochastic(o: np.ndarray) -> np.ndarray:
@@ -152,23 +155,45 @@ def is_mutually_unbiased(
     return bool(np.abs(o - 1.0 / b1.dim).max() <= tol)
 
 
-def spectral_spread(spectrum) -> float:
-    w = np.asarray(spectrum, dtype=np.float64)
-    return float(w.max() - w.min())
+def _spectral_scales(w: np.ndarray):
+    """(spread, smallest gap (inf for n = 1), degeneracy scale) of ascending
+    spectra w (..., n).  Eigenvector noise grows like machine epsilon *
+    ||A|| / gap, so the scale tracks the operator size, not just the spread
+    (w0*I + tiny*P has spread == gap but unresolvable eigenvectors whenever
+    tiny << |w0|)."""
+    spread = w[..., -1] - w[..., 0]
+    gap = np.diff(w, axis=-1).min(axis=-1, initial=np.inf)
+    return spread, gap, np.maximum(spread, np.abs(w).max(axis=-1))
 
 
-def min_spectral_gap(spectrum) -> float:
-    """Smallest spacing between consecutive sorted eigenvalues."""
-    w = np.sort(np.asarray(spectrum, dtype=np.float64))
-    if w.size < 2:
-        return np.inf
-    return float(np.diff(w).min())
+def commutator_terms(m: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """Both sides of both Proposition 3.1 bounds for stacked operator pairs.
+
+    m holds T pairs (A, B) as a (T, 2, n, n) stack; w (T, 2, n) and v
+    (T, 2, n, n) are their ascending spectra and eigenbases (columns).
+    Returns (||[A,B]||, upper rhs, d(B_A, B_B), lower rhs, degenerate), the
+    first four (T,); degenerate (T, 2) flags spectra with a gap below
+    GAP_SCALE * scale, which void the lower rhs.
+    """
+    n = m.shape[-1]
+    a, b = m[:, 0], m[:, 1]
+    norm = np.linalg.norm(a @ b - b @ a, 2, axis=(-2, -1))
+    spread, gap, scale = _spectral_scales(w)
+    d = basis_distances(v[:, 0], v[:, 1])
+    upper = 0.5 * np.sqrt(n) * (spread[:, 0] * spread[:, 1]) * d
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate gaps
+        lower = np.sqrt(2.0 * n) / (gap[:, 0] * gap[:, 1]) * norm
+    return norm, upper, d, lower, gap <= GAP_SCALE * scale
 
 
-def _as_observable(a) -> HermitianObservable:
-    if isinstance(a, HermitianObservable):
-        return a
-    return HermitianObservable.from_matrix(a)
+def _pair_terms(a, b):
+    """commutator_terms of the batch of one (A, B), and the two spectra."""
+    a, b = (x if isinstance(x, HermitianObservable) else HermitianObservable.from_matrix(x)
+            for x in (a, b))
+    _check_same_dim(a, b)
+    m, w = np.stack([a.matrix, b.matrix]), np.stack([a.spectrum, b.spectrum])
+    v = np.stack([a.eigenbasis.vectors, b.eigenbasis.vectors])
+    return [t[0] for t in commutator_terms(m[None], w[None], v[None])], w
 
 
 def commutator_upper_bound(a, b) -> BoundReport:
@@ -177,48 +202,25 @@ def commutator_upper_bound(a, b) -> BoundReport:
     Holds for any choice of eigenbases, so degenerate spectra are fine: the
     solver's returned bases are used.
     """
-    a = _as_observable(a)
-    b = _as_observable(b)
-    _check_same_dim(a, b)
-    n = a.dim
-    lhs = operator_norm(a.matrix @ b.matrix - b.matrix @ a.matrix)
-    c = spectral_spread(a.spectrum) * spectral_spread(b.spectrum)
-    d = basis_distance(a.eigenbasis, b.eigenbasis)
-    return BoundReport.check(lhs, 0.5 * np.sqrt(n) * c * d)
-
-
-def _min_gap_nondegenerate(obs: HermitianObservable, label: str) -> float:
-    spread = spectral_spread(obs.spectrum)
-    gap = min_spectral_gap(obs.spectrum)
-    # Eigenvector noise grows like machine epsilon * ||A|| / gap, so the
-    # degeneracy scale must track the operator size, not just the spread
-    # (a two-level operator w0*I + tiny*P has spread == gap but unresolvable
-    # eigenvectors whenever tiny << |w0|).
-    scale = max(spread, float(np.abs(obs.spectrum).max()))
-    if gap <= GAP_SCALE * scale or scale == 0.0:
-        raise DegenerateSpectrumError(
-            f"{label} has spectral gap {gap:.3e} (scale {scale:.3e}); "
-            f"two eigenvalues coincide within {GAP_SCALE:.0e} * scale"
-        )
-    return gap
+    (norm, upper, *_), _ = _pair_terms(a, b)
+    return BoundReport.check(norm, upper)
 
 
 def commutator_lower_bound(a, b) -> BoundReport:
     """Check d(B_A, B_B) <= sqrt(2n) / (gap(A) * gap(B)) * ||[A,B]||.
 
     Requires both spectra non-degenerate; raises DegenerateSpectrumError
-    naming the offending gap otherwise.
+    naming the offending gap otherwise.  At n = 1 both sides are 0.
     """
-    a = _as_observable(a)
-    b = _as_observable(b)
-    _check_same_dim(a, b)
-    n = a.dim
-    if n == 1:
-        return BoundReport.check(0.0, 0.0)
-    c = _min_gap_nondegenerate(a, "first operand") * _min_gap_nondegenerate(b, "second operand")
-    lhs = basis_distance(a.eigenbasis, b.eigenbasis)
-    rhs = np.sqrt(2.0 * n) / c * operator_norm(a.matrix @ b.matrix - b.matrix @ a.matrix)
-    return BoundReport.check(lhs, rhs)
+    (_, _, d, lower, degenerate), w = _pair_terms(a, b)
+    for label, spectrum, bad in zip(("first operand", "second operand"), w, degenerate):
+        if bad:
+            _, gap, scale = _spectral_scales(spectrum)
+            raise DegenerateSpectrumError(
+                f"{label} has spectral gap {gap:.3e} (scale {scale:.3e}); "
+                f"two eigenvalues coincide within {GAP_SCALE:.0e} * scale"
+            )
+    return BoundReport.check(d, lower)
 
 
 def quadratic_jensen_gap(weights, points) -> float:
@@ -228,7 +230,7 @@ def quadratic_jensen_gap(weights, points) -> float:
     return float(np.sum(w * x**2) - np.sum(w * x) ** 2)
 
 
-def jensen_gap_bound(weights, points, epsilon: float, tol_norm: float = 1e-10) -> BoundReport:
+def jensen_gap_bound(weights, points, epsilon: float) -> BoundReport:
     """Check sum(w_i (1 - w_i)) <= 2 eps / min_{i != j} |x_i - x_j|^2.
 
     Valid whenever eps bounds the quadratic Jensen gap of (weights, points)
@@ -247,14 +249,12 @@ def jensen_gap_bound(weights, points, epsilon: float, tol_norm: float = 1e-10) -
     if w.min() < 0.0:
         raise WeightsNotNormalizedError(f"weight {w.min():.3e} is negative")
     norm_defect = abs(w.sum() - 1.0)
-    if norm_defect > tol_norm:
+    if norm_defect > WEIGHT_SUM_TOL:
         raise WeightsNotNormalizedError(
-            f"|sum(weights) - 1| = {norm_defect:.3e} exceeds {tol_norm:.1e}"
+            f"|sum(weights) - 1| = {norm_defect:.3e} exceeds {WEIGHT_SUM_TOL:.1e}"
         )
-    xs = np.sort(x)
-    gap = float(np.diff(xs).min()) if xs.size > 1 else np.inf
-    spread = float(xs[-1] - xs[0]) if xs.size > 1 else 0.0
-    if xs.size > 1 and gap <= GAP_SCALE * spread:
+    spread, gap, _ = map(float, _spectral_scales(np.sort(x)))
+    if gap <= GAP_SCALE * spread:
         raise PointsNotDistinctError(
             f"two points are only {gap:.3e} apart (spread {spread:.3e})"
         )

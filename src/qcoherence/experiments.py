@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import (
-    commutator_lower_bound,
-    commutator_upper_bound,
-)
-from .errors import DegenerateSpectrumError
+from .distance import commutator_terms, relative_slacks
 from .haar import (
     SeededGenerator,
     _haar_from_ginibre,
@@ -37,7 +33,7 @@ from .haar import (
     exact_expected_eta2_sq,
     random_basis,
 )
-from .linalg import DensityMatrix, HermitianObservable, fourier_basis, purity
+from .linalg import DensityMatrix, HermitianObservable, checked_eigh, fourier_basis, purity
 from .measures import (
     DELTA,
     ETA1,
@@ -118,10 +114,15 @@ def load_report(path) -> ExperimentReport:
     )
 
 
+def _hermitian(gauss: np.ndarray) -> np.ndarray:
+    """(G + G^H) / 2 over any leading axes, where
+    G = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]."""
+    g = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
+    return (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+
+
 def random_hermitian(n: int, rng) -> HermitianObservable:
-    rng = as_generator(rng)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianObservable.from_matrix((g + g.conj().T) / 2.0)
+    return HermitianObservable.from_matrix(_hermitian(as_generator(rng).standard_normal((2, n, n))))
 
 
 def _wishart(gauss: np.ndarray) -> np.ndarray:
@@ -206,7 +207,6 @@ def run_theorem42_suite(
     seed: int = 0,
     measures: tuple[MeasureId, ...] = (ETA1, ETA2, ETA_INF, DELTA),
     paths_per_n: int = 5,
-    ts=DECAY_TS,
 ) -> ExperimentReport:
     """Subspace-bound and decay checks for the coherence-measure candidates.
 
@@ -220,7 +220,6 @@ def run_theorem42_suite(
     if any(n < 2 for n in n_list):
         raise ValueError(f"theorem42 needs every n >= 2, got {list(n_list)}")
     root = SeededGenerator(seed)
-    ts = np.asarray(sorted(ts, reverse=True), dtype=np.float64)
     plain = [m for m in measures if m.name != "s_rel"]
     rows = []
     for block, n in enumerate(n_list):
@@ -231,7 +230,7 @@ def run_theorem42_suite(
                                        ok=count > 0 and slack >= -AXIOM_SLACK_TOL))
         for _ in range(paths_per_n):
             rho = random_density_matrix(n, rng)
-            path = approach_path(rho.eigensystem()[1], ts, rng)
+            path = approach_path(rho.eigensystem()[1], DECAY_TS, rng)
             ds, values = check_axiom1(rho, (*plain, ETA2), path)
             for m in plain:
                 vals = values[m]
@@ -242,7 +241,7 @@ def run_theorem42_suite(
                 monotone = bool((np.diff(vals) < 0).all())
                 ok = slack >= -AXIOM_SLACK_TOL and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6
                 rows.append(_theorem42_row(
-                    2, n, m, count=len(ts), min_slack=slack, final_d=ds[-1],
+                    2, n, m, count=len(DECAY_TS), min_slack=slack, final_d=ds[-1],
                     final_value=vals[-1], monotone=monotone, ok=ok,
                 ))
     for m in measures:
@@ -261,24 +260,29 @@ def run_theorem42_suite(
 def _commuting_pair(n, rng):
     a = np.sort(rng.standard_normal(n)) * 2.0
     b = rng.permutation(np.linspace(-1.0, 1.0, n)) + 0.01 * rng.standard_normal(n)
-    return (
-        HermitianObservable.from_matrix(np.diag(a).astype(complex)),
-        HermitianObservable.from_matrix(np.diag(b).astype(complex)),
-    )
+    return np.diag(a).astype(complex), np.diag(b).astype(complex)
 
 
 def _unbiased_eigenbasis_pair(n, rng):
-    a = np.diag(np.arange(n, dtype=float)).astype(complex)
     f = fourier_basis(n).vectors
-    b = (f * rng.standard_normal(n)) @ f.conj().T
-    return HermitianObservable.from_matrix(a), HermitianObservable.from_matrix(b)
+    return np.diag(np.arange(n, dtype=complex)), (f * rng.standard_normal(n)) @ f.conj().T
 
 
-def _near_degenerate(n, rng):
+def _near_degenerate_pair(n, rng):
     w = np.sort(rng.standard_normal(n))
     w[1] = w[0] + 1e-13  # gap far below the degeneracy threshold
     v = random_basis(n, rng).vectors
-    return HermitianObservable.from_matrix((v * w) @ v.conj().T)
+    return (v * w) @ v.conj().T, _hermitian(rng.standard_normal((2, n, n)))
+
+
+def _prop31_row(n, family, bound, lhs, rhs) -> dict:
+    """One prop31 row over the checks lhs <= rhs; no checks fail the row."""
+    rel, satisfied = relative_slacks(lhs, rhs)
+    return {
+        "n": float(n), "family": family, "bound": bound, "count": float(len(lhs)),
+        "min_rel_slack": float(rel.min(initial=np.inf)),
+        "ok": float(len(lhs) > 0 and bool(satisfied.all())),
+    }
 
 
 def run_proposition31_suite(
@@ -288,7 +292,8 @@ def run_proposition31_suite(
 
     Random Gaussian pairs have non-degenerate spectra almost surely and
     exercise both bounds; the near-degenerate family exercises only the
-    upper bound (the lower one's precondition fails by construction).
+    upper bound (the lower one's precondition fails by construction, so it
+    writes no lower row).  Each family is one commutator_terms stack.
     Every n must be at least 2, the smallest dimension with a spectral gap.
     """
     if any(n < 2 for n in n_list):
@@ -297,34 +302,19 @@ def run_proposition31_suite(
     rows = []
     for block, n in enumerate(n_list):
         rng = root.substream(block)
+        # random_hermitian's stream: (re, im) of A, then of B, pair by pair.
         families = {
-            1.0: [(random_hermitian(n, rng), random_hermitian(n, rng)) for _ in range(trials)],
-            2.0: [_commuting_pair(n, rng)],
-            3.0: [_unbiased_eigenbasis_pair(n, rng)],
-            4.0: [(_near_degenerate(n, rng), random_hermitian(n, rng))],
+            1.0: _hermitian(rng.standard_normal((max(trials, 0), 2, 2, n, n))),
+            2.0: np.array([_commuting_pair(n, rng)]),
+            3.0: np.array([_unbiased_eigenbasis_pair(n, rng)]),
+            4.0: np.array([_near_degenerate_pair(n, rng)]),
         }
         for family, pairs in families.items():
-            upper = [commutator_upper_bound(a, b) for a, b in pairs]
-            # A family with no pairs (trials = 0) gives a failing zero-check row.
-            rows.append({
-                "n": float(n), "family": family, "bound": 1.0,
-                "count": float(len(upper)),
-                "min_rel_slack": min((r.relative_slack for r in upper), default=np.inf),
-                "ok": float(bool(upper) and all(r.satisfied for r in upper)),
-            })
-            lower = []
-            for a, b in pairs:
-                try:
-                    lower.append(commutator_lower_bound(a, b))
-                except DegenerateSpectrumError:
-                    pass
-            if lower:
-                rows.append({
-                    "n": float(n), "family": family, "bound": 2.0,
-                    "count": float(len(lower)),
-                    "min_rel_slack": min(r.relative_slack for r in lower),
-                    "ok": float(all(r.satisfied for r in lower)),
-                })
+            norm, upper, d, lower, degenerate = commutator_terms(pairs, *checked_eigh(pairs))
+            rows.append(_prop31_row(n, family, 1.0, norm, upper))
+            valid = ~degenerate.any(axis=-1)
+            if valid.any():
+                rows.append(_prop31_row(n, family, 2.0, d[valid], lower[valid]))
     parameters = {"n_list": list(n_list), "trials": trials}
     return ExperimentReport.from_rows("prop31", parameters, rows, seed)
 
@@ -337,7 +327,6 @@ def run_purity_sweep(
     n_list=(4, 8, 16, 32),
     samples: int = 2000,
     seed: int = 0,
-    states=PURITY_FAMILIES,
     rank: int = 2,
 ) -> ExperimentReport:
     """Monte Carlo eta2^2 over Haar-random bases against the exact formulas.
@@ -352,15 +341,13 @@ def run_purity_sweep(
     last_dev: dict[str, float] = {}
     for block, n in enumerate(n_list):
         rng = root.substream(block)
-        for family in states:
+        for family in PURITY_FAMILIES:
             if family == "pure":
                 rho = random_density_matrix(n, rng, rank=1)
             elif family == "mixed":
                 rho = random_density_matrix(n, rng, rank=min(rank, n))
-            elif family == "maximally_mixed":
-                rho = DensityMatrix.maximally_mixed(n)
             else:
-                raise ValueError(f"unknown state family {family!r}")
+                rho = DensityMatrix.maximally_mixed(n)
             p = purity(rho)
             dev = estimate_diag_square_sum(rho, samples, rng)
             eta2sq_mean = p - dev.mean
@@ -382,7 +369,8 @@ def run_purity_sweep(
                 "nonincreasing": float(nonincreasing),
                 "ok": float(abs(z) <= 4.0 and nonincreasing),
             })
-    parameters = {"n_list": list(n_list), "samples": samples, "states": list(states), "rank": rank}
+    parameters = {"n_list": list(n_list), "samples": samples, "states": list(PURITY_FAMILIES),
+                  "rank": rank}
     return ExperimentReport.from_rows("purity", parameters, rows, seed)
 
 

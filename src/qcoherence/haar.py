@@ -34,6 +34,7 @@ from .linalg import OrthonormalBasis, _matrix_of, purity
 
 # Chunk cap for batched sampling, in complex entries; bounds peak memory.
 _CHUNK_ENTRIES = 2_000_000
+Z_ATOL = 1e-12  # |mean - expected| that MonteCarloEstimate.z_score scores as 0
 
 
 @dataclass(frozen=True)
@@ -81,15 +82,15 @@ class MonteCarloEstimate:
             raise ValueError(f"need at least 2 samples, got {xs.size}")
         return cls(float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(xs.size)), int(xs.size))
 
-    def z_score(self, expected: float, atol: float = 1e-12) -> float:
+    def z_score(self, expected: float) -> float:
         """(mean - expected) / std_error.
 
-        When the mean agrees with `expected` to within `atol` the score is 0:
+        When the mean agrees with `expected` to within Z_ATOL the score is 0:
         families whose samples are deterministic up to roundoff (for example
         the maximally mixed state) would otherwise divide noise by noise.
         """
         diff = self.mean - expected
-        if abs(diff) <= atol:
+        if abs(diff) <= Z_ATOL:
             return 0.0
         if self.std_error == 0.0:
             return math.inf if diff > 0 else -math.inf

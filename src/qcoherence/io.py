@@ -7,8 +7,8 @@ First line: the dimension n.  Then n lines of n complex entries written as
     0.5+0j 0.05+0j
     0.05+0j 0.5+0j
 
-A state file holds a density matrix, an observable file a Hermitian matrix,
-and a basis file the unitary whose columns are the basis vectors.
+A state file holds a density matrix and a basis file the unitary whose
+columns are the basis vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixParseError
-from .linalg import DensityMatrix, HermitianObservable, OrthonormalBasis, validate_density
+from .linalg import DensityMatrix, OrthonormalBasis, validate_density
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -76,6 +76,3 @@ def read_density(path) -> DensityMatrix:
 def read_basis(path) -> OrthonormalBasis:
     return OrthonormalBasis.from_columns(read_matrix(path))
 
-
-def read_observable(path) -> HermitianObservable:
-    return HermitianObservable.from_matrix(read_matrix(path))

@@ -62,6 +62,24 @@ def orthonormality_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(k)).max())
 
 
+def _hermitian(m, name: str, symbol: str) -> np.ndarray:
+    m = _square_complex(m, name)
+    defect = hermiticity_defect(m)
+    if defect > TOL_HERM:
+        raise NotHermitianError(
+            f"max |{symbol} - {symbol}^H| = {defect:.3e} exceeds {TOL_HERM:.1e}"
+        )
+    return m
+
+
+def _check_orthonormal(u: np.ndarray) -> None:
+    defect = orthonormality_defect(u)
+    if defect > TOL_ORTHO:
+        raise NotOrthonormalError(
+            f"max |<v_i|v_j> - delta_ij| = {defect:.3e} exceeds {TOL_ORTHO:.1e}"
+        )
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """An n x n Hermitian, PSD, unit-trace matrix.
@@ -125,13 +143,9 @@ class OrthonormalBasis:
         return self.vectors[:, j]
 
     @classmethod
-    def from_columns(cls, u, tol_ortho: float = TOL_ORTHO) -> "OrthonormalBasis":
+    def from_columns(cls, u) -> "OrthonormalBasis":
         u = _square_complex(u, "basis")
-        defect = orthonormality_defect(u)
-        if defect > tol_ortho:
-            raise NotOrthonormalError(
-                f"max |<v_i|v_j> - delta_ij| = {defect:.3e} exceeds {tol_ortho:.1e}"
-            )
+        _check_orthonormal(u)
         return cls(u)
 
     @classmethod
@@ -174,23 +188,10 @@ class HermitianObservable:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, m, tol_herm: float = TOL_HERM) -> "HermitianObservable":
-        m = _square_complex(m, "observable")
-        defect = hermiticity_defect(m)
-        if defect > tol_herm:
-            raise NotHermitianError(
-                f"max |A - A^H| = {defect:.3e} exceeds {tol_herm:.1e}"
-            )
-        spectrum, eigenbasis = hermitian_eigendecomposition(m)
-        v = eigenbasis.vectors
-        recon = (v * spectrum) @ v.conj().T
-        recon_err = float(np.abs(recon - m).max())
-        tol_recon = RECON_SCALE * m.shape[0]
-        if recon_err > tol_recon:
-            raise ConvergenceFailureError(
-                f"spectral reconstruction error {recon_err:.3e} exceeds {tol_recon:.1e}"
-            )
-        return cls(m, spectrum, eigenbasis)
+    def from_matrix(cls, m) -> "HermitianObservable":
+        m = _hermitian(m, "observable", "A")
+        spectrum, v = checked_eigh(m)
+        return cls(m, spectrum, OrthonormalBasis(v))
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ class Subspace:
         return self.frame @ self.frame.conj().T
 
     @classmethod
-    def from_vectors(cls, frame, tol_ortho: float = TOL_ORTHO) -> "Subspace":
+    def from_vectors(cls, frame) -> "Subspace":
         f = np.asarray(frame, dtype=np.complex128)
         if f.ndim == 1:
             f = f.reshape(-1, 1)
@@ -228,11 +229,7 @@ class Subspace:
             raise DimensionMismatchError(
                 f"frame has {f.shape[1]} vectors in ambient dimension {f.shape[0]}"
             )
-        defect = orthonormality_defect(f)
-        if defect > tol_ortho:
-            raise NotOrthonormalError(
-                f"max |<v_i|v_j> - delta_ij| = {defect:.3e} exceeds {tol_ortho:.1e}"
-            )
+        _check_orthonormal(f)
         return cls(f)
 
 
@@ -242,34 +239,33 @@ def _matrix_of(rho) -> np.ndarray:
     return _square_complex(rho, "state")
 
 
-def validate_density(
-    m,
-    tol_herm: float = TOL_HERM,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float = TOL_PSD,
-) -> DensityMatrix:
+def validate_density(m) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap the input.
 
     Raises NotHermitianError, TraceNotOneError or NotPSDError, each naming
     the offending magnitude.
     """
-    m = _square_complex(m, "state")
-    defect = hermiticity_defect(m)
-    if defect > tol_herm:
-        raise NotHermitianError(f"max |M - M^H| = {defect:.3e} exceeds {tol_herm:.1e}")
+    m = _hermitian(m, "state", "M")
     trace_defect = abs(complex(np.trace(m)) - 1.0)
-    if trace_defect > tol_trace:
-        raise TraceNotOneError(f"|tr M - 1| = {trace_defect:.3e} exceeds {tol_trace:.1e}")
+    if trace_defect > TOL_TRACE:
+        raise TraceNotOneError(f"|tr M - 1| = {trace_defect:.3e} exceeds {TOL_TRACE:.1e}")
     try:
         smallest = float(np.linalg.eigvalsh(m).min())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailureError(f"eigvalsh failed: {exc}") from exc
-    if smallest < -tol_psd:
-        raise NotPSDError(f"smallest eigenvalue {smallest:.3e} below -{tol_psd:.1e}")
+    if smallest < -TOL_PSD:
+        raise NotPSDError(f"smallest eigenvalue {smallest:.3e} below -{TOL_PSD:.1e}")
     return DensityMatrix(m)
 
 
-def hermitian_eigendecomposition(a, tol_herm: float = TOL_HERM):
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"eigh failed to converge: {exc}") from exc
+
+
+def hermitian_eigendecomposition(a):
     """Ascending spectrum and one orthonormal eigenbasis of a Hermitian matrix.
 
     A degenerate spectrum makes the eigenbasis non-unique; whichever basis the
@@ -277,15 +273,23 @@ def hermitian_eigendecomposition(a, tol_herm: float = TOL_HERM):
     """
     if isinstance(a, HermitianObservable):
         return a.spectrum, a.eigenbasis
-    m = _square_complex(a, "operator")
-    defect = hermiticity_defect(m)
-    if defect > tol_herm:
-        raise NotHermitianError(f"max |A - A^H| = {defect:.3e} exceeds {tol_herm:.1e}")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"eigh failed to converge: {exc}") from exc
+    w, v = _eigh(_hermitian(a, "operator", "A"))
     return _freeze(w), OrthonormalBasis(v)
+
+
+def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra and eigenbases (columns) of a trusted (..., n, n)
+    Hermitian stack; ConvergenceFailureError unless each reconstructs its
+    matrix within RECON_SCALE * n."""
+    w, v = _eigh(m)
+    recon = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    recon_err = float(np.abs(recon - m).max(initial=0.0))
+    tol_recon = RECON_SCALE * m.shape[-1]
+    if recon_err > tol_recon:
+        raise ConvergenceFailureError(
+            f"spectral reconstruction error {recon_err:.3e} exceeds {tol_recon:.1e}"
+        )
+    return w, v
 
 
 def operator_norm(m) -> float:

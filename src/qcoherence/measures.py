@@ -375,7 +375,12 @@ def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     eigenbasis = rho.eigensystem()[1].vectors
     b = StateBatch(np.broadcast_to(rho.matrix, bases.shape), bases,
                    eigenbases=lambda: np.broadcast_to(eigenbasis, bases.shape))
-    return basis_distances(b.eigenbases, bases), {m: measure_values(b, m) for m in measures}
+    ds = basis_distances(b.eigenbases, bases)  # delta's values, computed once
+    return ds, {m: ds if m == DELTA else measure_values(b, m) for m in measures}
+
+
+SREL_MAX_HALVINGS = 80  # srel_counterexample scans eps = 1, 1/2, ..., 2^-79
+SREL_MARGIN_TOL = 1e-12
 
 
 class SrelCounterexample(NamedTuple):
@@ -403,29 +408,27 @@ def _family_srel(epsilon: float, c: float) -> float:
     return c * 0.5 * ((1.0 + epsilon) * np.log1p(epsilon) + lo)
 
 
-def srel_counterexample(
-    c: float, max_halvings: int = 80, margin_tol: float = 1e-12
-) -> SrelCounterexample:
+def srel_counterexample(c: float) -> SrelCounterexample:
     """Find eps in (0, 1] where the total-probability deviation beats c * s_rel.
 
     On the 2x2 family above with F spanned by (e1 + e2)/sqrt(2), the
     deviation is eps/2 while s_rel grows only like eps^2/2, so halving eps
-    from 1 must succeed; the first eps with margin above `margin_tol` is
+    from 1 must succeed; the first eps with margin above SREL_MARGIN_TOL is
     returned.  Raises CounterexampleNotFoundError with the scan bound if
-    the margin never clears the tolerance (astronomically large c).
+    SREL_MAX_HALVINGS halvings never clear it (astronomically large c).
     """
     _check_srel_constant(c)
     basis = OrthonormalBasis.standard(2)
     f = Subspace.from_vectors(np.array([1.0, 1.0]) / np.sqrt(2.0))
     eps = 1.0
-    for _ in range(max_halvings):
+    for _ in range(SREL_MAX_HALVINGS):
         s = rewrite_in_basis(srel_family_state(eps), basis)
         deviation = tpf_deviation(s, f)
         bound = _family_srel(eps, c)
         margin = deviation - bound
-        if margin > margin_tol:
+        if margin > SREL_MARGIN_TOL:
             return SrelCounterexample(eps, deviation, bound, margin)
         eps /= 2.0
     raise CounterexampleNotFoundError(
-        f"no epsilon in (0, 1] down to {eps:.3e} gives margin > {margin_tol:g} for c = {c:g}"
+        f"no epsilon in (0, 1] down to {eps:.3e} gives margin > {SREL_MARGIN_TOL:g} for c = {c:g}"
     )

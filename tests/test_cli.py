@@ -299,6 +299,22 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.splitlines()[0] == "E_USAGE"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["srel", "--c", ""],
+        ["purity", "--n", ""],
+        ["theorem42", "--n", ","],
+        ["prop31", "--n", ""],
+    ], ids=["srel-empty-c", "purity-empty-n", "theorem42-comma-n", "prop31-empty-n"])
+    def test_empty_list_exit_2(self, tmp_path, capsys, args):
+        # an empty list must not fall back to the default suite
+        out = tmp_path / "reports"
+        rc = main(["experiment", *args, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["E_USAGE", f"{args[1]} names no value"]
+        assert not out.exists()
+
     def test_theorem42_dimension_one_exit_2(self, tmp_path, capsys):
         rc = main(["experiment", "theorem42", "--n", "1", "--trials", "1",
                    "--out", str(tmp_path)])

@@ -24,8 +24,10 @@ from qcoherence import (
     quadratic_jensen_gap,
     random_basis,
 )
-from qcoherence.distance import _doubly_stochastic, basis_distances
+from qcoherence.distance import GAP_SCALE, _doubly_stochastic, basis_distances, commutator_terms
+from qcoherence.experiments import _hermitian
 from qcoherence.haar import sample_haar_unitaries
+from qcoherence.linalg import checked_eigh
 
 Z_BASIS = OrthonormalBasis.standard(2)
 X_BASIS = OrthonormalBasis.from_columns(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
@@ -335,3 +337,80 @@ def test_norm_never_below_commutator_over_unbiased_pair():
     r = commutator_upper_bound(a, b)
     assert r.satisfied
     assert operator_norm(a @ b - b @ a) == pytest.approx(r.lhs)
+
+
+def _scalar_reference(a, b):
+    """(upper lhs, upper rhs, lower (lhs, rhs) or None when degenerate): the
+    per-pair Proposition 3.1 bounds written out on one pair of observables."""
+    n = a.dim
+    norm = float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix, 2))
+    spreads, gaps = [], []
+    for obs in (a, b):
+        w = obs.spectrum
+        spread = float(w.max() - w.min())
+        gap = float(np.diff(np.sort(w)).min()) if n > 1 else np.inf
+        scale = max(spread, float(np.abs(w).max()))
+        spreads.append(spread)
+        gaps.append(None if gap <= GAP_SCALE * scale or scale == 0.0 else gap)
+    d = basis_distance(a.eigenbasis, b.eigenbasis)
+    upper = (norm, 0.5 * np.sqrt(n) * (spreads[0] * spreads[1]) * d)
+    if n == 1:
+        return (*upper, (0.0, 0.0))
+    if None in gaps:
+        return (*upper, None)
+    return (*upper, (d, np.sqrt(2.0 * n) / (gaps[0] * gaps[1]) * norm))
+
+
+def _observable_stack(rng, trials, n, kinds):
+    """(trials, 2, n, n) Hermitian pairs; kinds picks each operand's family."""
+    m = _hermitian(rng.standard_normal((trials, 2, 2, n, n)))
+    for t, kind in enumerate(kinds[:2 * trials]):
+        slot = m[t // 2, t % 2]
+        if kind == "repeated" and n > 1:  # one eigenvalue of multiplicity 2
+            w = np.sort(rng.standard_normal(n))
+            w[1] = w[0]
+            v = random_basis(n, rng).vectors
+            slot[:] = (v * w) @ v.conj().T
+        elif kind == "scalar":
+            slot[:] = rng.standard_normal() * np.eye(n)
+        elif kind == "zero":
+            slot[:] = 0.0
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    trials=st.integers(0, 5),
+    kinds=st.lists(st.sampled_from(["random", "repeated", "scalar", "zero"]), max_size=10),
+)
+def test_commutator_kernel_equals_scalar_bounds_bit_for_bit(seed, n, trials, kinds):
+    rng = np.random.default_rng(seed)
+    m = _observable_stack(rng, trials, n, kinds)
+    norm, upper, d, lower, degenerate = commutator_terms(m, *checked_eigh(m))
+    assert norm.shape == upper.shape == d.shape == lower.shape == (trials,)
+    assert degenerate.shape == (trials, 2)
+    for t in range(trials):
+        a, b = (HermitianObservable.from_matrix(x) for x in m[t])
+        ref_norm, ref_upper, ref_lower = _scalar_reference(a, b)
+        assert (norm[t], upper[t]) == (ref_norm, ref_upper)
+        r = commutator_upper_bound(a, b)
+        assert (r.lhs, r.rhs) == (ref_norm, ref_upper)
+        assert bool(degenerate[t].any()) == (ref_lower is None)
+        if ref_lower is None:
+            with pytest.raises(DegenerateSpectrumError, match="gap"):
+                commutator_lower_bound(a, b)
+        else:
+            assert (d[t], lower[t]) == ref_lower
+            r = commutator_lower_bound(a, b)
+            assert (r.lhs, r.rhs) == ref_lower
+
+
+def test_lower_bound_is_an_identity_at_dimension_two():
+    # for 2 x 2 pairs both sides equal sin(theta), theta the angle between
+    # the Bloch vectors, so the bound must hold with equality, not just hold
+    m = _hermitian(np.random.default_rng(2024).standard_normal((2000, 2, 2, 2, 2)))
+    _, _, d, lower, degenerate = commutator_terms(m, *checked_eigh(m))
+    assert not degenerate.any()
+    assert np.abs(d - lower).max() <= 1e-14
