@@ -44,7 +44,6 @@ from .measures import (
     StateBatch,
     approach_path,
     check_axiom1,
-    draw_subspace,
     measure_values,
     srel_counterexample,
     subspace_deviations,
@@ -58,6 +57,7 @@ AXIOM_SLACK_TOL = 1e-10
 
 # Complex entries per stacked (trials, n, n) array of the subspace-bound
 # checks; bounds their peak memory (1024 trials at n = 2, 4 at n = 32).
+# The chunk size keys the stream, so changing it changes the reports.
 _STACK_ENTRIES = 4096
 
 
@@ -125,61 +125,86 @@ def random_hermitian(n: int, rng) -> HermitianObservable:
     return HermitianObservable.from_matrix(_hermitian(as_generator(rng).standard_normal((2, n, n))))
 
 
-def _wishart(gauss: np.ndarray) -> np.ndarray:
-    """Normalized G G^H / tr over any leading axes, where
-    G = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]."""
-    g = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
-    w = g @ np.swapaxes(g.conj(), -1, -2)
-    return w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
-
-
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
     """Normalized Wishart state G G^H / tr with controllable rank (default full)."""
     rng = as_generator(rng)
     rank = n if rank is None else min(rank, n)
-    return DensityMatrix(_wishart(rng.standard_normal((2, n, rank))))
+    gauss = rng.standard_normal((2, n, rank))
+    g = gauss[0] + 1j * gauss[1]
+    w = g @ g.conj().T
+    return DensityMatrix(w / np.trace(w).real)
 
 
-def _draw_trials(n: int, trials: range, rng):
-    """(StateBatch, frames, ks) of the subspace-bound trials in `trials`.
+def _chunk_trials(n: int) -> int:
+    """Trials per chunk of the subspace-bound checks at dimension n."""
+    return max(1, _STACK_ENTRIES // (n * n))
 
-    Each trial draws, in order, a Wishart state (trial 0 is the maximally
-    mixed state and draws none), a Haar basis and one random subspace, as
-    random_density_matrix, random_basis and check_axiom2 do; the stacks
-    are then factored and rewritten in one call each.
+
+def _laguerre_spectra(chi: np.ndarray) -> np.ndarray:
+    """Ascending spectra of normalized full-rank n x n Wishart states.
+
+    chi (..., 2n - 1) holds the lower bidiagonal B of the beta = 2 Laguerre
+    model (Dumitriu & Edelman, J. Math. Phys. 43, 2002): its diagonal
+    chi_{2n}, chi_{2n-2}, ..., chi_2, then its subdiagonal chi_{2(n-1)},
+    ..., chi_2.  The tridiagonal B B^T has the spectrum of G G^H for an
+    n x n complex Ginibre G.
     """
-    count = len(trials)
-    states, bases, subspaces = np.empty((3, count, 2, n, n))
-    ks = np.empty((count, 1), dtype=np.int64)
-    for t, trial in enumerate(trials):
-        if trial:
-            rng.standard_normal(out=states[t])
-        rng.standard_normal(out=bases[t])
-        ks[t, 0] = draw_subspace(n, rng, subspaces[t])
-    mixed = np.array([trial == 0 for trial in trials])
-    rho = np.empty((count, n, n), dtype=np.complex128)
-    rho[mixed] = DensityMatrix.maximally_mixed(n).matrix
-    rho[~mixed] = _wishart(states[~mixed])
-    basis = _haar_from_ginibre(bases[:, 0] + 1j * bases[:, 1])
-    frames = _haar_from_ginibre(subspaces[:, 0] + 1j * subspaces[:, 1])
-    return StateBatch(rho, basis), frames[:, None], ks
+    n = (chi.shape[-1] + 1) // 2
+    d, e = chi[..., :n], chi[..., n:]
+    i = np.arange(n)
+    t = np.zeros(chi.shape[:-1] + (n, n))
+    t[..., i, i] = d**2
+    t[..., i[1:], i[1:]] += e**2
+    t[..., i[1:], i[:-1]] = t[..., i[:-1], i[1:]] = d[..., :-1] * e
+    lam = np.linalg.eigvalsh(t)
+    return lam / lam.sum(axis=-1, keepdims=True)
 
 
-def check_subspace_bound(n: int, trials: range, rng, measures) -> dict:
+def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int):
+    """(StateBatch, frames, ks) of consecutive subspace-bound trials that
+    lie in one chunk; trial 0 is the maximally mixed state.
+
+    A Wishart state's eigenvectors are Haar and independent of its spectrum
+    lam, so (rho, B, F) is drawn in rho's eigenframe: rho = diag(lam), the
+    basis W and the frame both Haar, rep = W^H diag(lam) W, eigenbases the
+    identity.  Chunk c covers trials [c * step, (c + 1) * step) and draws
+    all of them from root.substream((block, c)), whatever part is asked
+    for, so it replays alone: chi variates, the (re, im) Gaussians of W and
+    of the frames, then the subspace dimensions.
+    """
+    step = _chunk_trials(n)
+    chunk = trials.start // step
+    local = slice(trials.start - chunk * step, trials.stop - chunk * step)
+    rng = root.substream((block, chunk))
+    df = np.concatenate([np.arange(2 * n, 0, -2), np.arange(2 * n - 2, 0, -2)])
+    chi = np.sqrt(rng.chisquare(df, size=(step, 2 * n - 1))[local])
+    gauss = rng.standard_normal((2, step, 2, n, n))[:, local]
+    ks = rng.integers(1, n + 1, size=step)[local, None]
+    lam = _laguerre_spectra(chi)
+    if trials.start == 0:
+        lam[0] = 1.0 / n
+    w, frames = _haar_from_ginibre(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+    eye = np.eye(n, dtype=np.complex128)
+    rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
+    batch = StateBatch(eye * lam[:, None, :], w, rep, lambda: np.broadcast_to(eye, w.shape))
+    return batch, frames[:, None], ks
+
+
+def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int, measures) -> dict:
     """{measure: (min slack, checks)} of the subspace bound over `trials`.
 
-    `trials` is a range of trial indices: trial 0 is the maximally mixed
-    state, every other trial a Wishart state, each in a Haar-random basis
-    with its adversarial subspaces and one random subspace; the slacks are
-    those check_axiom2 reports.  Trials are drawn one at a time in stream
-    order and checked in stacked chunks.
+    `trials` is a range of consecutive trial indices of block `block` of
+    the stream `root`: trial 0 is the maximally mixed state, every other
+    trial a Wishart state, each in a Haar-random basis with its adversarial
+    subspaces and one random subspace; the slacks are those check_axiom2
+    reports.  Each chunk is drawn and checked as one stack.
     """
-    rng = as_generator(rng)
     min_slack = dict.fromkeys(measures, np.inf)
     checks = dict.fromkeys(measures, 0)
-    step = max(1, _STACK_ENTRIES // (n * n))
-    for start in range(0, len(trials), step):
-        batch, frames, ks = _draw_trials(n, trials[start:start + step], rng)
+    step = _chunk_trials(n)
+    for chunk in range(trials.start // step, trials[-1] // step + 1) if trials else ():
+        part = range(max(trials.start, chunk * step), min(trials.stop, (chunk + 1) * step))
+        batch, frames, ks = _draw_trials(n, part, root, block)
         dims, devs = subspace_deviations(batch, frames, ks)
         present = dims > 0
         for m in measures:
@@ -212,8 +237,10 @@ def run_theorem42_suite(
 
     Per dimension: check_subspace_bound on `trials` random (state, basis)
     pairs plus the maximally mixed state, with one random subspace each;
-    then check_axiom1 along `paths_per_n` random basis paths.  A bound row
-    with zero checks fails.  Injecting an s_rel MeasureId adds its
+    then check_axiom1 along `paths_per_n` random basis paths.  Block b (the
+    b-th n) draws its bound trials chunk by chunk from spawn keys (b, chunk)
+    and its paths from root.substream(b).  A bound row with zero checks
+    fails.  Injecting an s_rel MeasureId adds its
     counterexample as a failing row.  Every n must be at least 2: at n = 1
     the decay path is constant 0, so it cannot decrease.
     """
@@ -223,11 +250,11 @@ def run_theorem42_suite(
     plain = [m for m in measures if m.name != "s_rel"]
     rows = []
     for block, n in enumerate(n_list):
-        rng = root.substream(block)
         # Trial 0 exercises the degenerate maximally mixed state.
-        for m, (slack, count) in check_subspace_bound(n, range(trials + 1), rng, plain).items():
+        for m, (slack, count) in check_subspace_bound(n, range(trials + 1), root, block, plain).items():
             rows.append(_theorem42_row(1, n, m, count=count, min_slack=slack,
                                        ok=count > 0 and slack >= -AXIOM_SLACK_TOL))
+        rng = root.substream(block)
         for _ in range(paths_per_n):
             rho = random_density_matrix(n, rng)
             path = approach_path(rho.eigensystem()[1], DECAY_TS, rng)
@@ -253,6 +280,7 @@ def run_theorem42_suite(
     parameters = {
         "n_list": list(n_list), "trials": trials, "paths_per_n": paths_per_n,
         "measures": [m.label() for m in measures],
+        "chunk_trials": [_chunk_trials(n) for n in n_list],
     }
     return ExperimentReport.from_rows("theorem42", parameters, rows, seed)
 

@@ -41,7 +41,8 @@ Z_ATOL = 1e-12  # |mean - expected| that MonteCarloEstimate.z_score scores as 0
 class SeededGenerator:
     """Reproducible PCG64 randomness root: same seed => same stream.
 
-    Worker substream i is derived as SeedSequence(seed, spawn_key=(i,)), so
+    Worker substream i is derived as SeedSequence(seed, spawn_key=(i,)), and
+    a key tuple (i, j, ...) as SeedSequence(seed, spawn_key=(i, j, ...)), so
     fanning trials out over workers cannot change results: they depend only
     on the seed and the (fixed) substream indexing.
     """
@@ -51,8 +52,9 @@ class SeededGenerator:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 
-    def substream(self, index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=(index,))
+    def substream(self, key: int | tuple[int, ...]) -> np.random.Generator:
+        spawn_key = key if isinstance(key, tuple) else (key,)
+        seq = np.random.SeedSequence(self.seed, spawn_key=spawn_key)
         return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -98,7 +100,7 @@ class MonteCarloEstimate:
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """The first k columns of Haar unitaries from a (count, n, k) stack of
+    """The first k columns of Haar unitaries from a (..., n, k) stack of
     re + 1j * im standard Gaussian draws, which is overwritten: one stacked
     QR, then the phase fix.
 
@@ -107,8 +109,8 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.einsum("sii->si", r)
-    q *= (d.conj() / np.abs(d))[:, None, :]
+    d = np.einsum("...ii->...i", r)
+    q *= (d.conj() / np.abs(d))[..., None, :]
     return q
 
 

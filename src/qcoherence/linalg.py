@@ -26,7 +26,8 @@ from .errors import (
 )
 
 # Default tolerances, sized for double precision with dimensions up to a few
-# hundred.  Reconstruction checks scale with the dimension.
+# hundred.  The hermiticity and reconstruction checks scale with
+# max(1, max |A|), and reconstruction checks with the dimension too.
 TOL_HERM = 1e-10
 TOL_ORTHO = 1e-10
 TOL_TRACE = 1e-10
@@ -62,12 +63,18 @@ def orthonormality_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(k)).max())
 
 
+def _entry_scale(m: np.ndarray) -> np.ndarray:
+    """max(1, max |m_ij|) per matrix of a (..., n, n) stack."""
+    return np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+
+
 def _hermitian(m, name: str, symbol: str) -> np.ndarray:
     m = _square_complex(m, name)
     defect = hermiticity_defect(m)
-    if defect > TOL_HERM:
+    tol = TOL_HERM * float(_entry_scale(m))
+    if defect > tol:
         raise NotHermitianError(
-            f"max |{symbol} - {symbol}^H| = {defect:.3e} exceeds {TOL_HERM:.1e}"
+            f"max |{symbol} - {symbol}^H| = {defect:.3e} exceeds {tol:.1e}"
         )
     return m
 
@@ -280,14 +287,16 @@ def hermitian_eigendecomposition(a):
 def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending spectra and eigenbases (columns) of a trusted (..., n, n)
     Hermitian stack; ConvergenceFailureError unless each reconstructs its
-    matrix within RECON_SCALE * n."""
+    matrix A within RECON_SCALE * n * max(1, max |A|)."""
     w, v = _eigh(m)
     recon = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    recon_err = float(np.abs(recon - m).max(initial=0.0))
-    tol_recon = RECON_SCALE * m.shape[-1]
-    if recon_err > tol_recon:
+    err = np.abs(recon - m).max(axis=(-2, -1), initial=0.0)
+    tol = RECON_SCALE * m.shape[-1] * _entry_scale(m)
+    excess = err / tol
+    if (excess > 1.0).any():
+        worst = excess.argmax()
         raise ConvergenceFailureError(
-            f"spectral reconstruction error {recon_err:.3e} exceeds {tol_recon:.1e}"
+            f"spectral reconstruction error {err.flat[worst]:.3e} exceeds {tol.flat[worst]:.1e}"
         )
     return w, v
 
@@ -297,16 +306,19 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=np.complex128), 2))
 
 
-def von_neumann_entropy(rho) -> float:
-    """-sum(lambda ln lambda) in nats, with 0 ln 0 = 0.
+def entropies(p: np.ndarray) -> np.ndarray:
+    """-sum(p ln p) over the last axis of stacked spectra, with 0 ln 0 = 0.
 
-    Eigenvalues are clamped to [0, 1] before the log; solver jitter within
-    the PSD tolerance otherwise produces NaNs at the boundary.
+    Values are clamped to [0, 1] before the log; solver jitter within the
+    PSD tolerance otherwise produces NaNs at the boundary.
     """
-    w = np.linalg.eigvalsh(_matrix_of(rho))
-    w = np.clip(w, 0.0, 1.0)
-    w = w[w > 0.0]
-    return float(-(w * np.log(w)).sum())
+    p = np.clip(p, 0.0, 1.0)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def von_neumann_entropy(rho) -> float:
+    """-sum(lambda ln lambda) in nats over the spectrum of rho."""
+    return float(entropies(np.linalg.eigvalsh(_matrix_of(rho))))
 
 
 def purity(rho) -> float:

@@ -37,7 +37,7 @@ from .linalg import (
     OrthonormalBasis,
     Subspace,
     _freeze,
-    von_neumann_entropy,
+    entropies,
 )
 
 @dataclass(frozen=True)
@@ -148,11 +148,10 @@ def _delta(b: StateBatch) -> np.ndarray:
 
 
 def _s_rel(b: StateBatch, c: float) -> np.ndarray:
+    # The dephased state is diagonal, so its spectrum is rep's diagonal.
+    dephased = entropies(np.diagonal(b.rep, axis1=-2, axis2=-1).real)
     # Dephasing cannot lower entropy; clip the roundoff-negative case.
-    return np.array([
-        max(c * (von_neumann_entropy(np.diag(np.diag(rep))) - von_neumann_entropy(rho)), 0.0)
-        for rep, rho in zip(b.rep, b.rho)
-    ])
+    return np.maximum(c * (dephased - entropies(np.linalg.eigvalsh(b.rho))), 0.0)
 
 
 MEASURES = {"eta1": _eta1, "eta2": _eta2, "eta_inf": _eta_inf, "delta": _delta, "s_rel": _s_rel}
@@ -275,15 +274,6 @@ def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
     return Subspace(u[:, :k])
 
 
-def draw_subspace(n: int, rng: np.random.Generator, out: np.ndarray) -> int:
-    """random_subspace's draws, in its stream order: return the dimension and
-    write the frame's Gaussians (re, im) into `out`, shape (2, n, n), for
-    haar._haar_from_ginibre."""
-    k = int(rng.integers(1, n + 1))
-    rng.standard_normal(out=out)
-    return k
-
-
 def _sign_eigenspaces(w: np.ndarray) -> np.ndarray:
     """Masks (..., 3, n) over an ascending spectrum w (..., n) of Q: its
     positive eigenvalues, its negative ones, and its top-|eigenvalue| one."""
@@ -333,7 +323,10 @@ def check_axiom2(s: StateInBasis, measures, trials: int, rng) -> dict:
     rng = as_generator(rng)
     n = s.dim
     gauss = np.empty((max(trials, 0), 2, n, n))
-    ks = np.array([draw_subspace(n, rng, g) for g in gauss], dtype=np.int64)
+    ks = np.empty(len(gauss), dtype=np.int64)
+    for t, g in enumerate(gauss):  # random_subspace's stream order
+        ks[t] = rng.integers(1, n + 1)
+        rng.standard_normal(out=g)
     frames = _haar_from_ginibre(gauss[:, 0] + 1j * gauss[:, 1])
     b = StateBatch.of(s)
     dims, devs = subspace_deviations(b, frames[None], ks[None])

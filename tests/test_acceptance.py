@@ -96,10 +96,9 @@ def test_criterion_04_axiom2_zero_violations():
     measures = (ETA1, ETA2, ETA_INF, DELTA)
     min_slack = np.inf
     for block, n in enumerate(dims):
-        rng = root.substream(block)
         # trials 1..per_dim: Wishart (rho, B) pairs, one random F each plus
-        # the adversarial subspaces of Q, drawn as check_axiom2 draws them
-        bound = check_subspace_bound(n, range(1, per_dim + 1), rng, measures)
+        # the adversarial subspaces of Q, drawn chunk by chunk from block's keys
+        bound = check_subspace_bound(n, range(1, per_dim + 1), root, block, measures)
         min_slack = min([min_slack] + [slack for slack, _ in bound.values()])
     elapsed = time.monotonic() - start
     ok = min_slack >= -1e-10 and elapsed < 120.0

@@ -10,8 +10,11 @@ from qcoherence import (
     ETA_INF,
     DensityMatrix,
     ExperimentReport,
+    MonteCarloEstimate,
+    OrthonormalBasis,
     SeededGenerator,
-    check_axiom2,
+    Subspace,
+    evaluate_measure,
     load_report,
     random_basis,
     rewrite_in_basis,
@@ -20,10 +23,18 @@ from qcoherence import (
     run_srel_demo,
     run_theorem42_suite,
     srel_id,
+    tpf_deviation,
     write_report,
 )
 from qcoherence.cli import main as cli_main
-from qcoherence.experiments import MEASURE_CODES, check_subspace_bound, random_density_matrix
+from qcoherence.experiments import (
+    MEASURE_CODES,
+    _chunk_trials,
+    _draw_trials,
+    check_subspace_bound,
+    random_density_matrix,
+)
+from qcoherence.measures import adversarial_subspaces, measure_values
 
 
 def test_theorem42_passes_for_genuine_measures():
@@ -179,23 +190,102 @@ def test_prop31_zero_trials_writes_failing_zero_check_rows():
     assert not report.verdict
 
 
+def _scalar_min_slacks(n, trials, root, block, measures):
+    """{measure: (min slack, checks)} of the drawn triples through the scalar
+    API: rewrite_in_basis, adversarial_subspaces, tpf_deviation, one trial
+    at a time."""
+    want = {m: (np.inf, 0) for m in measures}
+    for trial in trials:
+        batch, frames, ks = _draw_trials(n, range(trial, trial + 1), root, block)
+        s = rewrite_in_basis(DensityMatrix(batch.rho[0]), OrthonormalBasis(batch.basis[0]))
+        subspaces = [*adversarial_subspaces(s), Subspace(frames[0, 0][:, :ks[0, 0]])]
+        devs = [(f.dim, tpf_deviation(s, f)) for f in subspaces]
+        for m in measures:
+            value = evaluate_measure(s, m)
+            slack, count = want[m]
+            want[m] = (min([slack] + [k * value - dev for k, dev in devs]), count + len(devs))
+    return want
+
+
 def test_subspace_bound_chunks_equal_the_scalar_loop():
-    # the stacked path against a loop over check_axiom2 on the same stream,
-    # across chunk edges (1024 trials per chunk at n = 2)
+    # the stacked slacks against the scalar API on the same drawn triples,
+    # across chunk edges (1024 trials per chunk at n = 2, 455 at n = 3)
     measures = (ETA1, ETA2, ETA_INF, DELTA)
-    for n, trials in ((2, range(1030)), (3, range(5, 40))):
-        got = check_subspace_bound(n, trials, 11, measures)
-        rng = SeededGenerator(11).generator()
-        want = {m: (np.inf, 0) for m in measures}
-        for trial in trials:
-            rho = random_density_matrix(n, rng) if trial else DensityMatrix.maximally_mixed(n)
-            s = rewrite_in_basis(rho, random_basis(n, rng))
-            for m, reports in check_axiom2(s, measures, 1, rng).items():
-                slack, count = want[m]
-                want[m] = (min([slack] + [r.slack for r in reports]), count + len(reports))
+    root = SeededGenerator(11)
+    for n, trials in ((2, range(1020, 1030)), (3, range(0, 6)), (3, range(450, 460))):
+        got = check_subspace_bound(n, trials, root, 1, measures)
+        want = _scalar_min_slacks(n, trials, root, 1, measures)
         for m in measures:
             assert got[m][1] == want[m][1]
             assert abs(got[m][0] - want[m][0]) <= 1e-12
+
+
+def test_chunk_replays_alone():
+    # chunk c of block b draws from spawn key (b, c) whatever part of it is
+    # requested, so any part redraws bit for bit and chunks combine exactly
+    root, block, n = SeededGenerator(21), 3, 4
+    step = _chunk_trials(n)
+    assert step == 256
+    whole, frames, ks = _draw_trials(n, range(step, 2 * step), root, block)
+    part = _draw_trials(n, range(step + 10, step + 30), root, block)
+    for name in ("rho", "basis", "rep", "eigenbases"):
+        assert (getattr(part[0], name) == getattr(whole, name)[10:30]).all()
+    assert (part[1] == frames[10:30]).all() and (part[2] == ks[10:30]).all()
+    measures = (ETA1, ETA2, ETA_INF, DELTA)
+    full = check_subspace_bound(n, range(3 * step + 7), root, block, measures)
+    chunks = [range(0, step), range(step, 2 * step), range(2 * step, 3 * step),
+              range(3 * step, 3 * step + 7)]
+    alone = [check_subspace_bound(n, c, root, block, measures) for c in chunks]
+    for m in measures:
+        assert full[m][0] == min(a[m][0] for a in alone)
+        assert full[m][1] == sum(a[m][1] for a in alone)
+    # other blocks and chunks draw other triples
+    other = _draw_trials(n, range(step + 10, step + 30), root, block + 1)
+    assert np.abs(other[0].basis - part[0].basis).max() > 1e-3
+    first = _draw_trials(n, range(10, 30), root, block)
+    assert np.abs(first[0].basis - part[0].basis).max() > 1e-3
+
+
+def test_trial_zero_is_the_maximally_mixed_state():
+    batch, _, _ = _draw_trials(3, range(0, 2), SeededGenerator(4), 0)
+    assert (batch.rho[0] == np.eye(3) / 3).all()
+    assert np.abs(batch.rho[1] - np.eye(3) / 3).max() > 1e-3
+
+
+def _wishart_batches(n, count, root):
+    """StateBatches of trials 1..count of block 0, one per chunk."""
+    step = _chunk_trials(n)
+    for c in range(-(-(count + 1) // step)):
+        yield _draw_trials(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_laguerre_purity_anchor(n):
+    # E tr(rho^2) = 2n / (n^2 + 1) for a normalized n x n complex Wishart state
+    lam = np.concatenate([np.diagonal(b.rho, axis1=-2, axis2=-1).real
+                          for b in _wishart_batches(n, 4000, SeededGenerator(30 + n))])
+    assert lam.shape == (4000, n)
+    assert np.abs(lam.sum(axis=-1) - 1.0).max() < 1e-14
+    assert (np.diff(lam, axis=-1) >= 0).all() and lam.min() > -1e-15
+    est = MonteCarloEstimate.from_samples((lam**2).sum(axis=-1))
+    assert abs(est.z_score(2.0 * n / (n * n + 1.0))) <= 4.0
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_basis_frame_draws_match_the_wishart_path(n):
+    # two-sample KS on eta2 and delta: drawn in rho's eigenframe against
+    # random_density_matrix in a random_basis, sampled one at a time
+    from scipy.stats import ks_2samp
+
+    samples = 1500
+    rng = SeededGenerator(60 + n).generator()
+    states = [rewrite_in_basis(random_density_matrix(n, rng), random_basis(n, rng))
+              for _ in range(samples)]
+    batches = list(_wishart_batches(n, samples, SeededGenerator(70 + n)))
+    for m in (ETA2, DELTA):
+        old = [evaluate_measure(s, m) for s in states]
+        new = np.concatenate([measure_values(b, m) for b in batches])
+        assert ks_2samp(old, new).pvalue > 0.01
 
 
 def test_theorem42_bound_rows_fail_without_checks():
@@ -210,7 +300,7 @@ def test_theorem42_bound_rows_fail_without_checks():
 # explained in CHANGES.md.
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "16ec56d42cd1b396bca1da5efdb0480066fecca1bc1640d75c7ed6fddc7dfeb1",
+        "538bf43d7a856f9b08b3f2818073e6d54eace4137ef3b49ebfb467881629a7f2",
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):

@@ -47,6 +47,16 @@ class TestSampling:
         assert np.abs(u0 - u1).max() > 1e-3
         assert np.abs(u0 - ur).max() > 1e-3
 
+    def test_substream_keys(self):
+        # substream(i) is spawn key (i,); a key tuple is a spawn key as is
+        g = SeededGenerator(7)
+        draw = lambda key: g.substream(key).standard_normal(4)
+        assert (draw(3) == draw((3,))).all()
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7, spawn_key=(3, 1))))
+        assert (draw((3, 1)) == want.standard_normal(4)).all()
+        assert np.abs(draw((3, 1)) - draw((3, 0))).max() > 1e-3
+        assert np.abs(draw((3, 0)) - draw(3)).max() > 1e-3
+
     def test_chunking_matches_single_batch(self, monkeypatch):
         import qcoherence.haar as haar_mod
 

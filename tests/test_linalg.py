@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qcoherence.linalg
 from qcoherence import (
+    ConvergenceFailureError,
     DensityMatrix,
     DimensionMismatchError,
     HermitianObservable,
@@ -20,7 +22,7 @@ from qcoherence import (
     validate_density,
     von_neumann_entropy,
 )
-from qcoherence.linalg import RECON_SCALE, orthonormality_defect
+from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, orthonormality_defect
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -112,6 +114,39 @@ class TestEigendecomposition:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             HermitianObservable.from_matrix([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_checks_scale_with_the_largest_entry(self, scale):
+        # a well-conditioned operator of large norm, Hermitian up to
+        # roundoff relative to its entries, is accepted; one whose
+        # hermiticity defect is large relative to its entries is not
+        rng = np.random.default_rng(8)
+        v = sample_haar_unitary(8, rng)
+        a = (v * (rng.standard_normal(8) * scale)) @ v.conj().T
+        assert np.abs(a - a.conj().T).max() > TOL_HERM  # an absolute check rejects it
+        obs = HermitianObservable.from_matrix(a)
+        v = obs.eigenbasis.vectors
+        assert np.abs((v * obs.spectrum) @ v.conj().T - a).max() <= RECON_SCALE * 8 * np.abs(a).max()
+        skewed = a.copy()
+        skewed[0, 1] += 1e-8 * scale
+        with pytest.raises(NotHermitianError):
+            HermitianObservable.from_matrix(skewed)
+
+    def test_reconstruction_tolerance_is_per_matrix(self, monkeypatch):
+        # a small operator stacked with a large one keeps its own tolerance
+        rng = np.random.default_rng(12)
+        stack = np.stack([_random_hermitian(4, rng) * 1e8, _random_hermitian(4, rng) * 0.1])
+        checked_eigh(stack)
+        eigh = qcoherence.linalg._eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            w[1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(qcoherence.linalg, "_eigh", perturbed)
+        with pytest.raises(ConvergenceFailureError, match="exceeds 4.0e-09"):
+            checked_eigh(stack)
 
 
 def _power_iteration_norm(m, rng, starts=10_000, iters=500):

@@ -425,6 +425,34 @@ def test_spectral_adversarial_deviations_equal_frame_contractions(n, kind, seed)
     assert_allclose([d for _, d in spectral], [d for _, d in framed], rtol=0, atol=1e-12)
 
 
+def _entropy_reference(m):
+    """The per-state entropy: eigvalsh, clamp to [0, 1], drop zeros."""
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
+    w = w[w > 0.0]
+    return float(-(w * np.log(w)).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kinds=st.lists(st.sampled_from(["wishart", "pure", "degenerate", "mixed"]), min_size=1, max_size=5),
+    c=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, kinds=["mixed"], c=1.0, seed=0)
+@example(n=5, kinds=["pure", "mixed", "degenerate"], c=0.5, seed=3)
+def test_batched_srel_equals_per_state_formula(n, kinds, c, seed):
+    rng = np.random.default_rng(seed)
+    states = [_state_of_kind(kind, n, rng) for kind in kinds]
+    bases = [random_basis(n, rng) for _ in kinds]
+    batch = StateBatch(np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases]))
+    got = measure_values(batch, srel_id(c))
+    for t, rho in enumerate(states):
+        dephased = np.diag(np.diag(batch.rep[t]))
+        want = max(c * (_entropy_reference(dephased) - _entropy_reference(rho.matrix)), 0.0)
+        assert abs(got[t] - want) <= 1e-13
+
+
 class TestSrelCounterexample:
     def test_c_one(self):
         found = srel_counterexample(1.0)
