@@ -3,7 +3,7 @@
     qcoherence measure STATE [--basis FILE] [--measures LIST] [--c C] [--json|--csv]
     qcoherence distance BASIS_A BASIS_B [--mub-tol TOL]
     qcoherence experiment {theorem42,prop31,purity,srel} [--n LIST] [--trials T]
-                          [--samples S] [--seed SEED] [--c LIST] [--out DIR]
+                          [--samples S] [--rank R] [--seed SEED] [--c LIST] [--out DIR]
 
 Exit codes: 0 success / experiment pass, 1 experiment fail, 2 usage or parse
 error, 3 validation error, 4 I/O error; the README lists what raises each.
@@ -31,13 +31,15 @@ DEFAULT_SEED = 42
 DEFAULT_MEASURES = "eta1,eta2,eta_inf,delta"
 
 
-# suite -> (runner in experiments, (CLI flag, runner keyword) pairs).
+# suite -> (runner in experiments, {CLI flag: runner keyword}); a suite
+# rejects the flags of the others.
 _SUITES = {
-    "theorem42": ("run_theorem42_suite", (("n", "n_list"), ("trials", "trials"))),
-    "prop31": ("run_proposition31_suite", (("n", "n_list"), ("trials", "trials"))),
-    "purity": ("run_purity_sweep", (("n", "n_list"), ("samples", "samples"), ("rank", "rank"))),
-    "srel": ("run_srel_demo", (("c", "c_list"),)),
+    "theorem42": ("run_theorem42_suite", {"n": "n_list", "trials": "trials"}),
+    "prop31": ("run_proposition31_suite", {"n": "n_list", "trials": "trials"}),
+    "purity": ("run_purity_sweep", {"n": "n_list", "samples": "samples", "rank": "rank"}),
+    "srel": ("run_srel_demo", {"c": "c_list"}),
 }
+_SUITE_FLAGS = tuple(dict.fromkeys(flag for _, flags in _SUITES.values() for flag in flags))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,9 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_dim_list, default=None, help="comma list of dimensions")
     p.add_argument("--trials", type=_count, default=None)
     p.add_argument("--samples", type=_count, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_count, default=DEFAULT_SEED)
     p.add_argument("--c", type=_float_list, default=None, help="comma list of s_rel constants")
-    p.add_argument("--rank", type=_positive, default=2, help="rank of the mixed purity family")
+    p.add_argument("--rank", type=_positive, default=None,
+                   help="rank of the mixed purity family (default 2)")
     p.add_argument("--out", default=".", help="output directory for CSV reports")
     return parser
 
@@ -134,8 +137,11 @@ def _cmd_distance(args) -> int:
 
 def _cmd_experiment(args) -> int:
     runner, flags = _SUITES[args.suite]
+    for flag in _SUITE_FLAGS:
+        if flag not in flags and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to experiment {args.suite}")
     kwargs = {"seed": args.seed}
-    for flag, kwarg in flags:
+    for flag, kwarg in flags.items():
         value = getattr(args, flag)
         if value == []:
             raise ValueError(f"--{flag} names no value")

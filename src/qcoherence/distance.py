@@ -120,13 +120,18 @@ def _check_same_dim(a, b):
 def overlap_matrix(b1: OrthonormalBasis, b2: OrthonormalBasis) -> OverlapMatrix:
     """Squared-overlap table between two bases of equal dimension."""
     _check_same_dim(b1, b2)
-    return OverlapMatrix(np.abs(b1.vectors.conj().T @ b2.vectors) ** 2)
+    return OverlapMatrix(overlap_tables(b1.vectors, b2.vectors))
 
 
-def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Distances between stacked bases: u1 and u2 of shape (..., n, n) hold
-    basis vectors as columns; the result has the leading shape."""
-    o = _doubly_stochastic(np.abs(np.swapaxes(u1.conj(), -1, -2) @ u2) ** 2)
+def overlap_tables(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Squared-overlap tables |u1^H u2|^2 of stacked bases (..., n, n)."""
+    return np.abs(np.swapaxes(u1.conj(), -1, -2) @ u2) ** 2
+
+
+def overlap_distances(o: np.ndarray) -> np.ndarray:
+    """Distances from stacked squared-overlap tables o (..., n, n); the
+    result has the leading shape."""
+    o = _doubly_stochastic(o)
     one_minus = 1.0 - o
     # An entry near 1 makes 1 - o cancel catastrophically, which floors the
     # distance at ~sqrt(n)*1e-8 for nearby bases.  Row sums equal 1, so
@@ -137,6 +142,12 @@ def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         rows = o[big[..., j]]
         one_minus[..., j][big[..., j]] = rows[:, :j].sum(-1) + rows[:, j + 1:].sum(-1)
     return np.sqrt(np.sum(o * one_minus, axis=(-2, -1)))
+
+
+def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Distances between stacked bases: u1 and u2 of shape (..., n, n) hold
+    basis vectors as columns; the result has the leading shape."""
+    return overlap_distances(overlap_tables(u1, u2))
 
 
 def basis_distance(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:

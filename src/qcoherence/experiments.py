@@ -46,7 +46,7 @@ from .measures import (
     check_axiom1,
     measure_values,
     srel_counterexample,
-    subspace_deviations,
+    worst_deviations,
 )
 
 DEFAULT_N_LIST = (2, 4, 8, 16, 32)
@@ -160,17 +160,16 @@ def _laguerre_spectra(chi: np.ndarray) -> np.ndarray:
     return lam / lam.sum(axis=-1, keepdims=True)
 
 
-def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int):
-    """(StateBatch, frames, ks) of consecutive subspace-bound trials that
-    lie in one chunk; trial 0 is the maximally mixed state.
+def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int) -> StateBatch:
+    """The StateBatch of consecutive subspace-bound trials that lie in one
+    chunk; trial 0 is the maximally mixed state.
 
     A Wishart state's eigenvectors are Haar and independent of its spectrum
-    lam, so (rho, B, F) is drawn in rho's eigenframe: rho = diag(lam), the
-    basis W and the frame both Haar, rep = W^H diag(lam) W, eigenbases the
-    identity.  Chunk c covers trials [c * step, (c + 1) * step) and draws
-    all of them from root.substream((block, c)), whatever part is asked
-    for, so it replays alone: chi variates, the (re, im) Gaussians of W and
-    of the frames, then the subspace dimensions.
+    lam, so (rho, B) is drawn in rho's eigenframe: rho = diag(lam), the
+    basis W Haar, rep = W^H diag(lam) W, and the eigenbasis overlaps |W|^2.
+    Chunk c covers trials [c * step, (c + 1) * step) and draws all of them
+    from root.substream((block, c)), whatever part is asked for, so it
+    replays alone: chi variates, then the (re, im) Gaussians of W.
     """
     step = _chunk_trials(n)
     chunk = trials.start // step
@@ -178,16 +177,14 @@ def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int):
     rng = root.substream((block, chunk))
     df = np.concatenate([np.arange(2 * n, 0, -2), np.arange(2 * n - 2, 0, -2)])
     chi = np.sqrt(rng.chisquare(df, size=(step, 2 * n - 1))[local])
-    gauss = rng.standard_normal((2, step, 2, n, n))[:, local]
-    ks = rng.integers(1, n + 1, size=step)[local, None]
+    gauss = rng.standard_normal((2, step, n, n))[:, local]
     lam = _laguerre_spectra(chi)
     if trials.start == 0:
         lam[0] = 1.0 / n
-    w, frames = _haar_from_ginibre(gauss[:, :, 0] + 1j * gauss[:, :, 1])
-    eye = np.eye(n, dtype=np.complex128)
+    w = _haar_from_ginibre(gauss[0] + 1j * gauss[1])
     rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
-    batch = StateBatch(eye * lam[:, None, :], w, rep, lambda: np.broadcast_to(eye, w.shape))
-    return batch, frames[:, None], ks
+    rho = np.eye(n, dtype=np.complex128) * lam[:, None, :]
+    return StateBatch(rho, w, rep, lambda: np.abs(w) ** 2)
 
 
 def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int, measures) -> dict:
@@ -195,22 +192,23 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
 
     `trials` is a range of consecutive trial indices of block `block` of
     the stream `root`: trial 0 is the maximally mixed state, every other
-    trial a Wishart state, each in a Haar-random basis with its adversarial
-    subspaces and one random subspace; the slacks are those check_axiom2
-    reports.  Each chunk is drawn and checked as one stack.
+    trial a Wishart state, each in a Haar-random basis.  Each trial checks
+    k * measure >= D_k for every dimension k = 1..n, with D_k the worst
+    deviation over all k-dimensional subspaces (worst_deviations), so it
+    counts n checks.  Each chunk is drawn and checked as one stack.
     """
     min_slack = dict.fromkeys(measures, np.inf)
     checks = dict.fromkeys(measures, 0)
     step = _chunk_trials(n)
+    dims = np.arange(1, n + 1)
     for chunk in range(trials.start // step, trials[-1] // step + 1) if trials else ():
         part = range(max(trials.start, chunk * step), min(trials.stop, (chunk + 1) * step))
-        batch, frames, ks = _draw_trials(n, part, root, block)
-        dims, devs = subspace_deviations(batch, frames, ks)
-        present = dims > 0
+        batch = _draw_trials(n, part, root, block)
+        devs = worst_deviations(batch)
         for m in measures:
             slack = dims * measure_values(batch, m)[:, None] - devs
-            min_slack[m] = min(min_slack[m], float(slack[present].min()))
-            checks[m] += int(present.sum())
+            min_slack[m] = min(min_slack[m], float(slack.min()))
+            checks[m] += slack.size
     return {m: (min_slack[m], checks[m]) for m in measures}
 
 
@@ -236,7 +234,7 @@ def run_theorem42_suite(
     """Subspace-bound and decay checks for the coherence-measure candidates.
 
     Per dimension: check_subspace_bound on `trials` random (state, basis)
-    pairs plus the maximally mixed state, with one random subspace each;
+    pairs plus the maximally mixed state, over every subspace dimension;
     then check_axiom1 along `paths_per_n` random basis paths.  Block b (the
     b-th n) draws its bound trials chunk by chunk from spawn keys (b, chunk)
     and its paths from root.substream(b).  A bound row with zero checks

@@ -18,7 +18,9 @@ F.  The first four satisfy both; s_rel fails (2) for every constant c, and
 
 The measures and the subspace-bound kernel compute on a StateBatch, T
 states rewritten in T bases stacked on a leading axis.  The scalar API
-(eta1(s), tpf_deviation(s, f), check_axiom2, ...) evaluates a batch of one.
+(eta1(s), check_axiom2, ...) evaluates a batch of one.  The kernel needs no
+subspace at all: by Ky Fan's maximum principle the worst deviation over
+every subspace of each dimension is a partial sum of Q's spectrum.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distance import BoundReport, basis_distances
+from .distance import BoundReport, overlap_distances, overlap_tables
 from .errors import CounterexampleNotFoundError, DimensionMismatchError
-from .haar import _haar_from_ginibre, as_generator, sample_haar_unitary
+from .haar import as_generator, sample_haar_unitary
 from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
@@ -86,23 +88,24 @@ class StateBatch:
 
     `rho` and `basis` are (T, n, n) stacks of density matrices and of
     unitaries whose columns are the basis vectors; `rep` defaults to their
-    rewrite.  The off-diagonal parts and the eigenbases of rho are computed
-    once, when first needed; `eigenbases`, a zero-argument callable returning
-    the (T, n, n) eigenbases, replaces the batched eigh when they are known.
-    The batch trusts its input, like the DensityMatrix constructor.
+    rewrite.  The off-diagonal parts and the squared overlaps between the
+    eigenbases of rho and the bases are computed once, when first needed;
+    `overlaps`, a zero-argument callable returning the (T, n, n) tables,
+    replaces the batched eigh when the eigenbases are known.  The batch
+    trusts its input, like the DensityMatrix constructor.
     """
 
-    def __init__(self, rho: np.ndarray, basis: np.ndarray, rep=None, eigenbases=None):
+    def __init__(self, rho: np.ndarray, basis: np.ndarray, rep=None, overlaps=None):
         self.rho, self.basis = rho, basis
         self.rep = _rewrite(rho, basis) if rep is None else rep
-        self._eigenbases = eigenbases or (lambda: np.linalg.eigh(rho)[1])
+        self._overlaps = overlaps or (lambda: overlap_tables(np.linalg.eigh(rho)[1], basis))
 
     @classmethod
     def of(cls, s: StateInBasis) -> "StateBatch":
         """The batch of one holding s; its eigenbasis is s.rho's cached one."""
         return cls(
             s.rho.matrix[None], s.basis.vectors[None], s.rep[None],
-            lambda: s.rho.eigensystem()[1].vectors[None],
+            lambda: overlap_tables(s.rho.eigensystem()[1].vectors[None], s.basis.vectors[None]),
         )
 
     @cached_property
@@ -111,8 +114,9 @@ class StateBatch:
         return _off_diagonal(self.rep)
 
     @cached_property
-    def eigenbases(self) -> np.ndarray:
-        return self._eigenbases()
+    def overlaps(self) -> np.ndarray:
+        """|<v_i|b_j>|^2 for eigenvectors v_i of rho and basis vectors b_j."""
+        return self._overlaps()
 
 
 def diagonal_part(s: StateInBasis) -> DensityMatrix:
@@ -144,7 +148,7 @@ def _eta_inf(b: StateBatch) -> np.ndarray:
 
 
 def _delta(b: StateBatch) -> np.ndarray:
-    return basis_distances(b.eigenbases, b.basis)
+    return overlap_distances(b.overlaps)
 
 
 def _s_rel(b: StateBatch, c: float) -> np.ndarray:
@@ -234,21 +238,6 @@ def s_rel(s: StateInBasis, c: float) -> float:
     return evaluate_measure(s, srel_id(c))
 
 
-def _deviations(b: StateBatch, frames: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """|tr(rho P_F) - tr(D P_F)| for S subspaces per state, shape (T, S).
-
-    frames[t, s] is an ambient n x n frame whose first dims[t, s] columns
-    span subspace s of state t; its other columns are ignored.  Computed as
-    |sum_k <pi_k| Q |pi_k>| with the frame vectors rewritten in the basis.
-    """
-    w = np.swapaxes(b.basis.conj(), -1, -2)[:, None] @ frames
-    qw = b.offdiag[:, None] @ w
-    qw *= np.conj(w, out=w)
-    per_column = qw.real.sum(axis=-2)
-    used = np.arange(w.shape[-1]) < dims[..., None]
-    return np.abs(np.where(used, per_column, 0.0).sum(axis=-1))
-
-
 def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
     """|tr(rho P_F) - tr(D P_F)|, the deviation from total-probability statistics.
 
@@ -259,9 +248,8 @@ def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
         raise DimensionMismatchError(
             f"subspace ambient dim {f.ambient_dim} vs state dim {s.dim}"
         )
-    frame = np.zeros((s.dim, s.dim), dtype=np.complex128)
-    frame[:, :f.dim] = f.frame
-    return float(_deviations(StateBatch.of(s), frame[None, None], np.array([[f.dim]]))[0, 0])
+    w = s.basis.vectors.conj().T @ f.frame
+    return float(abs(((off_diagonal_part(s) @ w) * w.conj()).real.sum(axis=0).sum()))
 
 
 def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
@@ -274,63 +262,47 @@ def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
     return Subspace(u[:, :k])
 
 
-def _sign_eigenspaces(w: np.ndarray) -> np.ndarray:
-    """Masks (..., 3, n) over an ascending spectrum w (..., n) of Q: its
-    positive eigenvalues, its negative ones, and its top-|eigenvalue| one."""
-    mag = np.abs(w)
-    cut = 1e-12 * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
-    top = np.arange(w.shape[-1]) == mag.argmax(axis=-1)[..., None]
-    return np.stack([w > cut, w < -cut, top], axis=-2)
+def worst_deviations(b: StateBatch) -> np.ndarray:
+    """The largest tpf deviation over the subspaces of each dimension, (T, n).
+
+    Entry k - 1 is D_k = max over dim(F) = k of |tr(rho P_F) - tr(D P_F)|
+    = |tr(Q P_F)|.  By Ky Fan's maximum principle (PNAS 35, 1949), tr(Q P)
+    over rank-k projectors P ranges between the sums of the k smallest and
+    of the k largest eigenvalues of Q, so D_k is the larger of the two
+    partial sums in magnitude.
+    """
+    w = np.linalg.eigvalsh(b.offdiag)
+    return np.maximum(np.cumsum(w[..., ::-1], axis=-1), -np.cumsum(w, axis=-1))
 
 
 def adversarial_subspaces(s: StateInBasis) -> list[Subspace]:
-    """Worst-case candidates for the total-probability bound.
+    """The maximisers of worst_deviations, for dimension k = 1..n in order.
 
-    Q is Hermitian, so tr(Q P_F) is extremal over subspaces of fixed
-    dimension on its sign eigenspaces: the spans of the positive and of the
-    negative eigenvectors, plus the single top-|eigenvalue| eigenvector.
-    Frames are mapped back to ambient coordinates, in eigenvalue order.
+    Subspace k is the span of the k top or the k bottom eigenvectors of Q,
+    whichever eigenvalue sum is larger in magnitude, mapped back to ambient
+    coordinates.
     """
     w, v = np.linalg.eigh(off_diagonal_part(s))
     frame = s.basis.vectors @ v
-    return [Subspace(frame[:, chosen]) for chosen in _sign_eigenspaces(w) if chosen.any()]
-
-
-def subspace_deviations(b: StateBatch, frames: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dims, deviations), each (T, 3 + R), for the subspace-bound check.
-
-    Per state: the three adversarial_subspaces candidates (dim 0 where one
-    is empty), then R random subspaces, spanned by the first ks[t, r]
-    columns of the Haar unitaries frames[t, r]; frames is (T, R, n, n).
-    A candidate spanned by eigenvectors of Q deviates by |sum of their
-    eigenvalues|, so those need only Q's spectrum.
-    """
-    w = np.linalg.eigvalsh(b.offdiag)
-    chosen = _sign_eigenspaces(w)
-    adversarial = np.abs(np.where(chosen, w[:, None], 0.0).sum(axis=-1))
-    dims = np.concatenate([chosen.sum(axis=-1), ks], axis=1)
-    return dims, np.concatenate([adversarial, _deviations(b, frames, ks)], axis=1)
+    top = np.cumsum(w[::-1]) >= -np.cumsum(w)
+    return [Subspace(frame[:, -k:] if up else frame[:, :k]) for k, up in enumerate(top, 1)]
 
 
 def check_axiom2(s: StateInBasis, measures, trials: int, rng) -> dict:
-    """Check tpf_deviation <= dim(F) * measure over random and adversarial F.
+    """Check tpf_deviation <= dim(F) * measure over every subspace F.
 
-    Randomized coverage of the universal quantifier over subspaces, plus the
-    deterministic sign-eigenspace candidates of Q; a sound but necessarily
-    incomplete check.  Returns {measure: [BoundReport per subspace]}; each
-    deviation is computed once, and the draws from `rng` ignore `measures`.
+    The first n reports are exact: per dimension k = 1..n, the worst
+    deviation over all k-dimensional subspaces (worst_deviations).  Then
+    `trials` random_subspace draws follow.  Returns {measure: [BoundReport
+    per check]}; each deviation is computed once, and the draws from `rng`
+    ignore `measures`.
     """
     rng = as_generator(rng)
-    n = s.dim
-    gauss = np.empty((max(trials, 0), 2, n, n))
-    ks = np.empty(len(gauss), dtype=np.int64)
-    for t, g in enumerate(gauss):  # random_subspace's stream order
-        ks[t] = rng.integers(1, n + 1)
-        rng.standard_normal(out=g)
-    frames = _haar_from_ginibre(gauss[:, 0] + 1j * gauss[:, 1])
     b = StateBatch.of(s)
-    dims, devs = subspace_deviations(b, frames[None], ks[None])
-    checks = [(int(k), float(dev)) for k, dev in zip(dims[0], devs[0]) if k]
+    checks = [*enumerate(worst_deviations(b)[0], 1)]
+    for _ in range(trials):
+        f = random_subspace(s.dim, rng)
+        checks.append((f.dim, tpf_deviation(s, f)))
     values = {m: float(measure_values(b, m)[0]) for m in measures}
     return {m: [BoundReport.check(dev, k * value) for k, dev in checks] for m, value in values.items()}
 
@@ -367,8 +339,8 @@ def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)
     eigenbasis = rho.eigensystem()[1].vectors
     b = StateBatch(np.broadcast_to(rho.matrix, bases.shape), bases,
-                   eigenbases=lambda: np.broadcast_to(eigenbasis, bases.shape))
-    ds = basis_distances(b.eigenbases, bases)  # delta's values, computed once
+                   overlaps=lambda: overlap_tables(np.broadcast_to(eigenbasis, bases.shape), bases))
+    ds = measure_values(b, DELTA)  # delta's values, computed once
     return ds, {m: ds if m == DELTA else measure_values(b, m) for m in measures}
 
 

@@ -212,6 +212,7 @@ class TestExperimentCommand:
         text = (tmp_path / "purity.csv").read_text()
         assert text.endswith("# verdict = pass\n")
         assert "# seed = 7" in text
+        assert '"rank": 2' in text  # the default, with --rank left out
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["experiment", "srel", "--c", "0.5,2", "--seed", "3"]
@@ -254,8 +255,10 @@ class TestExperimentCommand:
         ["purity", "--n", "0"],
         ["theorem42", "--n", "2,-4"],
         ["purity", "--rank", "0"],
+        ["srel", "--seed", "-5"],
+        ["theorem42", "--seed", "-1"],
     ], ids=["negative-trials", "negative-prop31-trials", "negative-samples",
-            "zero-n", "negative-n", "zero-rank"])
+            "zero-n", "negative-n", "zero-rank", "negative-srel-seed", "negative-theorem42-seed"])
     def test_bad_parameter_exit_2(self, tmp_path, capsys, args):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", *args, "--out", str(tmp_path)])
@@ -313,6 +316,25 @@ class TestExperimentCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["E_USAGE", f"{args[1]} names no value"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["theorem42", "--samples", "7"],
+        ["purity", "--trials", "99"],
+        ["srel", "--n", "4"],
+        ["prop31", "--rank", "2"],
+        ["theorem42", "--c", "1"],
+    ], ids=["theorem42-samples", "purity-trials", "srel-n", "prop31-rank", "theorem42-c"])
+    def test_flag_of_another_suite_exit_2(self, tmp_path, capsys, args):
+        # a flag the suite would ignore is refused, before --out is created
+        out = tmp_path / "reports"
+        rc = main(["experiment", *args, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "E_USAGE", f"{args[1]} does not apply to experiment {args[0]}"
+        ]
         assert not out.exists()
 
     def test_theorem42_dimension_one_exit_2(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from qcoherence import (
     MonteCarloEstimate,
     OrthonormalBasis,
     SeededGenerator,
-    Subspace,
     evaluate_measure,
     load_report,
     random_basis,
@@ -27,6 +26,7 @@ from qcoherence import (
     write_report,
 )
 from qcoherence.cli import main as cli_main
+from qcoherence.distance import basis_distances, overlap_tables
 from qcoherence.experiments import (
     MEASURE_CODES,
     _chunk_trials,
@@ -41,6 +41,8 @@ def test_theorem42_passes_for_genuine_measures():
     report = run_theorem42_suite(n_list=(2, 4, 8), trials=100, seed=5)
     assert report.verdict
     assert all(row["ok"] == 1.0 for row in report.rows)
+    # one check per subspace dimension for each of the 101 trials
+    assert all(row["count"] == 101 * row["n"] for row in report.rows if row["kind"] == 1.0)
     # both the subspace-bound rows and the decay rows are present per n
     kinds = {row["kind"] for row in report.rows}
     assert kinds == {1.0, 2.0}
@@ -191,15 +193,14 @@ def test_prop31_zero_trials_writes_failing_zero_check_rows():
 
 
 def _scalar_min_slacks(n, trials, root, block, measures):
-    """{measure: (min slack, checks)} of the drawn triples through the scalar
+    """{measure: (min slack, checks)} of the drawn pairs through the scalar
     API: rewrite_in_basis, adversarial_subspaces, tpf_deviation, one trial
     at a time."""
     want = {m: (np.inf, 0) for m in measures}
     for trial in trials:
-        batch, frames, ks = _draw_trials(n, range(trial, trial + 1), root, block)
+        batch = _draw_trials(n, range(trial, trial + 1), root, block)
         s = rewrite_in_basis(DensityMatrix(batch.rho[0]), OrthonormalBasis(batch.basis[0]))
-        subspaces = [*adversarial_subspaces(s), Subspace(frames[0, 0][:, :ks[0, 0]])]
-        devs = [(f.dim, tpf_deviation(s, f)) for f in subspaces]
+        devs = [(f.dim, tpf_deviation(s, f)) for f in adversarial_subspaces(s)]
         for m in measures:
             value = evaluate_measure(s, m)
             slack, count = want[m]
@@ -226,11 +227,10 @@ def test_chunk_replays_alone():
     root, block, n = SeededGenerator(21), 3, 4
     step = _chunk_trials(n)
     assert step == 256
-    whole, frames, ks = _draw_trials(n, range(step, 2 * step), root, block)
+    whole = _draw_trials(n, range(step, 2 * step), root, block)
     part = _draw_trials(n, range(step + 10, step + 30), root, block)
-    for name in ("rho", "basis", "rep", "eigenbases"):
-        assert (getattr(part[0], name) == getattr(whole, name)[10:30]).all()
-    assert (part[1] == frames[10:30]).all() and (part[2] == ks[10:30]).all()
+    for name in ("rho", "basis", "rep", "overlaps"):
+        assert (getattr(part, name) == getattr(whole, name)[10:30]).all()
     measures = (ETA1, ETA2, ETA_INF, DELTA)
     full = check_subspace_bound(n, range(3 * step + 7), root, block, measures)
     chunks = [range(0, step), range(step, 2 * step), range(2 * step, 3 * step),
@@ -241,22 +241,30 @@ def test_chunk_replays_alone():
         assert full[m][1] == sum(a[m][1] for a in alone)
     # other blocks and chunks draw other triples
     other = _draw_trials(n, range(step + 10, step + 30), root, block + 1)
-    assert np.abs(other[0].basis - part[0].basis).max() > 1e-3
+    assert np.abs(other.basis - part.basis).max() > 1e-3
     first = _draw_trials(n, range(10, 30), root, block)
-    assert np.abs(first[0].basis - part[0].basis).max() > 1e-3
+    assert np.abs(first.basis - part.basis).max() > 1e-3
 
 
 def test_trial_zero_is_the_maximally_mixed_state():
-    batch, _, _ = _draw_trials(3, range(0, 2), SeededGenerator(4), 0)
+    batch = _draw_trials(3, range(0, 2), SeededGenerator(4), 0)
     assert (batch.rho[0] == np.eye(3) / 3).all()
     assert np.abs(batch.rho[1] - np.eye(3) / 3).max() > 1e-3
+
+
+def test_eigenframe_overlaps_equal_the_identity_overlaps():
+    # rho is diagonal, so its eigenbasis overlaps with W are |W|^2 bit for bit
+    batch = _draw_trials(8, range(0, 40), SeededGenerator(5), 2)
+    eye = np.broadcast_to(np.eye(8, dtype=np.complex128), batch.basis.shape)
+    assert (batch.overlaps == overlap_tables(eye, batch.basis)).all()
+    assert (measure_values(batch, DELTA) == basis_distances(eye, batch.basis)).all()
 
 
 def _wishart_batches(n, count, root):
     """StateBatches of trials 1..count of block 0, one per chunk."""
     step = _chunk_trials(n)
     for c in range(-(-(count + 1) // step)):
-        yield _draw_trials(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)[0]
+        yield _draw_trials(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -300,7 +308,7 @@ def test_theorem42_bound_rows_fail_without_checks():
 # explained in CHANGES.md.
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "538bf43d7a856f9b08b3f2818073e6d54eace4137ef3b49ebfb467881629a7f2",
+        "45b3d34d73b5f79e37be444d26f413c2b8bb3d67abad031357355a2f82f2a7fc",
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):

@@ -41,14 +41,13 @@ from qcoherence import (
     validate_density,
 )
 from qcoherence.experiments import random_density_matrix
-from qcoherence.haar import sample_haar_unitary
 from qcoherence.measures import (
     MEASURE_CODES,
     MEASURES,
     StateBatch,
     adversarial_subspaces,
     measure_values,
-    subspace_deviations,
+    worst_deviations,
 )
 
 EPS = 0.1
@@ -350,7 +349,7 @@ class TestAxiomHarness:
         s = rewrite_in_basis(DensityMatrix.maximally_mixed(1), OrthonormalBasis.standard(1))
         reports = check_axiom2(s, (ETA1, ETA2, ETA_INF, DELTA), 3, 4)
         for m, rs in reports.items():
-            assert len(rs) == 4  # the top eigenvector plus three random subspaces
+            assert len(rs) == 4  # the one dimension k = 1 plus three random subspaces
             assert all(r.lhs == 0.0 and r.satisfied for r in rs)
 
     def test_axiom1_eta1_below_n_eta2(self):
@@ -388,20 +387,18 @@ def test_batched_kernel_equals_scalar_harness(n, kinds, seed):
     states = [_state_of_kind(kind, n, rng) for kind in kinds]
     bases = [random_basis(n, rng) for _ in kinds]
     seeds = rng.integers(2**32, size=len(kinds))
-    ks, frames = [], []
-    for sd in seeds:  # the random subspace check_axiom2 draws from each seed
-        replay = np.random.default_rng(sd)
-        ks.append(int(replay.integers(1, n + 1)))
-        frames.append(sample_haar_unitary(n, replay))
+    # the random subspace check_axiom2 draws from each seed
+    subspaces = [random_subspace(n, np.random.default_rng(sd)) for sd in seeds]
     batch = StateBatch(np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases]))
-    dims, devs = subspace_deviations(batch, np.stack(frames)[:, None], np.array(ks)[:, None])
+    worst = worst_deviations(batch)
     for m in (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5)):
         values = measure_values(batch, m)
-        for t, (rho, b) in enumerate(zip(states, bases)):
+        for t, (rho, b, f) in enumerate(zip(states, bases, subspaces)):
             s = rewrite_in_basis(rho, b)
             assert abs(values[t] - evaluate_measure(s, m)) <= 1e-12
             reports = check_axiom2(s, (m,), 1, np.random.default_rng(seeds[t]))[m]
-            slacks = (dims[t] * values[t] - devs[t])[dims[t] > 0]
+            slacks = [*(np.arange(1, n + 1) * values[t] - worst[t]),
+                      f.dim * values[t] - tpf_deviation(s, f)]
             assert len(reports) == len(slacks)
             assert all(abs(r.slack - x) <= 1e-12 for r, x in zip(reports, slacks))
 
@@ -417,12 +414,32 @@ def test_batched_kernel_equals_scalar_harness(n, kinds, seed):
 def test_spectral_adversarial_deviations_equal_frame_contractions(n, kind, seed):
     rng = np.random.default_rng(seed)
     s = rewrite_in_basis(_state_of_kind(kind, n, rng), random_basis(n, rng))
-    no_frames = np.zeros((1, 0, n, n), dtype=np.complex128)
-    dims, devs = subspace_deviations(StateBatch.of(s), no_frames, np.zeros((1, 0), dtype=np.int64))
-    spectral = [(int(k), dev) for k, dev in zip(dims[0], devs[0]) if k]
-    framed = [(f.dim, tpf_deviation(s, f)) for f in adversarial_subspaces(s)]
-    assert [k for k, _ in spectral] == [k for k, _ in framed]
-    assert_allclose([d for _, d in spectral], [d for _, d in framed], rtol=0, atol=1e-12)
+    worst = worst_deviations(StateBatch.of(s))[0]
+    subspaces = adversarial_subspaces(s)
+    assert [f.dim for f in subspaces] == list(range(1, n + 1))
+    assert_allclose(worst, [tpf_deviation(s, f) for f in subspaces], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    kind=st.sampled_from(["wishart", "pure", "degenerate", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, kind="wishart", seed=0)
+@example(n=8, kind="degenerate", seed=1)
+def test_no_subspace_deviates_beyond_the_ky_fan_sum(n, kind, seed):
+    # D_k bounds random subspaces of dimension k and small rotations of
+    # the k-th maximiser
+    rng = np.random.default_rng(seed)
+    s = rewrite_in_basis(_state_of_kind(kind, n, rng), random_basis(n, rng))
+    worst = worst_deviations(StateBatch.of(s))[0]
+    nearby = approach_path(OrthonormalBasis.standard(n), [1e-2, 1e-5], rng)
+    for k, f in enumerate(adversarial_subspaces(s), 1):
+        frames = [random_subspace(n, rng, k).frame for _ in range(20)]
+        frames += [u.vectors @ f.frame for u in nearby]
+        for frame in frames:
+            assert tpf_deviation(s, Subspace(frame)) <= worst[k - 1] + 1e-12
 
 
 def _entropy_reference(m):
