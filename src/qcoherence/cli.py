@@ -16,6 +16,7 @@ byte-identical report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -71,6 +72,7 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qcoherence", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

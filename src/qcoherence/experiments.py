@@ -55,10 +55,12 @@ DECAY_TS = tuple(np.geomspace(1e-1, 1e-9, 9))
 # Absolute slack tolerance for the subspace-bound checks.
 AXIOM_SLACK_TOL = 1e-10
 
-# Complex entries per stacked (trials, n, n) array of the subspace-bound
-# checks; bounds their peak memory (1024 trials at n = 2, 4 at n = 32).
-# The chunk size keys the stream, so changing it changes the reports.
+# Complex entries per chunk, the unit of the subspace-bound stream (1024
+# trials at n = 2, 4 at n = 32): its size keys the stream and the reports.
 _STACK_ENTRIES = 4096
+# Complex entries per group, the run of chunks checked as one stack (16
+# trials at n = 32): it bounds peak memory and leaves the reports unchanged.
+_GROUP_ENTRIES = 16384
 
 
 @dataclass
@@ -160,9 +162,9 @@ def _laguerre_spectra(chi: np.ndarray) -> np.ndarray:
     return lam / lam.sum(axis=-1, keepdims=True)
 
 
-def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int) -> StateBatch:
-    """The StateBatch of consecutive subspace-bound trials that lie in one
-    chunk; trial 0 is the maximally mixed state.
+def _draw_group(n: int, trials: range, root: SeededGenerator, block: int):
+    """The spectra lam (T, n) and the StateBatch, without rho, of consecutive
+    subspace-bound trials; trial 0 is the maximally mixed state.
 
     A Wishart state's eigenvectors are Haar and independent of its spectrum
     lam, so (rho, B) is drawn in rho's eigenframe: rho = diag(lam), the
@@ -172,19 +174,28 @@ def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int) -> St
     replays alone: chi variates, then the (re, im) Gaussians of W.
     """
     step = _chunk_trials(n)
-    chunk = trials.start // step
-    local = slice(trials.start - chunk * step, trials.stop - chunk * step)
-    rng = root.substream((block, chunk))
+    chunks = range(trials.start // step, (trials.stop - 1) // step + 1)
     df = np.concatenate([np.arange(2 * n, 0, -2), np.arange(2 * n - 2, 0, -2)])
-    chi = np.sqrt(rng.chisquare(df, size=(step, 2 * n - 1))[local])
-    gauss = rng.standard_normal((2, step, n, n))[:, local]
-    lam = _laguerre_spectra(chi)
+    chi = np.empty((len(chunks) * step, 2 * n - 1))
+    z = np.empty((len(chunks) * step, n, n), dtype=np.complex128)
+    for i, chunk in enumerate(chunks):
+        rng, part = root.substream((block, chunk)), slice(i * step, (i + 1) * step)
+        chi[part] = rng.chisquare(df, size=(step, 2 * n - 1))
+        z.real[part], z.imag[part] = rng.standard_normal((2, step, n, n))
+    local = slice(trials.start - chunks[0] * step, trials.stop - chunks[0] * step)
+    lam = _laguerre_spectra(np.sqrt(chi[local]))
     if trials.start == 0:
         lam[0] = 1.0 / n
-    w = _haar_from_ginibre(gauss[0] + 1j * gauss[1])
+    w = _haar_from_ginibre(z[local])
     rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
-    rho = np.eye(n, dtype=np.complex128) * lam[:, None, :]
-    return StateBatch(rho, w, rep, lambda: np.abs(w) ** 2)
+    return lam, StateBatch(None, w, rep, lambda: np.abs(w) ** 2)
+
+
+def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int) -> StateBatch:
+    """_draw_group's batch with rho = diag(lam); one chunk, or part of it, replays alone."""
+    lam, batch = _draw_group(n, trials, root, block)
+    batch.rho = np.eye(n, dtype=np.complex128) * lam[:, None, :]
+    return batch
 
 
 def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int, measures) -> dict:
@@ -195,20 +206,24 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     trial a Wishart state, each in a Haar-random basis.  Each trial checks
     k * measure >= D_k for every dimension k = 1..n, with D_k the worst
     deviation over all k-dimensional subspaces (worst_deviations), so it
-    counts n checks.  Each chunk is drawn and checked as one stack.
+    counts n checks.  Each group of whole chunks (clipped to `trials`) is
+    drawn and checked as one stack; min and count are exact, so grouping
+    cannot change the result.
     """
     min_slack = dict.fromkeys(measures, np.inf)
     checks = dict.fromkeys(measures, 0)
     step = _chunk_trials(n)
+    span = step * max(1, _GROUP_ENTRIES // (step * n * n))  # trials per group
     dims = np.arange(1, n + 1)
-    for chunk in range(trials.start // step, trials[-1] // step + 1) if trials else ():
-        part = range(max(trials.start, chunk * step), min(trials.stop, (chunk + 1) * step))
-        batch = _draw_trials(n, part, root, block)
+    for start in range(trials.start // step * step, trials.stop, span) if trials else ():
+        group = range(max(trials.start, start), min(trials.stop, start + span))
+        batch = _draw_group(n, group, root, block)[1]
         devs = worst_deviations(batch)
         for m in measures:
             slack = dims * measure_values(batch, m)[:, None] - devs
             min_slack[m] = min(min_slack[m], float(slack.min()))
             checks[m] += slack.size
+        del batch  # before the next group is drawn, to bound the peak memory
     return {m: (min_slack[m], checks[m]) for m in measures}
 
 

@@ -114,20 +114,17 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def _haar_chunk(n: int, cols: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((count, n, cols)) + 1j * rng.standard_normal((count, n, cols))
-    return _haar_from_ginibre(z)
-
-
 def _haar_chunks(n: int, cols: int, count: int, rng: np.random.Generator):
     """Yield (start, isometries) chunks covering `count` Haar draws of the
     first `cols` columns of an n x n unitary (all of it at cols = n), in order.
 
-    Drawing in _haar_chunk frees its work arrays before the caller uses a chunk.
+    No name holds a chunk's Gaussians, so they are freed before the caller
+    uses the chunk.
     """
     step = max(1, _CHUNK_ENTRIES // (n * cols))
     for start in range(0, count, step):
-        yield start, _haar_chunk(n, cols, min(step, count - start), rng)
+        shape = (min(step, count - start), n, cols)
+        yield start, _haar_from_ginibre(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def sample_haar_unitaries(n: int, count: int, g) -> np.ndarray:

@@ -20,9 +20,7 @@ from .linalg import DensityMatrix, OrthonormalBasis, validate_density
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    lines = text.splitlines()
-    stripped = [(i + 1, line.strip()) for i, line in enumerate(lines)]
-    stripped = [(no, line) for no, line in stripped if line]
+    stripped = [(no, line.strip()) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not stripped:
         raise MatrixParseError("empty file", 1)
     header_no, header = stripped[0]
@@ -38,17 +36,20 @@ def parse_matrix(text: str) -> np.ndarray:
             f"expected {n} matrix rows, found {len(body)}",
             body[-1][0] if body else header_no,
         )
-    out = np.empty((n, n), dtype=np.complex128)
-    for r, (no, line) in enumerate(body):
+    rows = []
+    for no, line in body:
         tokens = line.split()
         if len(tokens) != n:
             raise MatrixParseError(f"expected {n} entries, found {len(tokens)}", no)
-        for c, token in enumerate(tokens):
-            try:
-                out[r, c] = complex(token)
-            except ValueError:
-                raise MatrixParseError(f"bad complex number {token!r}", no) from None
-    return out
+        try:
+            rows.append(list(map(complex, tokens)))
+        except ValueError:
+            for token in tokens:  # name the first token complex() rejects
+                try:
+                    complex(token)
+                except ValueError:
+                    raise MatrixParseError(f"bad complex number {token!r}", no) from None
+    return np.array(rows, dtype=np.complex128)
 
 
 def format_matrix(m: np.ndarray) -> str:

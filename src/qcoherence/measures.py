@@ -91,8 +91,8 @@ class StateBatch:
     rewrite.  The off-diagonal parts and the squared overlaps between the
     eigenbases of rho and the bases are computed once, when first needed;
     `overlaps`, a zero-argument callable returning the (T, n, n) tables,
-    replaces the batched eigh when the eigenbases are known.  The batch
-    trusts its input, like the DensityMatrix constructor.
+    replaces the batched eigh when the eigenbases are known.  Given both,
+    rho may be None if s_rel is not read.  The batch trusts its input.
     """
 
     def __init__(self, rho: np.ndarray, basis: np.ndarray, rep=None, overlaps=None):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qcoherence.cli import main
+from qcoherence.cli import build_parser, main
 from qcoherence.io import (
     format_matrix,
     parse_matrix,
@@ -52,6 +52,23 @@ class TestMatrixFormat:
     def test_row_count_mismatch(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("3\n1 0 0\n0 1 0\n")
+
+    def test_tokens_parse_as_complex_does(self):
+        # complex() is the token grammar: underscores, a capital J and a
+        # bare j are accepted (np.loadtxt rejects them)
+        rows = [["1_0", "2J", "j"], ["-1.5e-3-0.25j", "(3+4j)", "+inf"], ["0", "-0j", "1e-300j"]]
+        m = parse_matrix("3\n" + "\n".join(" ".join(row) for row in rows) + "\n")
+        assert m.tolist() == [[complex(t) for t in row] for row in rows]
+
+    @pytest.mark.parametrize("text, message, line", [
+        ("2\n1 2\n3 x4\n", "bad complex number 'x4'", 3),
+        ("2\n1 1__0\n3 x4\n", "bad complex number '1__0'", 2),
+        ("2\n\n1 2\n3\n", "expected 2 entries, found 1", 4),
+    ], ids=["bad-token", "first-bad-row", "short-row"])
+    def test_error_names_token_and_line(self, text, message, line):
+        with pytest.raises(MatrixParseError, match=message) as err:
+            parse_matrix(text)
+        assert err.value.line == line
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -200,6 +217,26 @@ class TestDistanceCommand:
         assert captured.err.splitlines() == [
             "E_USAGE", "tolerance must be finite and nonnegative, got nan"
         ]
+
+
+class TestRepeatedCalls:
+    # the parser is built once per process; parsed values must not carry
+    # over from one main() call to the next
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        out = ["--out", str(tmp_path)]
+        assert main(["experiment", "theorem42", "--n", "2", "--trials", "3", *out]) == 0
+        assert main(["experiment", "purity", "--trials", "3", *out]) == 2
+        assert main(["experiment", "purity", "--n", "4", "--samples", "20", *out]) == 0
+
+    def test_output_format_does_not_carry_over(self, eps_state_file, capsys):
+        assert main(["measure", eps_state_file, "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"eta1", "eta2", "eta_inf", "delta"}
+        assert main(["measure", eps_state_file]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["eta1", "eta2", "eta_inf", "delta"]
 
 
 class TestExperimentCommand:

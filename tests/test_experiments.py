@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from qcoherence import experiments
 from qcoherence import (
     DELTA,
     ETA1,
@@ -29,12 +30,13 @@ from qcoherence.cli import main as cli_main
 from qcoherence.distance import basis_distances, overlap_tables
 from qcoherence.experiments import (
     MEASURE_CODES,
+    _GROUP_ENTRIES,
     _chunk_trials,
     _draw_trials,
     check_subspace_bound,
     random_density_matrix,
 )
-from qcoherence.measures import adversarial_subspaces, measure_values
+from qcoherence.measures import adversarial_subspaces, measure_values, worst_deviations
 
 
 def test_theorem42_passes_for_genuine_measures():
@@ -246,6 +248,57 @@ def test_chunk_replays_alone():
     assert np.abs(first.basis - part.basis).max() > 1e-3
 
 
+def _spy_groups(monkeypatch) -> list:
+    """The trial ranges that check_subspace_bound draws as groups, appended
+    as it draws them."""
+    groups, draw = [], experiments._draw_group
+    monkeypatch.setattr(experiments, "_draw_group",
+                        lambda n, group, *rest: groups.append(group) or draw(n, group, *rest))
+    return groups
+
+
+@pytest.mark.parametrize("n, trials", [
+    (2, range(5, 4100)), (3, range(5, 2000)), (16, range(5, 137)), (32, range(5, 137)),
+])
+def test_groups_equal_chunks_checked_alone(monkeypatch, n, trials):
+    # the ranges start and stop mid-chunk and span several groups; min and
+    # count are exact, so grouping must not move them by a single bit
+    measures = (ETA1, ETA2, ETA_INF, DELTA)
+    root, block, step = SeededGenerator(17), 2, _chunk_trials(n)
+    groups = _spy_groups(monkeypatch)
+    got = check_subspace_bound(n, trials, root, block, measures)
+    monkeypatch.undo()
+    assert len(groups) > 1
+    want = dict.fromkeys(measures, (np.inf, 0))
+    for c in range(trials.start // step, (trials.stop - 1) // step + 1):
+        batch = _draw_trials(n, range(max(trials.start, c * step), min(trials.stop, (c + 1) * step)),
+                             root, block)
+        devs = worst_deviations(batch)
+        for m in measures:
+            slack = np.arange(1, n + 1) * measure_values(batch, m)[:, None] - devs
+            want[m] = (min(want[m][0], float(slack.min())), want[m][1] + slack.size)
+    assert got == want
+
+
+@pytest.mark.parametrize("n, trials", [
+    (2, range(5, 4100)), (3, range(0, 2000)), (16, range(5, 137)), (32, range(5, 137)),
+    (32, range(7, 8)), (64, range(1, 6)), (128, range(0, 3)), (200, range(0, 2)),
+])
+def test_groups_cover_the_trials_within_the_cap(monkeypatch, n, trials):
+    # each group is a run of whole chunks (clipped to the trials) within the
+    # cap, or a single chunk larger than the cap (at n = 200)
+    groups = _spy_groups(monkeypatch)
+    check_subspace_bound(n, trials, SeededGenerator(3), 0, (ETA2,))
+    step = _chunk_trials(n)
+    assert [t for g in groups for t in g] == list(trials)
+    for g in groups:
+        assert g.start == trials.start or g.start % step == 0
+        one_chunk = g.start // step == (g.stop - 1) // step
+        assert len(g) * n * n <= _GROUP_ENTRIES or one_chunk
+    if step * n * n > _GROUP_ENTRIES:
+        assert [len(g) for g in groups] == [1] * len(trials)
+
+
 def test_trial_zero_is_the_maximally_mixed_state():
     batch = _draw_trials(3, range(0, 2), SeededGenerator(4), 0)
     assert (batch.rho[0] == np.eye(3) / 3).all()
@@ -315,10 +368,19 @@ GOLDEN = {
         "a4e91c40051cae63940e7ae243ad1af5b24033d812581482dad70d86c5b60272",
     ("srel",):
         "12ce540ec1cc9fdaf00aff72fb7bb8e0326f600af65e98db50c074e4d60f6a7a",
+    # several chunks per group at both n
+    ("theorem42", "--n", "16,32", "--trials", "100"):
+        "9fb76f16d95ea58f23713358bc03a9c16b0edc1e8ed330f59e4dadec1031b94c",
 }
 
 
-@pytest.mark.parametrize("args", list(GOLDEN), ids=lambda a: a[0])
+def _golden_id(args):
+    """The suite name; a suite's later goldens add their --n list."""
+    first = next(a for a in GOLDEN if a[0] == args[0])
+    return args[0] if args == first else f"{args[0]}-n{args[args.index('--n') + 1]}"
+
+
+@pytest.mark.parametrize("args", list(GOLDEN), ids=_golden_id)
 def test_golden_report_hashes(tmp_path, args):
     assert cli_main(["experiment", *args, "--seed", "42", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / f"{args[0]}.csv").read_bytes()).hexdigest()
