@@ -130,6 +130,8 @@ def random_hermitian(n: int, rng) -> HermitianObservable:
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
     """Normalized Wishart state G G^H / tr with controllable rank (default full)."""
     rng = as_generator(rng)
+    if rank is not None and rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     rank = n if rank is None else min(rank, n)
     gauss = rng.standard_normal((2, n, rank))
     g = gauss[0] + 1j * gauss[1]
@@ -191,40 +193,34 @@ def _draw_group(n: int, trials: range, root: SeededGenerator, block: int):
     return lam, StateBatch(None, w, rep, lambda: np.abs(w) ** 2)
 
 
-def _draw_trials(n: int, trials: range, root: SeededGenerator, block: int) -> StateBatch:
-    """_draw_group's batch with rho = diag(lam); one chunk, or part of it, replays alone."""
-    lam, batch = _draw_group(n, trials, root, block)
-    batch.rho = np.eye(n, dtype=np.complex128) * lam[:, None, :]
-    return batch
-
-
 def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int, measures) -> dict:
-    """{measure: (min slack, checks)} of the subspace bound over `trials`.
+    """{measure: (min slack, checks, ok)} of the subspace bound over `trials`.
 
     `trials` is a range of consecutive trial indices of block `block` of
     the stream `root`: trial 0 is the maximally mixed state, every other
-    trial a Wishart state, each in a Haar-random basis.  Each trial checks
-    k * measure >= D_k for every dimension k = 1..n, with D_k the worst
-    deviation over all k-dimensional subspaces (worst_deviations), so it
-    counts n checks.  Each group of whole chunks (clipped to `trials`) is
-    drawn and checked as one stack; min and count are exact, so grouping
-    cannot change the result.
+    trial a Wishart state, each in a Haar-random basis.  Each trial is one
+    check, measure >= ||Q||_op (worst_deviations), exact for every subspace.
+    The min slack is over the Wishart trials (inf if none), as trial 0's Q
+    is roundoff; ok needs checks and every slack, trial 0's too, to be at
+    least -AXIOM_SLACK_TOL.  Each group of whole chunks (clipped to
+    `trials`) is drawn and checked as one stack; all three are exact, so
+    grouping cannot change the result.
     """
     min_slack = dict.fromkeys(measures, np.inf)
-    checks = dict.fromkeys(measures, 0)
+    passed = dict.fromkeys(measures, len(trials) > 0)
     step = _chunk_trials(n)
     span = step * max(1, _GROUP_ENTRIES // (step * n * n))  # trials per group
-    dims = np.arange(1, n + 1)
     for start in range(trials.start // step * step, trials.stop, span) if trials else ():
         group = range(max(trials.start, start), min(trials.stop, start + span))
         batch = _draw_group(n, group, root, block)[1]
-        devs = worst_deviations(batch)
+        worst = worst_deviations(batch)
         for m in measures:
-            slack = dims * measure_values(batch, m)[:, None] - devs
-            min_slack[m] = min(min_slack[m], float(slack.min()))
-            checks[m] += slack.size
+            slack = measure_values(batch, m) - worst
+            passed[m] = passed[m] and bool(slack.min() >= -AXIOM_SLACK_TOL)
+            wishart = slack[1:] if group.start == 0 else slack
+            min_slack[m] = min(min_slack[m], float(wishart.min(initial=np.inf)))
         del batch  # before the next group is drawn, to bound the peak memory
-    return {m: (min_slack[m], checks[m]) for m in measures}
+    return {m: (min_slack[m], len(trials), passed[m]) for m in measures}
 
 
 _THEOREM42_COLUMNS = (
@@ -249,13 +245,14 @@ def run_theorem42_suite(
     """Subspace-bound and decay checks for the coherence-measure candidates.
 
     Per dimension: check_subspace_bound on `trials` random (state, basis)
-    pairs plus the maximally mixed state, over every subspace dimension;
-    then check_axiom1 along `paths_per_n` random basis paths.  Block b (the
-    b-th n) draws its bound trials chunk by chunk from spawn keys (b, chunk)
-    and its paths from root.substream(b).  A bound row with zero checks
-    fails.  Injecting an s_rel MeasureId adds its
-    counterexample as a failing row.  Every n must be at least 2: at n = 1
-    the decay path is constant 0, so it cannot decrease.
+    pairs plus the maximally mixed state, one ||Q||_op check per state, so
+    a bound row counts trials + 1; then check_axiom1 along `paths_per_n`
+    random basis paths.  Block b (the b-th n) draws its bound trials chunk
+    by chunk from spawn keys (b, chunk) and its paths from
+    root.substream(b).  A bound row with zero checks fails.  Injecting an
+    s_rel MeasureId adds its counterexample as a failing row.  Every n must
+    be at least 2: at n = 1 the decay path is constant 0, so it cannot
+    decrease.
     """
     if any(n < 2 for n in n_list):
         raise ValueError(f"theorem42 needs every n >= 2, got {list(n_list)}")
@@ -264,9 +261,8 @@ def run_theorem42_suite(
     rows = []
     for block, n in enumerate(n_list):
         # Trial 0 exercises the degenerate maximally mixed state.
-        for m, (slack, count) in check_subspace_bound(n, range(trials + 1), root, block, plain).items():
-            rows.append(_theorem42_row(1, n, m, count=count, min_slack=slack,
-                                       ok=count > 0 and slack >= -AXIOM_SLACK_TOL))
+        for m, (slack, count, ok) in check_subspace_bound(n, range(trials + 1), root, block, plain).items():
+            rows.append(_theorem42_row(1, n, m, count=count, min_slack=slack, ok=ok))
         rng = root.substream(block)
         for _ in range(paths_per_n):
             rho = random_density_matrix(n, rng)

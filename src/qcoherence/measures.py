@@ -19,8 +19,9 @@ F.  The first four satisfy both; s_rel fails (2) for every constant c, and
 The measures and the subspace-bound kernel compute on a StateBatch, T
 states rewritten in T bases stacked on a leading axis.  The scalar API
 (eta1(s), check_axiom2, ...) evaluates a batch of one.  The kernel needs no
-subspace at all: by Ky Fan's maximum principle the worst deviation over
-every subspace of each dimension is a partial sum of Q's spectrum.
+subspace at all: |tr(Q P_F)| <= dim(F) * ||Q||_op, with equality on a line
+through an extreme eigenvector of Q, so (2) holds for every F exactly when
+measure >= ||Q||_op: one check per state.
 """
 
 from __future__ import annotations
@@ -263,48 +264,33 @@ def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
 
 
 def worst_deviations(b: StateBatch) -> np.ndarray:
-    """The largest tpf deviation over the subspaces of each dimension, (T, n).
+    """||Q||_op per state, (T,): the largest deviation per dimension of F.
 
-    Entry k - 1 is D_k = max over dim(F) = k of |tr(rho P_F) - tr(D P_F)|
-    = |tr(Q P_F)|.  By Ky Fan's maximum principle (PNAS 35, 1949), tr(Q P)
-    over rank-k projectors P ranges between the sums of the k smallest and
-    of the k largest eigenvalues of Q, so D_k is the larger of the two
-    partial sums in magnitude.
+    tr(Q P_F) is a sum of dim(F) Rayleigh quotients of Q, each between its
+    extreme eigenvalues, so |tr(Q P_F)| <= dim(F) * ||Q||_op; a line through
+    the eigenvector of the eigenvalue largest in magnitude attains it.
     """
     w = np.linalg.eigvalsh(b.offdiag)
-    return np.maximum(np.cumsum(w[..., ::-1], axis=-1), -np.cumsum(w, axis=-1))
+    return np.maximum(w[..., -1], -w[..., 0])
 
 
-def adversarial_subspaces(s: StateInBasis) -> list[Subspace]:
-    """The maximisers of worst_deviations, for dimension k = 1..n in order.
-
-    Subspace k is the span of the k top or the k bottom eigenvectors of Q,
-    whichever eigenvalue sum is larger in magnitude, mapped back to ambient
-    coordinates.
-    """
+def adversarial_subspaces(s: StateInBasis) -> Subspace:
+    """The line attaining worst_deviations: the eigenvector of Q whose
+    eigenvalue is largest in magnitude, mapped to ambient coordinates."""
     w, v = np.linalg.eigh(off_diagonal_part(s))
-    frame = s.basis.vectors @ v
-    top = np.cumsum(w[::-1]) >= -np.cumsum(w)
-    return [Subspace(frame[:, -k:] if up else frame[:, :k]) for k, up in enumerate(top, 1)]
+    top = -1 if w[-1] >= -w[0] else 0
+    return Subspace(s.basis.vectors @ v[:, [top]])
 
 
-def check_axiom2(s: StateInBasis, measures, trials: int, rng) -> dict:
+def check_axiom2(s: StateInBasis, measures) -> dict:
     """Check tpf_deviation <= dim(F) * measure over every subspace F.
 
-    The first n reports are exact: per dimension k = 1..n, the worst
-    deviation over all k-dimensional subspaces (worst_deviations).  Then
-    `trials` random_subspace draws follow.  Returns {measure: [BoundReport
-    per check]}; each deviation is computed once, and the draws from `rng`
-    ignore `measures`.
+    The check is exact and one per measure: deviation ||Q||_op against the
+    measure (worst_deviations).  Returns {measure: BoundReport}.
     """
-    rng = as_generator(rng)
     b = StateBatch.of(s)
-    checks = [*enumerate(worst_deviations(b)[0], 1)]
-    for _ in range(trials):
-        f = random_subspace(s.dim, rng)
-        checks.append((f.dim, tpf_deviation(s, f)))
-    values = {m: float(measure_values(b, m)[0]) for m in measures}
-    return {m: [BoundReport.check(dev, k * value) for k, dev in checks] for m, value in values.items()}
+    worst = worst_deviations(b)[0]
+    return {m: BoundReport.check(worst, measure_values(b, m)[0]) for m in measures}
 
 
 def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:

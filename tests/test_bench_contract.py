@@ -1,0 +1,42 @@
+"""What the benchmark in perfbench/ uses of the program: the kernels its sweep
+times, the functions its tracer wraps and the report its theorem42 workload
+checks.  A rename or a report change that would break the benchmark fails
+here, at tier 1."""
+
+from pathlib import Path
+
+import numpy as np
+
+import qcoherence.measures
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_sweep_kernels_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import sweep
+
+    for name, fn, items in sweep.kernels(4, np.random.default_rng(0)):
+        fn()
+        assert items >= 1, name
+
+
+def test_traced_theorem42_smoke_pass_has_no_failures(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    original = qcoherence.measures.worst_deviations
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert qcoherence.measures.worst_deviations is not original
+        seconds, calls_ms, attempted, failed, messages = (
+            workloads.make_workload("theorem42", 1, tmp_path, smoke=True).run_pass()
+        )
+    finally:
+        t.uninstall()
+    assert qcoherence.measures.worst_deviations is original
+    assert (attempted, failed, messages) == (1, 0, [])
+    layers = tracer.summarize(t.spans)
+    assert layers["experiments.calls"] > 0 and layers["measures.calls"] > 0

@@ -29,10 +29,11 @@ from qcoherence import (
 from qcoherence.cli import main as cli_main
 from qcoherence.distance import basis_distances, overlap_tables
 from qcoherence.experiments import (
+    AXIOM_SLACK_TOL,
     MEASURE_CODES,
     _GROUP_ENTRIES,
     _chunk_trials,
-    _draw_trials,
+    _draw_group,
     check_subspace_bound,
     random_density_matrix,
 )
@@ -43,8 +44,8 @@ def test_theorem42_passes_for_genuine_measures():
     report = run_theorem42_suite(n_list=(2, 4, 8), trials=100, seed=5)
     assert report.verdict
     assert all(row["ok"] == 1.0 for row in report.rows)
-    # one check per subspace dimension for each of the 101 trials
-    assert all(row["count"] == 101 * row["n"] for row in report.rows if row["kind"] == 1.0)
+    # one ||Q||_op check for each of the 101 trials, whatever n
+    assert all(row["count"] == 101 for row in report.rows if row["kind"] == 1.0)
     # both the subspace-bound rows and the decay rows are present per n
     kinds = {row["kind"] for row in report.rows}
     assert kinds == {1.0, 2.0}
@@ -83,6 +84,19 @@ def test_prop31_suite_passes():
     assert not [r for r in report.rows if r["family"] == 4.0 and r["bound"] == 2.0]
     assert [r for r in report.rows if r["family"] == 4.0 and r["bound"] == 1.0]
     assert all(row["min_rel_slack"] >= -1e-9 for row in report.rows)
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_random_density_matrix_rejects_rank_below_one(rank):
+    # rank 0 gave an all-NaN state and -1 numpy's "negative dimensions"
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        random_density_matrix(3, np.random.default_rng(0), rank=rank)
+
+
+def test_purity_sweep_rejects_rank_zero():
+    # was a LinAlgError from the NaN state
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        run_purity_sweep(n_list=(4,), samples=10, seed=0, rank=0)
 
 
 def test_purity_sweep_matches_exact_rows():
@@ -172,6 +186,42 @@ def test_theorem42_includes_maximally_mixed_trial():
     report = run_theorem42_suite(n_list=(3,), trials=0, seed=9)
     bound_rows = [r for r in report.rows if r["kind"] == 1.0]
     assert bound_rows and all(r["ok"] == 1.0 for r in bound_rows)
+    # it is checked, but the min slack is over the Wishart trials: none here
+    assert all(r["count"] == 1.0 and r["min_slack"] == np.inf for r in bound_rows)
+
+
+# The n = 2 bound rows of `theorem42 --n 2,4 --trials 20 --seed 42`: the min
+# slack over Wishart trials 1..20, which the Ky Fan sweep over every
+# subspace dimension gives too.
+SEED42_N2_MIN_SLACK = {ETA1: 0.04253399020082805, ETA2: 0.017618155603027305,
+                       ETA_INF: 0.04253399020082806}
+
+
+def test_theorem42_fails_when_only_trial_zero_fails(monkeypatch):
+    # a fake deviation on trial 0 alone fails every bound row, and the min
+    # slack, over the Wishart trials, does not move (one group per n here)
+    real = experiments.worst_deviations
+
+    def bumped(batch):
+        worst = real(batch)
+        worst[0] += 10.0  # above every measure of trial 0, delta included
+        return worst
+
+    def bound_rows(report):
+        return {(r["n"], r["measure"]): r for r in report.rows if r["kind"] == 1.0}
+
+    clean = bound_rows(run_theorem42_suite(n_list=(2, 4), trials=20, seed=42))
+    monkeypatch.setattr(experiments, "worst_deviations", bumped)
+    report = run_theorem42_suite(n_list=(2, 4), trials=20, seed=42)
+    assert not report.verdict
+    failed = bound_rows(report)
+    assert failed.keys() == clean.keys()
+    for key, row in failed.items():
+        assert row["ok"] == 0.0 and clean[key]["ok"] == 1.0
+        assert row["min_slack"] == clean[key]["min_slack"] and row["count"] == 21.0
+    for m, slack in SEED42_N2_MIN_SLACK.items():
+        assert clean[(2.0, MEASURE_CODES[m.name])]["min_slack"] == slack
+    assert all(r["ok"] == 1.0 for r in report.rows if r["kind"] == 2.0)
 
 
 def test_theorem42_rejects_dimension_one():
@@ -195,18 +245,19 @@ def test_prop31_zero_trials_writes_failing_zero_check_rows():
 
 
 def _scalar_min_slacks(n, trials, root, block, measures):
-    """{measure: (min slack, checks)} of the drawn pairs through the scalar
-    API: rewrite_in_basis, adversarial_subspaces, tpf_deviation, one trial
-    at a time."""
-    want = {m: (np.inf, 0) for m in measures}
+    """{measure: (min slack, checks, ok)} of the drawn pairs through the
+    scalar API: rewrite_in_basis, adversarial_subspaces, tpf_deviation, one
+    trial at a time; the min is over the Wishart trials."""
+    want = {m: (np.inf, 0, True) for m in measures}
     for trial in trials:
-        batch = _draw_trials(n, range(trial, trial + 1), root, block)
-        s = rewrite_in_basis(DensityMatrix(batch.rho[0]), OrthonormalBasis(batch.basis[0]))
-        devs = [(f.dim, tpf_deviation(s, f)) for f in adversarial_subspaces(s)]
+        lam, batch = _draw_group(n, range(trial, trial + 1), root, block)
+        s = rewrite_in_basis(DensityMatrix(np.diag(lam[0])), OrthonormalBasis(batch.basis[0]))
+        dev = tpf_deviation(s, adversarial_subspaces(s))
         for m in measures:
-            value = evaluate_measure(s, m)
-            slack, count = want[m]
-            want[m] = (min([slack] + [k * value - dev for k, dev in devs]), count + len(devs))
+            slack = evaluate_measure(s, m) - dev
+            least, count, ok = want[m]
+            want[m] = (min(least, slack) if trial else least, count + 1,
+                       ok and slack >= -AXIOM_SLACK_TOL)
     return want
 
 
@@ -219,7 +270,7 @@ def test_subspace_bound_chunks_equal_the_scalar_loop():
         got = check_subspace_bound(n, trials, root, 1, measures)
         want = _scalar_min_slacks(n, trials, root, 1, measures)
         for m in measures:
-            assert got[m][1] == want[m][1]
+            assert got[m][1:] == want[m][1:] == (len(trials), True)
             assert abs(got[m][0] - want[m][0]) <= 1e-12
 
 
@@ -229,9 +280,10 @@ def test_chunk_replays_alone():
     root, block, n = SeededGenerator(21), 3, 4
     step = _chunk_trials(n)
     assert step == 256
-    whole = _draw_trials(n, range(step, 2 * step), root, block)
-    part = _draw_trials(n, range(step + 10, step + 30), root, block)
-    for name in ("rho", "basis", "rep", "overlaps"):
+    lam, whole = _draw_group(n, range(step, 2 * step), root, block)
+    part_lam, part = _draw_group(n, range(step + 10, step + 30), root, block)
+    assert (part_lam == lam[10:30]).all()
+    for name in ("basis", "rep", "overlaps"):
         assert (getattr(part, name) == getattr(whole, name)[10:30]).all()
     measures = (ETA1, ETA2, ETA_INF, DELTA)
     full = check_subspace_bound(n, range(3 * step + 7), root, block, measures)
@@ -241,10 +293,11 @@ def test_chunk_replays_alone():
     for m in measures:
         assert full[m][0] == min(a[m][0] for a in alone)
         assert full[m][1] == sum(a[m][1] for a in alone)
+        assert full[m][2] == all(a[m][2] for a in alone)
     # other blocks and chunks draw other triples
-    other = _draw_trials(n, range(step + 10, step + 30), root, block + 1)
+    other = _draw_group(n, range(step + 10, step + 30), root, block + 1)[1]
     assert np.abs(other.basis - part.basis).max() > 1e-3
-    first = _draw_trials(n, range(10, 30), root, block)
+    first = _draw_group(n, range(10, 30), root, block)[1]
     assert np.abs(first.basis - part.basis).max() > 1e-3
 
 
@@ -269,14 +322,14 @@ def test_groups_equal_chunks_checked_alone(monkeypatch, n, trials):
     got = check_subspace_bound(n, trials, root, block, measures)
     monkeypatch.undo()
     assert len(groups) > 1
-    want = dict.fromkeys(measures, (np.inf, 0))
+    want = dict.fromkeys(measures, (np.inf, 0, True))
     for c in range(trials.start // step, (trials.stop - 1) // step + 1):
-        batch = _draw_trials(n, range(max(trials.start, c * step), min(trials.stop, (c + 1) * step)),
-                             root, block)
-        devs = worst_deviations(batch)
-        for m in measures:
-            slack = np.arange(1, n + 1) * measure_values(batch, m)[:, None] - devs
-            want[m] = (min(want[m][0], float(slack.min())), want[m][1] + slack.size)
+        chunk = range(max(trials.start, c * step), min(trials.stop, (c + 1) * step))
+        batch = _draw_group(n, chunk, root, block)[1]
+        slack = {m: measure_values(batch, m) - worst_deviations(batch) for m in measures}
+        want = {m: (min(least, float(slack[m].min())), count + len(chunk),
+                    ok and bool(slack[m].min() >= -AXIOM_SLACK_TOL))
+                for m, (least, count, ok) in want.items()}
     assert got == want
 
 
@@ -300,31 +353,30 @@ def test_groups_cover_the_trials_within_the_cap(monkeypatch, n, trials):
 
 
 def test_trial_zero_is_the_maximally_mixed_state():
-    batch = _draw_trials(3, range(0, 2), SeededGenerator(4), 0)
-    assert (batch.rho[0] == np.eye(3) / 3).all()
-    assert np.abs(batch.rho[1] - np.eye(3) / 3).max() > 1e-3
+    lam = _draw_group(3, range(0, 2), SeededGenerator(4), 0)[0]
+    assert (lam[0] == 1 / 3).all()
+    assert np.abs(lam[1] - 1 / 3).max() > 1e-3
 
 
 def test_eigenframe_overlaps_equal_the_identity_overlaps():
     # rho is diagonal, so its eigenbasis overlaps with W are |W|^2 bit for bit
-    batch = _draw_trials(8, range(0, 40), SeededGenerator(5), 2)
+    batch = _draw_group(8, range(0, 40), SeededGenerator(5), 2)[1]
     eye = np.broadcast_to(np.eye(8, dtype=np.complex128), batch.basis.shape)
     assert (batch.overlaps == overlap_tables(eye, batch.basis)).all()
     assert (measure_values(batch, DELTA) == basis_distances(eye, batch.basis)).all()
 
 
-def _wishart_batches(n, count, root):
-    """StateBatches of trials 1..count of block 0, one per chunk."""
+def _wishart_groups(n, count, root):
+    """(spectra, StateBatch) of trials 1..count of block 0, one per chunk."""
     step = _chunk_trials(n)
     for c in range(-(-(count + 1) // step)):
-        yield _draw_trials(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)
+        yield _draw_group(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_laguerre_purity_anchor(n):
     # E tr(rho^2) = 2n / (n^2 + 1) for a normalized n x n complex Wishart state
-    lam = np.concatenate([np.diagonal(b.rho, axis1=-2, axis2=-1).real
-                          for b in _wishart_batches(n, 4000, SeededGenerator(30 + n))])
+    lam = np.concatenate([lam for lam, _ in _wishart_groups(n, 4000, SeededGenerator(30 + n))])
     assert lam.shape == (4000, n)
     assert np.abs(lam.sum(axis=-1) - 1.0).max() < 1e-14
     assert (np.diff(lam, axis=-1) >= 0).all() and lam.min() > -1e-15
@@ -342,7 +394,7 @@ def test_basis_frame_draws_match_the_wishart_path(n):
     rng = SeededGenerator(60 + n).generator()
     states = [rewrite_in_basis(random_density_matrix(n, rng), random_basis(n, rng))
               for _ in range(samples)]
-    batches = list(_wishart_batches(n, samples, SeededGenerator(70 + n)))
+    batches = [b for _, b in _wishart_groups(n, samples, SeededGenerator(70 + n))]
     for m in (ETA2, DELTA):
         old = [evaluate_measure(s, m) for s in states]
         new = np.concatenate([measure_values(b, m) for b in batches])
@@ -361,7 +413,7 @@ def test_theorem42_bound_rows_fail_without_checks():
 # explained in CHANGES.md.
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "45b3d34d73b5f79e37be444d26f413c2b8bb3d67abad031357355a2f82f2a7fc",
+        "30d5dfa848a311db52f046b0bf73a39c4138289479beef2ac316aa2cb62e458b",
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):
@@ -370,7 +422,7 @@ GOLDEN = {
         "12ce540ec1cc9fdaf00aff72fb7bb8e0326f600af65e98db50c074e4d60f6a7a",
     # several chunks per group at both n
     ("theorem42", "--n", "16,32", "--trials", "100"):
-        "9fb76f16d95ea58f23713358bc03a9c16b0edc1e8ed330f59e4dadec1031b94c",
+        "ae0a967a90003f208f79d5c7177e0d336c705ec9f094df2a38038f8acbb80ccc",
 }
 
 
