@@ -44,32 +44,6 @@ WEIGHT_SUM_TOL = 1e-10  # allowed |sum(weights) - 1| in jensen_gap_bound
 
 
 @dataclass(frozen=True)
-class OverlapMatrix:
-    """Table o_ij = |<e_i|f_j>|^2 for a pair of bases.
-
-    Unitarity of the change of basis makes the table doubly stochastic; the
-    constructor checks row and column sums within tol_ortho * n.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        o = _doubly_stochastic(np.asarray(self.entries, dtype=np.float64))
-        o.setflags(write=False)
-        object.__setattr__(self, "entries", o)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def is_relabelling(self) -> bool:
-        """True when every row has a single entry >= 1 - n * TOL_ORTHO,
-        i.e. the table is a permutation matrix up to tolerance."""
-        n = self.dim
-        return bool((self.entries.max(axis=1) >= 1.0 - n * TOL_ORTHO).all())
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One checked inequality lhs <= rhs.
 
@@ -117,10 +91,18 @@ def _check_same_dim(a, b):
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def overlap_matrix(b1: OrthonormalBasis, b2: OrthonormalBasis) -> OverlapMatrix:
-    """Squared-overlap table between two bases of equal dimension."""
+def overlap_matrix(b1: OrthonormalBasis, b2: OrthonormalBasis) -> np.ndarray:
+    """Read-only table o_ij = |<e_i|f_j>|^2 of two bases of equal dimension, clipped
+    to [0, 1]; checked doubly stochastic, as unitarity makes it, within tol_ortho * n."""
     _check_same_dim(b1, b2)
-    return OverlapMatrix(overlap_tables(b1.vectors, b2.vectors))
+    o = _doubly_stochastic(overlap_tables(b1.vectors, b2.vectors))
+    o.setflags(write=False)
+    return o
+
+
+def is_relabelling(o: np.ndarray) -> bool:
+    """True when the overlap table o is a permutation matrix within n * TOL_ORTHO."""
+    return bool((o.max(axis=1) >= 1.0 - o.shape[0] * TOL_ORTHO).all())
 
 
 def overlap_tables(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -162,8 +144,7 @@ def is_mutually_unbiased(
     """True when every squared overlap equals 1/n within tol."""
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    o = overlap_matrix(b1, b2).entries
-    return bool(np.abs(o - 1.0 / b1.dim).max() <= tol)
+    return bool(np.abs(overlap_matrix(b1, b2) - 1.0 / b1.dim).max() <= tol)
 
 
 def _spectral_scales(w: np.ndarray):

@@ -9,7 +9,7 @@ reproduce byte-identical files.
 
 Row encodings (CSV cells are numbers only):
   measure: MEASURE_CODES, the 1-based position in measures.MEASURES
-  kind (theorem42): 1 = subspace-bound check, 2 = decay path, 3 = s_rel counterexample
+  kind (theorem42): 1 = subspace-bound check, 2 = decay path
   family (prop31): 1 = random, 2 = commuting, 3 = unbiased eigenbases, 4 = near-degenerate
   bound (prop31): 1 = upper, 2 = lower
   family (purity): 1 = pure, 2 = mixed of fixed rank, 3 = maximally mixed
@@ -51,6 +51,8 @@ from .measures import (
 
 DEFAULT_N_LIST = (2, 4, 8, 16, 32)
 DECAY_TS = tuple(np.geomspace(1e-1, 1e-9, 9))
+THEOREM42_MEASURES = (ETA1, ETA2, ETA_INF, DELTA)
+PATHS_PER_N = 5
 
 # Absolute slack tolerance for the subspace-bound checks.
 AXIOM_SLACK_TOL = 1e-10
@@ -204,8 +206,10 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     is roundoff; ok needs checks and every slack, trial 0's too, to be at
     least -AXIOM_SLACK_TOL.  Each group of whole chunks (clipped to
     `trials`) is drawn and checked as one stack; all three are exact, so
-    grouping cannot change the result.
+    grouping cannot change the result.  s_rel is rejected: the batch holds no rho.
     """
+    if any(m.name == "s_rel" for m in measures):
+        raise ValueError("check_subspace_bound cannot check s_rel: its eigenframe batch holds no rho")
     min_slack = dict.fromkeys(measures, np.inf)
     passed = dict.fromkeys(measures, len(trials) > 0)
     step = _chunk_trials(n)
@@ -223,52 +227,44 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     return {m: (min_slack[m], len(trials), passed[m]) for m in measures}
 
 
-_THEOREM42_COLUMNS = (
-    "kind n measure c count min_slack final_d final_value monotone epsilon ok".split()
-)
+_THEOREM42_COLUMNS = "kind n measure count min_slack final_d final_value monotone ok".split()
 
 
 def _theorem42_row(kind, n, m: MeasureId, **cells) -> dict:
     """One theorem42 row in column order, as floats; cells not given are NaN."""
     row = dict.fromkeys(_THEOREM42_COLUMNS, np.nan)
-    row.update(kind=kind, n=n, measure=MEASURE_CODES[m.name], c=np.nan if m.c is None else m.c)
-    return {k: float(v) for k, v in {**row, **cells}.items()}
+    row.update(kind=kind, n=n, measure=MEASURE_CODES[m.name], **cells)
+    return {k: float(v) for k, v in row.items()}
 
 
-def run_theorem42_suite(
-    n_list=DEFAULT_N_LIST,
-    trials: int = 500,
-    seed: int = 0,
-    measures: tuple[MeasureId, ...] = (ETA1, ETA2, ETA_INF, DELTA),
-    paths_per_n: int = 5,
-) -> ExperimentReport:
-    """Subspace-bound and decay checks for the coherence-measure candidates.
+def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0) -> ExperimentReport:
+    """Subspace-bound and decay checks for THEOREM42_MEASURES.
 
     Per dimension: check_subspace_bound on `trials` random (state, basis)
     pairs plus the maximally mixed state, one ||Q||_op check per state, so
-    a bound row counts trials + 1; then check_axiom1 along `paths_per_n`
+    a bound row counts trials + 1; then check_axiom1 along PATHS_PER_N
     random basis paths.  Block b (the b-th n) draws its bound trials chunk
     by chunk from spawn keys (b, chunk) and its paths from
-    root.substream(b).  A bound row with zero checks fails.  Injecting an
-    s_rel MeasureId adds its counterexample as a failing row.  Every n must
+    root.substream(b).  A bound row with zero checks fails.  s_rel is not
+    checked here: run_srel_demo reports its counterexample.  Every n must
     be at least 2: at n = 1 the decay path is constant 0, so it cannot
     decrease.
     """
     if any(n < 2 for n in n_list):
         raise ValueError(f"theorem42 needs every n >= 2, got {list(n_list)}")
     root = SeededGenerator(seed)
-    plain = [m for m in measures if m.name != "s_rel"]
     rows = []
     for block, n in enumerate(n_list):
         # Trial 0 exercises the degenerate maximally mixed state.
-        for m, (slack, count, ok) in check_subspace_bound(n, range(trials + 1), root, block, plain).items():
+        checked = check_subspace_bound(n, range(trials + 1), root, block, THEOREM42_MEASURES)
+        for m, (slack, count, ok) in checked.items():
             rows.append(_theorem42_row(1, n, m, count=count, min_slack=slack, ok=ok))
         rng = root.substream(block)
-        for _ in range(paths_per_n):
+        for _ in range(PATHS_PER_N):
             rho = random_density_matrix(n, rng)
             path = approach_path(rho.eigensystem()[1], DECAY_TS, rng)
-            ds, values = check_axiom1(rho, (*plain, ETA2), path)
-            for m in plain:
+            ds, values = check_axiom1(rho, THEOREM42_MEASURES, path)
+            for m in THEOREM42_MEASURES:
                 vals = values[m]
                 # Pointwise envelopes from the continuity argument:
                 # eta2 <= d, delta = d, and eta1, eta_inf <= n * eta2.
@@ -280,15 +276,9 @@ def run_theorem42_suite(
                     2, n, m, count=len(DECAY_TS), min_slack=slack, final_d=ds[-1],
                     final_value=vals[-1], monotone=monotone, ok=ok,
                 ))
-    for m in measures:
-        if m.name == "s_rel":
-            found = srel_counterexample(m.c)
-            slack = found.bound - found.deviation
-            rows.append(_theorem42_row(3, 2, m, count=1, min_slack=slack,
-                                       epsilon=found.epsilon, ok=slack >= -AXIOM_SLACK_TOL))
     parameters = {
-        "n_list": list(n_list), "trials": trials, "paths_per_n": paths_per_n,
-        "measures": [m.label() for m in measures],
+        "n_list": list(n_list), "trials": trials, "paths_per_n": PATHS_PER_N,
+        "measures": [m.label() for m in THEOREM42_MEASURES],
         "chunk_trials": [_chunk_trials(n) for n in n_list],
     }
     return ExperimentReport.from_rows("theorem42", parameters, rows, seed)

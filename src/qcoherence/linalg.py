@@ -122,9 +122,11 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":
-        """Rank-one projector |v><v| for a unit vector v."""
+        """Rank-one projector |v><v| for v normalized, of nonzero finite norm."""
         v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-        v = v / np.linalg.norm(v)
+        if not 0.0 < (norm := np.linalg.norm(v)) < np.inf:  # NaN fails every comparison
+            raise ValueError(f"a pure state needs a vector of nonzero finite norm, got {norm}")
+        v = v / norm
         return cls(np.outer(v, v.conj()))
 
 
@@ -277,11 +279,10 @@ def hermitian_eigendecomposition(a):
 
     A degenerate spectrum makes the eigenbasis non-unique; whichever basis the
     solver produces is returned, and downstream statements hold for any choice.
+    A matrix goes through HermitianObservable.from_matrix and its checks.
     """
-    if isinstance(a, HermitianObservable):
-        return a.spectrum, a.eigenbasis
-    w, v = _eigh(_hermitian(a, "operator", "A"))
-    return _freeze(w), OrthonormalBasis(v)
+    obs = a if isinstance(a, HermitianObservable) else HermitianObservable.from_matrix(a)
+    return obs.spectrum, obs.eigenbasis
 
 
 def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

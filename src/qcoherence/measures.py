@@ -254,11 +254,13 @@ def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
 
 
 def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
-    """Random subspace: dimension uniform on 1..n unless given, frame from
-    the leading columns of a Haar unitary."""
+    """Random subspace: dimension k in 1..n (ValueError otherwise), uniform
+    unless given, frame from the leading columns of a Haar unitary."""
     rng = as_generator(rng)
     if k is None:
         k = int(rng.integers(1, n + 1))
+    elif not 1 <= k <= n:
+        raise ValueError(f"subspace dimension must lie in 1..{n}, got {k}")
     u = sample_haar_unitary(n, rng)
     return Subspace(u[:, :k])
 

@@ -1,15 +1,36 @@
-"""What the benchmark in perfbench/ uses of the program: the kernels its sweep
-times, the functions its tracer wraps and the report its theorem42 workload
-checks.  A rename or a report change that would break the benchmark fails
-here, at tier 1."""
+"""What the benchmark in perfbench/ uses of the program: its set-up calls, the
+kernels its sweep times, the functions its tracer wraps and the reports and
+outputs its workloads check.  A rename or a report change that would break
+the benchmark fails here, at tier 1."""
 
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qcoherence.measures
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_worker_setup_runs(monkeypatch):
+    # setup() checks that qcoherence comes from ./src, so run it from the repo root
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(PERFBENCH.parent)
+    import worker
+
+    assert worker.setup() > 0.0
+
+
+@pytest.mark.parametrize("name", ["cli", "purity", "prop31"])
+def test_smoke_pass_has_no_failures(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    seconds, calls_ms, attempted, failed, messages = (
+        workloads.make_workload(name, 1, tmp_path, smoke=True).run_pass()
+    )
+    assert attempted >= 1 and (failed, messages) == (0, [])
 
 
 def test_sweep_kernels_run(monkeypatch):

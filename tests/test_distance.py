@@ -18,6 +18,7 @@ from qcoherence import (
     commutator_upper_bound,
     fourier_basis,
     is_mutually_unbiased,
+    is_relabelling,
     jensen_gap_bound,
     operator_norm,
     overlap_matrix,
@@ -46,18 +47,21 @@ def _distance_by_summation(b1, b2):
 class TestOverlapMatrix:
     def test_same_basis_gives_identity(self):
         o = overlap_matrix(Z_BASIS, Z_BASIS)
-        assert_allclose(o.entries, np.eye(2), atol=1e-14)
+        assert_allclose(o, np.eye(2), atol=1e-14)
+        assert is_relabelling(o)
+        assert not o.flags.writeable
 
     def test_unbiased_qubit_pair_gives_half(self):
         o = overlap_matrix(Z_BASIS, X_BASIS)
-        assert_allclose(o.entries, np.full((2, 2), 0.5), atol=1e-14)
+        assert_allclose(o, np.full((2, 2), 0.5), atol=1e-14)
+        assert not is_relabelling(o)
 
     def test_random_pairs_doubly_stochastic(self):
         for seed in range(20):
             n = 2 + seed % 7
             o = overlap_matrix(random_basis(n, 2 * seed), random_basis(n, 2 * seed + 1))
-            assert np.abs(o.entries.sum(axis=0) - 1.0).max() < 1e-9
-            assert np.abs(o.entries.sum(axis=1) - 1.0).max() < 1e-9
+            assert np.abs(o.sum(axis=0) - 1.0).max() < 1e-9
+            assert np.abs(o.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -71,7 +75,7 @@ class TestBasisDistance:
         phases = np.exp(2j * np.pi * rng.random(5))
         relabelled = b.permuted(rng.permutation(5), phases)
         assert basis_distance(b, relabelled) < 1e-12
-        assert overlap_matrix(b, relabelled).is_relabelling()
+        assert is_relabelling(overlap_matrix(b, relabelled))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_fourier_vs_standard_is_maximal(self, n):
@@ -315,7 +319,7 @@ def test_distance_zero_implies_relabelling(seed, n):
     rng = np.random.default_rng(seed)
     relabelled = b.permuted(rng.permutation(n), np.exp(2j * np.pi * rng.random(n)))
     assert basis_distance(b, relabelled) < 1e-12
-    assert overlap_matrix(b, relabelled).is_relabelling()
+    assert is_relabelling(overlap_matrix(b, relabelled))
 
 
 def test_upper_bound_with_degenerate_spectra_still_holds():

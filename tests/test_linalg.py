@@ -39,6 +39,14 @@ def _random_state(n, rng, rank=None):
     return w / np.trace(w).real
 
 
+@pytest.mark.parametrize("vector", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]],
+                         ids=["zero", "nan", "inf"])
+def test_pure_rejects_vector_without_finite_nonzero_norm(vector):
+    # was an all-NaN state with a RuntimeWarning
+    with pytest.raises(ValueError, match="nonzero finite norm"):
+        DensityMatrix.pure(vector)
+
+
 class TestValidateDensity:
     def test_maximally_mixed_qubit(self):
         rho = validate_density(np.eye(2) / 2)
@@ -147,6 +155,20 @@ class TestEigendecomposition:
         monkeypatch.setattr(qcoherence.linalg, "_eigh", perturbed)
         with pytest.raises(ConvergenceFailureError, match="exceeds 4.0e-09"):
             checked_eigh(stack)
+
+    def test_state_eigensystem_checks_its_reconstruction(self, monkeypatch):
+        # a density eigensystem goes through the same checked decomposition
+        eigh = qcoherence.linalg._eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            w[0] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(qcoherence.linalg, "_eigh", perturbed)
+        rho = DensityMatrix(_random_state(3, np.random.default_rng(13)))
+        with pytest.raises(ConvergenceFailureError, match="spectral reconstruction error"):
+            rho.eigensystem()
 
 
 def _power_iteration_norm(m, rng, starts=10_000, iters=500):

@@ -213,6 +213,13 @@ class TestOrderingProperties:
             assert abs(evaluate_measure(s1, m) - evaluate_measure(s2, m)) < 1e-10
 
 
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_random_subspace_rejects_dimension_outside_one_to_n(k):
+    # was a silent frame of 0, 2 (negative slicing) or 3 columns at n = 3
+    with pytest.raises(ValueError, match=r"1\.\.3"):
+        random_subspace(3, np.random.default_rng(0), k)
+
+
 class TestTpfDeviation:
     def test_counterexample_subspace(self):
         assert abs(tpf_deviation(_eps_state(), _plus_projector_subspace()) - EPS / 2) < 1e-14
