@@ -1,11 +1,11 @@
 """Scripted reproductions of the library's verifiable claims.
 
 Each suite returns an :class:`ExperimentReport` whose rows are purely
-numeric records; the verdict is pass exactly when every row's `ok` flag is
-set.  Reports serialize to CSV: a header row, numeric data rows, then
-trailing metadata lines prefixed with `#` carrying the experiment id,
-parameters (as JSON), seed and verdict.  Identical parameters and seed
-reproduce byte-identical files.
+numeric records; the verdict is pass exactly when there are rows and every
+row's `ok` flag is set.  Reports serialize to CSV: a header row, numeric
+data rows, then trailing metadata lines prefixed with `#` carrying the
+experiment id, parameters (as JSON), seed and verdict.  Identical
+parameters and seed reproduce byte-identical files.
 
 Row encodings (CSV cells are numbers only):
   measure: MEASURE_CODES, the 1-based position in measures.MEASURES
@@ -57,12 +57,10 @@ PATHS_PER_N = 5
 # Absolute slack tolerance for the subspace-bound checks.
 AXIOM_SLACK_TOL = 1e-10
 
-# Complex entries per chunk, the unit of the subspace-bound stream (1024
-# trials at n = 2, 4 at n = 32): its size keys the stream and the reports.
-_STACK_ENTRIES = 4096
-# Complex entries per group, the run of chunks checked as one stack (16
-# trials at n = 32): it bounds peak memory and leaves the reports unchanged.
-_GROUP_ENTRIES = 16384
+# Complex entries per chunk (4096 trials at n = 2, 16 at n = 32), the one
+# unit of the subspace-bound check: one substream draw and one stacked check,
+# so its size keys the stream and the reports and bounds the peak memory.
+_CHUNK_ENTRIES = 16384
 
 
 @dataclass
@@ -77,7 +75,7 @@ class ExperimentReport:
 
     @classmethod
     def from_rows(cls, experiment_id, parameters, rows, seed) -> "ExperimentReport":
-        return cls(experiment_id, parameters, rows, all(bool(r["ok"]) for r in rows), seed)
+        return cls(experiment_id, parameters, rows, bool(rows) and all(r["ok"] for r in rows), seed)
 
     @property
     def columns(self) -> list[str]:
@@ -132,6 +130,8 @@ def random_hermitian(n: int, rng) -> HermitianObservable:
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
     """Normalized Wishart state G G^H / tr with controllable rank (default full)."""
     rng = as_generator(rng)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     rank = n if rank is None else min(rank, n)
@@ -143,7 +143,7 @@ def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix
 
 def _chunk_trials(n: int) -> int:
     """Trials per chunk of the subspace-bound checks at dimension n."""
-    return max(1, _STACK_ENTRIES // (n * n))
+    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def _laguerre_spectra(chi: np.ndarray) -> np.ndarray:
@@ -166,65 +166,64 @@ def _laguerre_spectra(chi: np.ndarray) -> np.ndarray:
     return lam / lam.sum(axis=-1, keepdims=True)
 
 
-def _draw_group(n: int, trials: range, root: SeededGenerator, block: int):
+def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
     """The spectra lam (T, n) and the StateBatch, without rho, of consecutive
-    subspace-bound trials; trial 0 is the maximally mixed state.
+    subspace-bound trials of one chunk; trial 0 is the maximally mixed state.
 
     A Wishart state's eigenvectors are Haar and independent of its spectrum
     lam, so (rho, B) is drawn in rho's eigenframe: rho = diag(lam), the
     basis W Haar, rep = W^H diag(lam) W, and the eigenbasis overlaps |W|^2.
     Chunk c covers trials [c * step, (c + 1) * step) and draws all of them
     from root.substream((block, c)), whatever part is asked for, so it
-    replays alone: chi variates, then the (re, im) Gaussians of W.
+    replays alone: chi variates, then the (re, im) Gaussians of W.  A range
+    that is empty or crosses a chunk edge raises ValueError.
     """
     step = _chunk_trials(n)
-    chunks = range(trials.start // step, (trials.stop - 1) // step + 1)
+    c = trials.start // step
+    if not trials or trials.step != 1 or trials[-1] // step != c:
+        raise ValueError(f"trials {trials} are not a nonempty run within one chunk of {step}")
+    rng = root.substream((block, c))
     df = np.concatenate([np.arange(2 * n, 0, -2), np.arange(2 * n - 2, 0, -2)])
-    chi = np.empty((len(chunks) * step, 2 * n - 1))
-    z = np.empty((len(chunks) * step, n, n), dtype=np.complex128)
-    for i, chunk in enumerate(chunks):
-        rng, part = root.substream((block, chunk)), slice(i * step, (i + 1) * step)
-        chi[part] = rng.chisquare(df, size=(step, 2 * n - 1))
-        z.real[part], z.imag[part] = rng.standard_normal((2, step, n, n))
-    local = slice(trials.start - chunks[0] * step, trials.stop - chunks[0] * step)
+    chi = rng.chisquare(df, size=(step, 2 * n - 1))
+    gauss = rng.standard_normal((2, step, n, n))
+    local = slice(trials.start - c * step, trials.stop - c * step)
     lam = _laguerre_spectra(np.sqrt(chi[local]))
     if trials.start == 0:
         lam[0] = 1.0 / n
-    w = _haar_from_ginibre(z[local])
+    z = np.empty((len(trials), n, n), dtype=np.complex128)
+    z.real, z.imag = gauss[:, local]
+    w = _haar_from_ginibre(z)
     rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
     return lam, StateBatch(None, w, rep, lambda: np.abs(w) ** 2)
 
 
-def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int, measures) -> dict:
+def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int) -> dict:
     """{measure: (min slack, checks, ok)} of the subspace bound over `trials`.
 
     `trials` is a range of consecutive trial indices of block `block` of
     the stream `root`: trial 0 is the maximally mixed state, every other
     trial a Wishart state, each in a Haar-random basis.  Each trial is one
-    check, measure >= ||Q||_op (worst_deviations), exact for every subspace.
-    The min slack is over the Wishart trials (inf if none), as trial 0's Q
-    is roundoff; ok needs checks and every slack, trial 0's too, to be at
-    least -AXIOM_SLACK_TOL.  Each group of whole chunks (clipped to
-    `trials`) is drawn and checked as one stack; all three are exact, so
-    grouping cannot change the result.  s_rel is rejected: the batch holds no rho.
+    check per measure of THEOREM42_MEASURES, measure >= ||Q||_op
+    (worst_deviations), exact for every subspace.  The min slack is over
+    the Wishart trials (inf if none), as trial 0's Q is roundoff; ok needs
+    checks and every slack, trial 0's too, to be at least -AXIOM_SLACK_TOL.
+    Each chunk, clipped to `trials`, is drawn and checked as one stack; an
+    empty range draws nothing.
     """
-    if any(m.name == "s_rel" for m in measures):
-        raise ValueError("check_subspace_bound cannot check s_rel: its eigenframe batch holds no rho")
-    min_slack = dict.fromkeys(measures, np.inf)
-    passed = dict.fromkeys(measures, len(trials) > 0)
+    min_slack = dict.fromkeys(THEOREM42_MEASURES, np.inf)
+    passed = dict.fromkeys(THEOREM42_MEASURES, len(trials) > 0)
     step = _chunk_trials(n)
-    span = step * max(1, _GROUP_ENTRIES // (step * n * n))  # trials per group
-    for start in range(trials.start // step * step, trials.stop, span) if trials else ():
-        group = range(max(trials.start, start), min(trials.stop, start + span))
-        batch = _draw_group(n, group, root, block)[1]
+    for start in range(trials.start // step * step, trials.stop, step) if trials else ():
+        chunk = range(max(trials.start, start), min(trials.stop, start + step))
+        batch = _draw_chunk(n, chunk, root, block)[1]
         worst = worst_deviations(batch)
-        for m in measures:
+        for m in THEOREM42_MEASURES:
             slack = measure_values(batch, m) - worst
             passed[m] = passed[m] and bool(slack.min() >= -AXIOM_SLACK_TOL)
-            wishart = slack[1:] if group.start == 0 else slack
+            wishart = slack[1:] if chunk.start == 0 else slack
             min_slack[m] = min(min_slack[m], float(wishart.min(initial=np.inf)))
-        del batch  # before the next group is drawn, to bound the peak memory
-    return {m: (min_slack[m], len(trials), passed[m]) for m in measures}
+        del batch  # before the next chunk is drawn, to bound the peak memory
+    return {m: (min_slack[m], len(trials), passed[m]) for m in THEOREM42_MEASURES}
 
 
 _THEOREM42_COLUMNS = "kind n measure count min_slack final_d final_value monotone ok".split()
@@ -243,12 +242,12 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
     Per dimension: check_subspace_bound on `trials` random (state, basis)
     pairs plus the maximally mixed state, one ||Q||_op check per state, so
     a bound row counts trials + 1; then check_axiom1 along PATHS_PER_N
-    random basis paths.  Block b (the b-th n) draws its bound trials chunk
-    by chunk from spawn keys (b, chunk) and its paths from
-    root.substream(b).  A bound row with zero checks fails.  s_rel is not
-    checked here: run_srel_demo reports its counterexample.  Every n must
-    be at least 2: at n = 1 the decay path is constant 0, so it cannot
-    decrease.
+    random basis paths.  Block b (the b-th n) draws chunk c of its bound
+    trials (chunk_trials per chunk) from spawn key (b, c) alone, and its
+    paths from root.substream(b).  A bound row with zero checks fails.
+    s_rel is not checked here: run_srel_demo reports its counterexample.
+    Every n must be at least 2: at n = 1 the decay path is constant 0, so
+    it cannot decrease.
     """
     if any(n < 2 for n in n_list):
         raise ValueError(f"theorem42 needs every n >= 2, got {list(n_list)}")
@@ -256,7 +255,7 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
     rows = []
     for block, n in enumerate(n_list):
         # Trial 0 exercises the degenerate maximally mixed state.
-        checked = check_subspace_bound(n, range(trials + 1), root, block, THEOREM42_MEASURES)
+        checked = check_subspace_bound(n, range(trials + 1), root, block)
         for m, (slack, count, ok) in checked.items():
             rows.append(_theorem42_row(1, n, m, count=count, min_slack=slack, ok=ok))
         rng = root.substream(block)

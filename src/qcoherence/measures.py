@@ -88,18 +88,18 @@ class StateBatch:
     """T states rewritten in T bases, stacked on a leading axis.
 
     `rho` and `basis` are (T, n, n) stacks of density matrices and of
-    unitaries whose columns are the basis vectors; `rep` defaults to their
-    rewrite.  The off-diagonal parts and the squared overlaps between the
-    eigenbases of rho and the bases are computed once, when first needed;
-    `overlaps`, a zero-argument callable returning the (T, n, n) tables,
-    replaces the batched eigh when the eigenbases are known.  Given both,
-    rho may be None if s_rel is not read.  The batch trusts its input.
+    unitaries whose columns are the basis vectors; `rep` is their rewrite,
+    computed here if None.  `overlaps`, a zero-argument callable, returns
+    the (T, n, n) squared overlaps between eigenbases of rho that the
+    caller holds (checked ones) and the bases: the batch runs no eigh.  The
+    off-diagonal parts and the overlaps are computed once, when first
+    needed.  Given rep, rho may be None if s_rel is not read.  The batch
+    trusts its input.
     """
 
-    def __init__(self, rho: np.ndarray, basis: np.ndarray, rep=None, overlaps=None):
-        self.rho, self.basis = rho, basis
+    def __init__(self, rho: np.ndarray, basis: np.ndarray, rep, overlaps):
+        self.rho, self.basis, self._overlaps = rho, basis, overlaps
         self.rep = _rewrite(rho, basis) if rep is None else rep
-        self._overlaps = overlaps or (lambda: overlap_tables(np.linalg.eigh(rho)[1], basis))
 
     @classmethod
     def of(cls, s: StateInBasis) -> "StateBatch":
@@ -326,8 +326,8 @@ def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
         raise DimensionMismatchError(f"path bases must have the state dim {rho.dim}")
     bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)
     eigenbasis = rho.eigensystem()[1].vectors
-    b = StateBatch(np.broadcast_to(rho.matrix, bases.shape), bases,
-                   overlaps=lambda: overlap_tables(np.broadcast_to(eigenbasis, bases.shape), bases))
+    b = StateBatch(np.broadcast_to(rho.matrix, bases.shape), bases, None,
+                   lambda: overlap_tables(np.broadcast_to(eigenbasis, bases.shape), bases))
     ds = measure_values(b, DELTA)  # delta's values, computed once
     return ds, {m: ds if m == DELTA else measure_values(b, m) for m in measures}
 

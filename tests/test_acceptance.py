@@ -93,13 +93,12 @@ def test_criterion_04_axiom2_zero_violations():
     root = SeededGenerator(400)
     dims = list(range(2, 17))
     per_dim = -(-10_000 // len(dims))  # ceil: at least 10^4 triples overall
-    measures = (ETA1, ETA2, ETA_INF, DELTA)
     min_slack = np.inf
     for block, n in enumerate(dims):
         # trials 1..per_dim: Wishart (rho, B) pairs, each checked as
         # measure >= ||Q||_op (every F at once), drawn chunk by chunk from
         # block's keys
-        bound = check_subspace_bound(n, range(1, per_dim + 1), root, block, measures)
+        bound = check_subspace_bound(n, range(1, per_dim + 1), root, block)
         min_slack = min([min_slack] + [slack for slack, *_ in bound.values()])
     elapsed = time.monotonic() - start
     ok = min_slack >= -1e-10 and elapsed < 120.0

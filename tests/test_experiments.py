@@ -22,7 +22,6 @@ from qcoherence import (
     run_purity_sweep,
     run_srel_demo,
     run_theorem42_suite,
-    srel_id,
     tpf_deviation,
     write_report,
 )
@@ -31,13 +30,13 @@ from qcoherence.distance import basis_distances, overlap_tables
 from qcoherence.experiments import (
     AXIOM_SLACK_TOL,
     MEASURE_CODES,
-    _GROUP_ENTRIES,
+    THEOREM42_MEASURES,
     _chunk_trials,
-    _draw_group,
+    _draw_chunk,
     check_subspace_bound,
     random_density_matrix,
 )
-from qcoherence.measures import adversarial_subspaces, measure_values, worst_deviations
+from qcoherence.measures import adversarial_subspaces, measure_values
 
 
 def test_theorem42_passes_for_genuine_measures():
@@ -72,11 +71,17 @@ def test_prop31_suite_passes():
     assert all(row["min_rel_slack"] >= -1e-9 for row in report.rows)
 
 
-@pytest.mark.parametrize("rank", [0, -1])
-def test_random_density_matrix_rejects_rank_below_one(rank):
-    # rank 0 gave an all-NaN state and -1 numpy's "negative dimensions"
-    with pytest.raises(ValueError, match="rank must be at least 1"):
-        random_density_matrix(3, np.random.default_rng(0), rank=rank)
+@pytest.mark.parametrize("n, rank, match", [
+    pytest.param(3, 0, "rank must be at least 1", id="0"),
+    pytest.param(3, -1, "rank must be at least 1", id="-1"),
+    pytest.param(0, None, "n must be at least 1", id="n0"),
+    pytest.param(-1, 1, "n must be at least 1", id="n-1"),
+])
+def test_random_density_matrix_rejects_rank_below_one(n, rank, match):
+    # rank 0 gave an all-NaN state, -1 numpy's "negative dimensions", and
+    # n = 0 a 0 x 0 "state"
+    with pytest.raises(ValueError, match=match):
+        random_density_matrix(n, np.random.default_rng(0), rank=rank)
 
 
 def test_purity_sweep_rejects_rank_zero():
@@ -130,6 +135,20 @@ def test_report_verdict_is_function_of_rows():
     assert not report.verdict
     report = ExperimentReport.from_rows("demo", {}, rows[:1], seed=0)
     assert report.verdict
+    # no rows checked nothing: that must not read as a pass
+    assert not ExperimentReport.from_rows("demo", {}, [], seed=0).verdict
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_theorem42_suite(n_list=()),
+    lambda: run_proposition31_suite(n_list=()),
+    lambda: run_purity_sweep(n_list=()),
+    lambda: run_srel_demo(c_list=()),
+], ids=["theorem42", "prop31", "purity", "srel"])
+def test_runners_fail_an_empty_list(run):
+    # the CLI rejects an empty list; the Python API reports it as a failure
+    report = run()
+    assert report.rows == [] and not report.verdict
 
 
 def test_csv_round_trip(tmp_path):
@@ -177,15 +196,14 @@ def test_theorem42_includes_maximally_mixed_trial():
 
 
 # The n = 2 bound rows of `theorem42 --n 2,4 --trials 20 --seed 42`: the min
-# slack over Wishart trials 1..20, which the Ky Fan sweep over every
-# subspace dimension gives too.
-SEED42_N2_MIN_SLACK = {ETA1: 0.04253399020082805, ETA2: 0.017618155603027305,
-                       ETA_INF: 0.04253399020082806}
+# slack over Wishart trials 1..20, all drawn from chunk (0, 0).
+SEED42_N2_MIN_SLACK = {ETA1: 0.10598253352378599, ETA2: 0.04389940276021338,
+                       ETA_INF: 0.10598253352378602}
 
 
 def test_theorem42_fails_when_only_trial_zero_fails(monkeypatch):
     # a fake deviation on trial 0 alone fails every bound row, and the min
-    # slack, over the Wishart trials, does not move (one group per n here)
+    # slack, over the Wishart trials, does not move (one chunk per n here)
     real = experiments.worst_deviations
 
     def bumped(batch):
@@ -230,16 +248,16 @@ def test_prop31_zero_trials_writes_failing_zero_check_rows():
     assert not report.verdict
 
 
-def _scalar_min_slacks(n, trials, root, block, measures):
+def _scalar_min_slacks(n, trials, root, block):
     """{measure: (min slack, checks, ok)} of the drawn pairs through the
     scalar API: rewrite_in_basis, adversarial_subspaces, tpf_deviation, one
     trial at a time; the min is over the Wishart trials."""
-    want = {m: (np.inf, 0, True) for m in measures}
+    want = {m: (np.inf, 0, True) for m in THEOREM42_MEASURES}
     for trial in trials:
-        lam, batch = _draw_group(n, range(trial, trial + 1), root, block)
+        lam, batch = _draw_chunk(n, range(trial, trial + 1), root, block)
         s = rewrite_in_basis(DensityMatrix(np.diag(lam[0])), OrthonormalBasis(batch.basis[0]))
         dev = tpf_deviation(s, adversarial_subspaces(s))
-        for m in measures:
+        for m in THEOREM42_MEASURES:
             slack = evaluate_measure(s, m) - dev
             least, count, ok = want[m]
             want[m] = (min(least, slack) if trial else least, count + 1,
@@ -249,13 +267,12 @@ def _scalar_min_slacks(n, trials, root, block, measures):
 
 def test_subspace_bound_chunks_equal_the_scalar_loop():
     # the stacked slacks against the scalar API on the same drawn triples,
-    # across chunk edges (1024 trials per chunk at n = 2, 455 at n = 3)
-    measures = (ETA1, ETA2, ETA_INF, DELTA)
+    # across chunk edges (4096 trials per chunk at n = 2, 1820 at n = 3)
     root = SeededGenerator(11)
-    for n, trials in ((2, range(1020, 1030)), (3, range(0, 6)), (3, range(450, 460))):
-        got = check_subspace_bound(n, trials, root, 1, measures)
-        want = _scalar_min_slacks(n, trials, root, 1, measures)
-        for m in measures:
+    for n, trials in ((2, range(4090, 4100)), (3, range(0, 6)), (3, range(1815, 1825))):
+        got = check_subspace_bound(n, trials, root, 1)
+        want = _scalar_min_slacks(n, trials, root, 1)
+        for m in THEOREM42_MEASURES:
             assert got[m][1:] == want[m][1:] == (len(trials), True)
             assert abs(got[m][0] - want[m][0]) <= 1e-12
 
@@ -265,104 +282,98 @@ def test_chunk_replays_alone():
     # requested, so any part redraws bit for bit and chunks combine exactly
     root, block, n = SeededGenerator(21), 3, 4
     step = _chunk_trials(n)
-    assert step == 256
-    lam, whole = _draw_group(n, range(step, 2 * step), root, block)
-    part_lam, part = _draw_group(n, range(step + 10, step + 30), root, block)
+    assert step == 1024
+    lam, whole = _draw_chunk(n, range(step, 2 * step), root, block)
+    part_lam, part = _draw_chunk(n, range(step + 10, step + 30), root, block)
     assert (part_lam == lam[10:30]).all()
     for name in ("basis", "rep", "overlaps"):
         assert (getattr(part, name) == getattr(whole, name)[10:30]).all()
-    measures = (ETA1, ETA2, ETA_INF, DELTA)
-    full = check_subspace_bound(n, range(3 * step + 7), root, block, measures)
+    full = check_subspace_bound(n, range(3 * step + 7), root, block)
     chunks = [range(0, step), range(step, 2 * step), range(2 * step, 3 * step),
               range(3 * step, 3 * step + 7)]
-    alone = [check_subspace_bound(n, c, root, block, measures) for c in chunks]
-    for m in measures:
+    alone = [check_subspace_bound(n, c, root, block) for c in chunks]
+    for m in THEOREM42_MEASURES:
         assert full[m][0] == min(a[m][0] for a in alone)
         assert full[m][1] == sum(a[m][1] for a in alone)
         assert full[m][2] == all(a[m][2] for a in alone)
     # other blocks and chunks draw other triples
-    other = _draw_group(n, range(step + 10, step + 30), root, block + 1)[1]
+    other = _draw_chunk(n, range(step + 10, step + 30), root, block + 1)[1]
     assert np.abs(other.basis - part.basis).max() > 1e-3
-    first = _draw_group(n, range(10, 30), root, block)[1]
+    first = _draw_chunk(n, range(10, 30), root, block)[1]
     assert np.abs(first.basis - part.basis).max() > 1e-3
 
 
-def _spy_groups(monkeypatch) -> list:
-    """The trial ranges that check_subspace_bound draws as groups, appended
-    as it draws them."""
-    groups, draw = [], experiments._draw_group
-    monkeypatch.setattr(experiments, "_draw_group",
-                        lambda n, group, *rest: groups.append(group) or draw(n, group, *rest))
-    return groups
-
-
 @pytest.mark.parametrize("n, trials", [
-    (2, range(5, 4100)), (3, range(5, 2000)), (16, range(5, 137)), (32, range(5, 137)),
+    (2, range(4090, 4097)), (3, range(1819, 1821)), (32, range(15, 17)), (128, range(0, 2)),
+    (4, range(5, 5)), (4, range(0, 10, 2)),
 ])
-def test_groups_equal_chunks_checked_alone(monkeypatch, n, trials):
-    # the ranges start and stop mid-chunk and span several groups; min and
-    # count are exact, so grouping must not move them by a single bit
-    measures = (ETA1, ETA2, ETA_INF, DELTA)
-    root, block, step = SeededGenerator(17), 2, _chunk_trials(n)
-    groups = _spy_groups(monkeypatch)
-    got = check_subspace_bound(n, trials, root, block, measures)
-    monkeypatch.undo()
-    assert len(groups) > 1
-    want = dict.fromkeys(measures, (np.inf, 0, True))
-    for c in range(trials.start // step, (trials.stop - 1) // step + 1):
-        chunk = range(max(trials.start, c * step), min(trials.stop, (c + 1) * step))
-        batch = _draw_group(n, chunk, root, block)[1]
-        slack = {m: measure_values(batch, m) - worst_deviations(batch) for m in measures}
-        want = {m: (min(least, float(slack[m].min())), count + len(chunk),
-                    ok and bool(slack[m].min() >= -AXIOM_SLACK_TOL))
-                for m, (least, count, ok) in want.items()}
-    assert got == want
+def test_draw_chunk_rejects_a_run_outside_one_chunk(n, trials):
+    # across an edge, slicing one chunk would return fewer trials than asked
+    # for; an empty or strided range is no run of trials either
+    with pytest.raises(ValueError, match="within one chunk"):
+        _draw_chunk(n, trials, SeededGenerator(0), 0)
+
+
+def _spy(monkeypatch) -> tuple[list, list]:
+    """The trial ranges check_subspace_bound draws as chunks and the keys of
+    the substreams it opens, appended as it opens them."""
+    chunks, keys = [], []
+    draw, substream = experiments._draw_chunk, SeededGenerator.substream
+    monkeypatch.setattr(experiments, "_draw_chunk",
+                        lambda n, chunk, *rest: chunks.append(chunk) or draw(n, chunk, *rest))
+    monkeypatch.setattr(SeededGenerator, "substream",
+                        lambda self, key: keys.append(key) or substream(self, key))
+    return chunks, keys
 
 
 @pytest.mark.parametrize("n, trials", [
     (2, range(5, 4100)), (3, range(0, 2000)), (16, range(5, 137)), (32, range(5, 137)),
     (32, range(7, 8)), (64, range(1, 6)), (128, range(0, 3)), (200, range(0, 2)),
 ])
-def test_groups_cover_the_trials_within_the_cap(monkeypatch, n, trials):
-    # each group is a run of whole chunks (clipped to the trials) within the
-    # cap, or a single chunk larger than the cap (at n = 200)
-    groups = _spy_groups(monkeypatch)
-    check_subspace_bound(n, trials, SeededGenerator(3), 0, (ETA2,))
+def test_chunks_cover_the_trials_once(monkeypatch, n, trials):
+    # each chunk, clipped to the trials, is drawn once from its own
+    # substream; one trial fills a chunk when it exceeds _CHUNK_ENTRIES
+    chunks, keys = _spy(monkeypatch)
+    check_subspace_bound(n, trials, SeededGenerator(3), 5)
     step = _chunk_trials(n)
-    assert [t for g in groups for t in g] == list(trials)
-    for g in groups:
-        assert g.start == trials.start or g.start % step == 0
-        one_chunk = g.start // step == (g.stop - 1) // step
-        assert len(g) * n * n <= _GROUP_ENTRIES or one_chunk
-    if step * n * n > _GROUP_ENTRIES:
-        assert [len(g) for g in groups] == [1] * len(trials)
+    assert [t for c in chunks for t in c] == list(trials)
+    assert keys == [(5, c.start // step) for c in chunks]
+    assert all(c.start // step == (c.stop - 1) // step for c in chunks)
+    assert len(set(keys)) == len(keys) == -(-trials.stop // step) - trials.start // step
+
+
+def test_empty_range_opens_no_substream(monkeypatch):
+    chunks, keys = _spy(monkeypatch)
+    got = check_subspace_bound(4, range(5, 5), SeededGenerator(3), 0)
+    assert got == dict.fromkeys(THEOREM42_MEASURES, (np.inf, 0, False))
+    assert chunks == keys == []
 
 
 def test_trial_zero_is_the_maximally_mixed_state():
-    lam = _draw_group(3, range(0, 2), SeededGenerator(4), 0)[0]
+    lam = _draw_chunk(3, range(0, 2), SeededGenerator(4), 0)[0]
     assert (lam[0] == 1 / 3).all()
     assert np.abs(lam[1] - 1 / 3).max() > 1e-3
 
 
 def test_eigenframe_overlaps_equal_the_identity_overlaps():
     # rho is diagonal, so its eigenbasis overlaps with W are |W|^2 bit for bit
-    batch = _draw_group(8, range(0, 40), SeededGenerator(5), 2)[1]
+    batch = _draw_chunk(8, range(0, 40), SeededGenerator(5), 2)[1]
     eye = np.broadcast_to(np.eye(8, dtype=np.complex128), batch.basis.shape)
     assert (batch.overlaps == overlap_tables(eye, batch.basis)).all()
     assert (measure_values(batch, DELTA) == basis_distances(eye, batch.basis)).all()
 
 
-def _wishart_groups(n, count, root):
+def _wishart_chunks(n, count, root):
     """(spectra, StateBatch) of trials 1..count of block 0, one per chunk."""
     step = _chunk_trials(n)
     for c in range(-(-(count + 1) // step)):
-        yield _draw_group(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)
+        yield _draw_chunk(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_laguerre_purity_anchor(n):
     # E tr(rho^2) = 2n / (n^2 + 1) for a normalized n x n complex Wishart state
-    lam = np.concatenate([lam for lam, _ in _wishart_groups(n, 4000, SeededGenerator(30 + n))])
+    lam = np.concatenate([lam for lam, _ in _wishart_chunks(n, 4000, SeededGenerator(30 + n))])
     assert lam.shape == (4000, n)
     assert np.abs(lam.sum(axis=-1) - 1.0).max() < 1e-14
     assert (np.diff(lam, axis=-1) >= 0).all() and lam.min() > -1e-15
@@ -380,7 +391,7 @@ def test_basis_frame_draws_match_the_wishart_path(n):
     rng = SeededGenerator(60 + n).generator()
     states = [rewrite_in_basis(random_density_matrix(n, rng), random_basis(n, rng))
               for _ in range(samples)]
-    batches = [b for _, b in _wishart_groups(n, samples, SeededGenerator(70 + n))]
+    batches = [b for _, b in _wishart_chunks(n, samples, SeededGenerator(70 + n))]
     for m in (ETA2, DELTA):
         old = [evaluate_measure(s, m) for s in states]
         new = np.concatenate([measure_values(b, m) for b in batches])
@@ -396,26 +407,20 @@ def test_theorem42_bound_rows_fail_without_checks():
     assert not report.verdict
 
 
-def test_check_subspace_bound_rejects_srel():
-    # was numpy's LinAlgError: the eigenframe batch has no rho for s_rel's entropy
-    with pytest.raises(ValueError, match="s_rel"):
-        check_subspace_bound(2, range(3), SeededGenerator(0), 0, (ETA2, srel_id(1.0)))
-
-
 # sha256 of small seeded reports; a change here must be deliberate and
 # explained in CHANGES.md.
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "37e70b2bd9d0a524a8d0b12d60fa438b19c7092d813a52c56b3eaca7faab72f4",
+        "253a5b6d08e476d04657cb687f2f05a04c24d91d7f8a0d632a81a237447daede",
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):
         "a4e91c40051cae63940e7ae243ad1af5b24033d812581482dad70d86c5b60272",
     ("srel",):
         "12ce540ec1cc9fdaf00aff72fb7bb8e0326f600af65e98db50c074e4d60f6a7a",
-    # several chunks per group at both n
+    # several chunks at both n
     ("theorem42", "--n", "16,32", "--trials", "100"):
-        "fbf00f9f5569763f7edbeef4ac1d60186168277a918789707b8dd49ec35c3ea8",
+        "0662845574e1afa5dd33666b4d7f6998d6156a3609b85667c83f1c0f2d148fef",
 }
 
 

@@ -40,7 +40,9 @@ from qcoherence import (
     tpf_deviation,
     validate_density,
 )
+from qcoherence.distance import overlap_tables
 from qcoherence.experiments import random_density_matrix
+from qcoherence.linalg import checked_eigh
 from qcoherence.measures import (
     MEASURE_CODES,
     MEASURES,
@@ -384,6 +386,12 @@ def _ky_fan_sums(s):
     return np.maximum(np.cumsum(w[::-1]), -np.cumsum(w))
 
 
+def _checked_batch(states, bases) -> StateBatch:
+    """The StateBatch of states[t] in bases[t], overlaps from checked_eigh."""
+    rho, basis = np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases])
+    return StateBatch(rho, basis, None, lambda: overlap_tables(checked_eigh(rho)[1], basis))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 8),
@@ -396,7 +404,7 @@ def test_batched_kernel_equals_scalar_harness(n, kinds, seed):
     rng = np.random.default_rng(seed)
     states = [_state_of_kind(kind, n, rng) for kind in kinds]
     bases = [random_basis(n, rng) for _ in kinds]
-    batch = StateBatch(np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases]))
+    batch = _checked_batch(states, bases)
     worst = worst_deviations(batch)
     assert worst.shape == (len(kinds),)
     for m in (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5)):
@@ -479,7 +487,7 @@ def test_batched_srel_equals_per_state_formula(n, kinds, c, seed):
     rng = np.random.default_rng(seed)
     states = [_state_of_kind(kind, n, rng) for kind in kinds]
     bases = [random_basis(n, rng) for _ in kinds]
-    batch = StateBatch(np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases]))
+    batch = _checked_batch(states, bases)
     got = measure_values(batch, srel_id(c))
     for t, rho in enumerate(states):
         dephased = np.diag(np.diag(batch.rep[t]))
