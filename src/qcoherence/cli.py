@@ -26,10 +26,10 @@ from .distance import basis_distance, is_mutually_unbiased
 from .errors import CoherenceError, CounterexampleNotFoundError, MatrixParseError
 from .io import read_basis, read_density
 from .linalg import OrthonormalBasis
-from .measures import MEASURES, MeasureId, _check_srel_constant, evaluate_measure, rewrite_in_basis
+from .measures import MEASURES, _check_srel_constant, evaluate_measure, rewrite_in_basis, s_rel
 
 DEFAULT_SEED = 42
-DEFAULT_MEASURES = "eta1,eta2,eta_inf,delta"
+DEFAULT_MEASURES = ",".join(experiments.THEOREM42_MEASURES)
 
 
 # suite -> (runner in experiments, {CLI flag: runner keyword}); a suite
@@ -115,8 +115,9 @@ def _cmd_measure(args) -> int:
         raise ValueError("--measures names no measure")
     values = {}
     for name in names:
-        measure = MeasureId(name, args.c) if name == "s_rel" else MeasureId(name)
-        values[name] = evaluate_measure(state, measure)
+        if name not in MEASURES:
+            raise ValueError(f"unknown measure {name!r}")
+        values[name] = s_rel(state, args.c) if name == "s_rel" else evaluate_measure(state, name)
     if args.json:
         print(json.dumps(values))
     elif args.csv:

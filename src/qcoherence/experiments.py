@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +40,10 @@ from .measures import (
     ETA2,
     ETA_INF,
     MEASURE_CODES,
-    MeasureId,
+    MEASURES,
     StateBatch,
     approach_path,
     check_axiom1,
-    measure_values,
     srel_counterexample,
     worst_deviations,
 )
@@ -69,8 +68,8 @@ class ExperimentReport:
 
     experiment_id: str
     parameters: dict
-    rows: list[dict] = field(default_factory=list)
-    verdict: bool = True
+    rows: list[dict]
+    verdict: bool
     seed: int = 0
 
     @classmethod
@@ -98,7 +97,7 @@ def load_report(path) -> ExperimentReport:
     rows, meta = [], {}
     with open(path, newline="") as fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line.startswith("#"):
                 key, _, value = line[1:].partition("=")
@@ -106,7 +105,10 @@ def load_report(path) -> ExperimentReport:
             elif header is None:
                 header = line.split(",")
             elif line:
-                rows.append(dict(zip(header, (float(x) for x in line.split(",")))))
+                cells = line.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"{path}:{lineno}: {len(cells)} cells, header has {len(header)}")
+                rows.append(dict(zip(header, map(float, cells))))
     return ExperimentReport(
         experiment_id=meta.get("experiment", ""),
         parameters=json.loads(meta.get("parameters", "{}")),
@@ -167,12 +169,14 @@ def _laguerre_spectra(chi: np.ndarray) -> np.ndarray:
 
 
 def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
-    """The spectra lam (T, n) and the StateBatch, without rho, of consecutive
-    subspace-bound trials of one chunk; trial 0 is the maximally mixed state.
+    """(lam, w, batch) of consecutive subspace-bound trials of one chunk:
+    the spectra (T, n), the bases (T, n, n) and their StateBatch; trial 0 is
+    the maximally mixed state.
 
     A Wishart state's eigenvectors are Haar and independent of its spectrum
     lam, so (rho, B) is drawn in rho's eigenframe: rho = diag(lam), the
-    basis W Haar, rep = W^H diag(lam) W, and the eigenbasis overlaps |W|^2.
+    basis W Haar, rep = W^H diag(lam) W, and the batch's eigensystem is lam
+    with the eigenbasis overlaps |W|^2.
     Chunk c covers trials [c * step, (c + 1) * step) and draws all of them
     from root.substream((block, c)), whatever part is asked for, so it
     replays alone: chi variates, then the (re, im) Gaussians of W.  A range
@@ -194,7 +198,7 @@ def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
     z.real, z.imag = gauss[:, local]
     w = _haar_from_ginibre(z)
     rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
-    return lam, StateBatch(None, w, rep, lambda: np.abs(w) ** 2)
+    return lam, w, StateBatch(rep, lambda: (lam, np.abs(w) ** 2))
 
 
 def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int) -> dict:
@@ -215,10 +219,10 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     step = _chunk_trials(n)
     for start in range(trials.start // step * step, trials.stop, step) if trials else ():
         chunk = range(max(trials.start, start), min(trials.stop, start + step))
-        batch = _draw_chunk(n, chunk, root, block)[1]
+        batch = _draw_chunk(n, chunk, root, block)[2]
         worst = worst_deviations(batch)
         for m in THEOREM42_MEASURES:
-            slack = measure_values(batch, m) - worst
+            slack = MEASURES[m](batch) - worst
             passed[m] = passed[m] and bool(slack.min() >= -AXIOM_SLACK_TOL)
             wishart = slack[1:] if chunk.start == 0 else slack
             min_slack[m] = min(min_slack[m], float(wishart.min(initial=np.inf)))
@@ -229,10 +233,10 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
 _THEOREM42_COLUMNS = "kind n measure count min_slack final_d final_value monotone ok".split()
 
 
-def _theorem42_row(kind, n, m: MeasureId, **cells) -> dict:
+def _theorem42_row(kind, n, m: str, **cells) -> dict:
     """One theorem42 row in column order, as floats; cells not given are NaN."""
     row = dict.fromkeys(_THEOREM42_COLUMNS, np.nan)
-    row.update(kind=kind, n=n, measure=MEASURE_CODES[m.name], **cells)
+    row.update(kind=kind, n=n, measure=MEASURE_CODES[m], **cells)
     return {k: float(v) for k, v in row.items()}
 
 
@@ -267,7 +271,7 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
                 vals = values[m]
                 # Pointwise envelopes from the continuity argument:
                 # eta2 <= d, delta = d, and eta1, eta_inf <= n * eta2.
-                bound = ds if m.name in ("eta2", "delta") else n * values[ETA2]
+                bound = ds if m in (ETA2, DELTA) else n * values[ETA2]
                 slack = float((bound - vals).min())
                 monotone = bool((np.diff(vals) < 0).all())
                 ok = slack >= -AXIOM_SLACK_TOL and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6
@@ -277,7 +281,7 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
                 ))
     parameters = {
         "n_list": list(n_list), "trials": trials, "paths_per_n": PATHS_PER_N,
-        "measures": [m.label() for m in THEOREM42_MEASURES],
+        "measures": list(THEOREM42_MEASURES),
         "chunk_trials": [_chunk_trials(n) for n in n_list],
     }
     return ExperimentReport.from_rows("theorem42", parameters, rows, seed)

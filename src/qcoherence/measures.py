@@ -14,11 +14,14 @@ A genuine measure must (1) vanish continuously as B approaches an eigenbasis
 of rho and (2) bound the deviation from classical total-probability
 statistics: |tr(rho P_F) - tr(D P_F)| <= dim(F) * measure for every subspace
 F.  The first four satisfy both; s_rel fails (2) for every constant c, and
-:func:`srel_counterexample` exhibits a violating instance.
+:func:`srel_counterexample` exhibits a violating instance.  So c is only a
+positive scale: a measure is its name in MEASURES, and s_rel's entry is the
+c = 1 value, which s_rel(s, c) multiplies by c.
 
 The measures and the subspace-bound kernel compute on a StateBatch, T
-states rewritten in T bases stacked on a leading axis.  The scalar API
-(eta1(s), check_axiom2, ...) evaluates a batch of one.  The kernel needs no
+states rewritten in T bases stacked on a leading axis, with one source of
+their spectra and eigenbasis overlaps.  The scalar API (eta1(s),
+check_axiom2, ...) evaluates a batch of one.  The kernel needs no
 subspace at all: |tr(Q P_F)| <= dim(F) * ||Q||_op, with equality on a line
 through an extreme eigenvector of Q, so (2) holds for every F exactly when
 measure >= ||Q||_op: one check per state.
@@ -87,27 +90,25 @@ def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
 class StateBatch:
     """T states rewritten in T bases, stacked on a leading axis.
 
-    `rho` and `basis` are (T, n, n) stacks of density matrices and of
-    unitaries whose columns are the basis vectors; `rep` is their rewrite,
-    computed here if None.  `overlaps`, a zero-argument callable, returns
-    the (T, n, n) squared overlaps between eigenbases of rho that the
-    caller holds (checked ones) and the bases: the batch runs no eigh.  The
-    off-diagonal parts and the overlaps are computed once, when first
-    needed.  Given rep, rho may be None if s_rel is not read.  The batch
-    trusts its input.
+    `rep` is the (T, n, n) stack of rewrites.  `eigen`, a zero-argument
+    callable, returns the (T, n) spectra of the states and the (T, n, n)
+    squared overlaps between their eigenbases, checked ones that the caller
+    holds, and the bases: the batch runs no eigh.  The off-diagonal parts
+    and `eigen` are computed once, when first needed.  The batch trusts its
+    input.
     """
 
-    def __init__(self, rho: np.ndarray, basis: np.ndarray, rep, overlaps):
-        self.rho, self.basis, self._overlaps = rho, basis, overlaps
-        self.rep = _rewrite(rho, basis) if rep is None else rep
+    def __init__(self, rep: np.ndarray, eigen):
+        self.rep, self._eigen = rep, eigen
 
     @classmethod
     def of(cls, s: StateInBasis) -> "StateBatch":
-        """The batch of one holding s; its eigenbasis is s.rho's cached one."""
-        return cls(
-            s.rho.matrix[None], s.basis.vectors[None], s.rep[None],
-            lambda: overlap_tables(s.rho.eigensystem()[1].vectors[None], s.basis.vectors[None]),
-        )
+        """The batch of one holding s; its eigensystem is s.rho's cached one."""
+        def eigen():
+            w, v = s.rho.eigensystem()
+            return w[None], overlap_tables(v.vectors[None], s.basis.vectors[None])
+
+        return cls(s.rep[None], eigen)
 
     @cached_property
     def offdiag(self) -> np.ndarray:
@@ -115,9 +116,10 @@ class StateBatch:
         return _off_diagonal(self.rep)
 
     @cached_property
-    def overlaps(self) -> np.ndarray:
-        """|<v_i|b_j>|^2 for eigenvectors v_i of rho and basis vectors b_j."""
-        return self._overlaps()
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """(spectra, overlaps): the ascending spectra of the states, and
+        |<v_i|b_j>|^2 for their eigenvectors v_i and basis vectors b_j."""
+        return self._eigen()
 
 
 def diagonal_part(s: StateInBasis) -> DensityMatrix:
@@ -130,7 +132,7 @@ def off_diagonal_part(s: StateInBasis) -> np.ndarray:
     return _off_diagonal(s.rep)
 
 
-# Batched evaluators: StateBatch (and s_rel's constant) -> one value per state.
+# Batched evaluators: StateBatch -> one value per state.
 
 def _eta1(b: StateBatch) -> np.ndarray:
     return np.abs(b.offdiag).sum(axis=(-2, -1))
@@ -149,17 +151,19 @@ def _eta_inf(b: StateBatch) -> np.ndarray:
 
 
 def _delta(b: StateBatch) -> np.ndarray:
-    return overlap_distances(b.overlaps)
+    return overlap_distances(b.eigen[1])
 
 
-def _s_rel(b: StateBatch, c: float) -> np.ndarray:
+def _s_rel(b: StateBatch) -> np.ndarray:
+    """S(D) - S(rho), s_rel at c = 1; s_rel(s, c) scales it by c."""
     # The dephased state is diagonal, so its spectrum is rep's diagonal.
     dephased = entropies(np.diagonal(b.rep, axis1=-2, axis2=-1).real)
     # Dephasing cannot lower entropy; clip the roundoff-negative case.
-    return np.maximum(c * (dephased - entropies(np.linalg.eigvalsh(b.rho))), 0.0)
+    return np.maximum(dephased - entropies(b.eigen[0]), 0.0)
 
 
 MEASURES = {"eta1": _eta1, "eta2": _eta2, "eta_inf": _eta_inf, "delta": _delta, "s_rel": _s_rel}
+ETA1, ETA2, ETA_INF, DELTA = "eta1", "eta2", "eta_inf", "delta"
 
 # CSV code = position in MEASURES + 1, so reordering MEASURES changes reports.
 MEASURE_CODES = {name: float(code) for code, name in enumerate(MEASURES, 1)}
@@ -171,43 +175,9 @@ def _check_srel_constant(c) -> None:
         raise ValueError(f"s_rel requires a positive finite constant c, got {c}")
 
 
-@dataclass(frozen=True)
-class MeasureId:
-    """Names one entry of MEASURES (hashable); s_rel carries its constant."""
-
-    name: str
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.name not in MEASURES:
-            raise ValueError(f"unknown measure {self.name!r}")
-        if self.name == "s_rel":
-            _check_srel_constant(self.c)
-        elif self.c is not None:
-            raise ValueError(f"{self.name} takes no constant")
-
-    def label(self) -> str:
-        return f"s_rel(c={self.c:g})" if self.name == "s_rel" else self.name
-
-
-ETA1 = MeasureId("eta1")
-ETA2 = MeasureId("eta2")
-ETA_INF = MeasureId("eta_inf")
-DELTA = MeasureId("delta")
-
-
-def srel_id(c: float) -> MeasureId:
-    return MeasureId("s_rel", c)
-
-
-def measure_values(b: StateBatch, measure: MeasureId) -> np.ndarray:
-    """The measure of every state in the batch, shape (T,)."""
-    evaluator = MEASURES[measure.name]
-    return evaluator(b) if measure.c is None else evaluator(b, measure.c)
-
-
-def evaluate_measure(s: StateInBasis, measure: MeasureId) -> float:
-    return float(measure_values(StateBatch.of(s), measure)[0])
+def evaluate_measure(s: StateInBasis, measure: str) -> float:
+    """MEASURES[measure] of s; s_rel at c = 1."""
+    return float(MEASURES[measure](StateBatch.of(s))[0])
 
 
 def eta1(s: StateInBasis) -> float:
@@ -236,7 +206,8 @@ def delta(s: StateInBasis) -> float:
 
 def s_rel(s: StateInBasis, c: float) -> float:
     """Relative entropy of coherence c * [S(diagonal part) - S(rho)], in nats."""
-    return evaluate_measure(s, srel_id(c))
+    _check_srel_constant(c)
+    return c * evaluate_measure(s, "s_rel")
 
 
 def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
@@ -287,12 +258,12 @@ def adversarial_subspaces(s: StateInBasis) -> Subspace:
 def check_axiom2(s: StateInBasis, measures) -> dict:
     """Check tpf_deviation <= dim(F) * measure over every subspace F.
 
-    The check is exact and one per measure: deviation ||Q||_op against the
-    measure (worst_deviations).  Returns {measure: BoundReport}.
+    The check is exact and one per measure name: deviation ||Q||_op against
+    the measure (worst_deviations).  Returns {measure: BoundReport}.
     """
     b = StateBatch.of(s)
     worst = worst_deviations(b)[0]
-    return {m: BoundReport.check(worst, measure_values(b, m)[0]) for m in measures}
+    return {m: BoundReport.check(worst, MEASURES[m](b)[0]) for m in measures}
 
 
 def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
@@ -317,19 +288,21 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
 def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
 
-    The path is one StateBatch: rho and its eigenbasis broadcast over the
-    stacked path bases.  The caller asserts the continuity claims: values
-    tend to 0 with d, and for eta2 the pointwise bound eta2 <= d.
+    `measures` are names in MEASURES.  The path is one StateBatch: rho's
+    eigensystem broadcast over the stacked path bases.  The caller asserts
+    the continuity claims: values tend to 0 with d, and for eta2 the
+    pointwise bound eta2 <= d.
     """
     rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     if any(b.dim != rho.dim for b in path):
         raise DimensionMismatchError(f"path bases must have the state dim {rho.dim}")
     bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)
-    eigenbasis = rho.eigensystem()[1].vectors
-    b = StateBatch(np.broadcast_to(rho.matrix, bases.shape), bases, None,
-                   lambda: overlap_tables(np.broadcast_to(eigenbasis, bases.shape), bases))
-    ds = measure_values(b, DELTA)  # delta's values, computed once
-    return ds, {m: ds if m == DELTA else measure_values(b, m) for m in measures}
+    w, v = rho.eigensystem()
+    eigen = (np.broadcast_to(w, bases.shape[:-1]),
+             overlap_tables(np.broadcast_to(v.vectors, bases.shape), bases))
+    b = StateBatch(_rewrite(rho.matrix, bases), lambda: eigen)
+    ds = _delta(b)  # delta's values, computed once
+    return ds, {m: ds if m == DELTA else MEASURES[m](b) for m in measures}
 
 
 SREL_MAX_HALVINGS = 80  # srel_counterexample scans eps = 1, 1/2, ..., 2^-79

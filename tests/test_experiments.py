@@ -36,7 +36,7 @@ from qcoherence.experiments import (
     check_subspace_bound,
     random_density_matrix,
 )
-from qcoherence.measures import adversarial_subspaces, measure_values
+from qcoherence.measures import MEASURES, adversarial_subspaces
 
 
 def test_theorem42_passes_for_genuine_measures():
@@ -137,6 +137,18 @@ def test_report_verdict_is_function_of_rows():
     assert report.verdict
     # no rows checked nothing: that must not read as a pass
     assert not ExperimentReport.from_rows("demo", {}, [], seed=0).verdict
+    # nor may a report built without rows and verdict (they defaulted to a pass)
+    with pytest.raises(TypeError):
+        ExperimentReport("theorem42", {})
+
+
+@pytest.mark.parametrize("row", ["1,2", "1,2,1,7"], ids=["short", "long"])
+def test_load_report_rejects_a_row_that_does_not_fit_the_header(tmp_path, row):
+    # a short row loaded without its ok cell, a long one dropped its extra
+    path = tmp_path / "report.csv"
+    path.write_text(f"a,b,ok\n1,2,1\n{row}\n# experiment = demo\n# verdict = pass\n")
+    with pytest.raises(ValueError, match="report.csv:3"):
+        load_report(path)
 
 
 @pytest.mark.parametrize("run", [
@@ -224,7 +236,7 @@ def test_theorem42_fails_when_only_trial_zero_fails(monkeypatch):
         assert row["ok"] == 0.0 and clean[key]["ok"] == 1.0
         assert row["min_slack"] == clean[key]["min_slack"] and row["count"] == 21.0
     for m, slack in SEED42_N2_MIN_SLACK.items():
-        assert clean[(2.0, MEASURE_CODES[m.name])]["min_slack"] == slack
+        assert clean[(2.0, MEASURE_CODES[m])]["min_slack"] == slack
     assert all(r["ok"] == 1.0 for r in report.rows if r["kind"] == 2.0)
 
 
@@ -254,8 +266,8 @@ def _scalar_min_slacks(n, trials, root, block):
     trial at a time; the min is over the Wishart trials."""
     want = {m: (np.inf, 0, True) for m in THEOREM42_MEASURES}
     for trial in trials:
-        lam, batch = _draw_chunk(n, range(trial, trial + 1), root, block)
-        s = rewrite_in_basis(DensityMatrix(np.diag(lam[0])), OrthonormalBasis(batch.basis[0]))
+        lam, w, _ = _draw_chunk(n, range(trial, trial + 1), root, block)
+        s = rewrite_in_basis(DensityMatrix(np.diag(lam[0])), OrthonormalBasis(w[0]))
         dev = tpf_deviation(s, adversarial_subspaces(s))
         for m in THEOREM42_MEASURES:
             slack = evaluate_measure(s, m) - dev
@@ -283,11 +295,12 @@ def test_chunk_replays_alone():
     root, block, n = SeededGenerator(21), 3, 4
     step = _chunk_trials(n)
     assert step == 1024
-    lam, whole = _draw_chunk(n, range(step, 2 * step), root, block)
-    part_lam, part = _draw_chunk(n, range(step + 10, step + 30), root, block)
-    assert (part_lam == lam[10:30]).all()
-    for name in ("basis", "rep", "overlaps"):
-        assert (getattr(part, name) == getattr(whole, name)[10:30]).all()
+    lam, w, whole = _draw_chunk(n, range(step, 2 * step), root, block)
+    part_lam, part_w, part = _draw_chunk(n, range(step + 10, step + 30), root, block)
+    assert (part_lam == lam[10:30]).all() and (part_w == w[10:30]).all()
+    assert (part.rep == whole.rep[10:30]).all()
+    for got, want in zip(part.eigen, whole.eigen):
+        assert (got == want[10:30]).all()
     full = check_subspace_bound(n, range(3 * step + 7), root, block)
     chunks = [range(0, step), range(step, 2 * step), range(2 * step, 3 * step),
               range(3 * step, 3 * step + 7)]
@@ -298,9 +311,9 @@ def test_chunk_replays_alone():
         assert full[m][2] == all(a[m][2] for a in alone)
     # other blocks and chunks draw other triples
     other = _draw_chunk(n, range(step + 10, step + 30), root, block + 1)[1]
-    assert np.abs(other.basis - part.basis).max() > 1e-3
+    assert np.abs(other - part_w).max() > 1e-3
     first = _draw_chunk(n, range(10, 30), root, block)[1]
-    assert np.abs(first.basis - part.basis).max() > 1e-3
+    assert np.abs(first - part_w).max() > 1e-3
 
 
 @pytest.mark.parametrize("n, trials", [
@@ -357,14 +370,15 @@ def test_trial_zero_is_the_maximally_mixed_state():
 
 def test_eigenframe_overlaps_equal_the_identity_overlaps():
     # rho is diagonal, so its eigenbasis overlaps with W are |W|^2 bit for bit
-    batch = _draw_chunk(8, range(0, 40), SeededGenerator(5), 2)[1]
-    eye = np.broadcast_to(np.eye(8, dtype=np.complex128), batch.basis.shape)
-    assert (batch.overlaps == overlap_tables(eye, batch.basis)).all()
-    assert (measure_values(batch, DELTA) == basis_distances(eye, batch.basis)).all()
+    lam, w, batch = _draw_chunk(8, range(0, 40), SeededGenerator(5), 2)
+    eye = np.broadcast_to(np.eye(8, dtype=np.complex128), w.shape)
+    assert batch.eigen[0] is lam
+    assert (batch.eigen[1] == overlap_tables(eye, w)).all()
+    assert (MEASURES[DELTA](batch) == basis_distances(eye, w)).all()
 
 
 def _wishart_chunks(n, count, root):
-    """(spectra, StateBatch) of trials 1..count of block 0, one per chunk."""
+    """(spectra, bases, StateBatch) of trials 1..count of block 0, one per chunk."""
     step = _chunk_trials(n)
     for c in range(-(-(count + 1) // step)):
         yield _draw_chunk(n, range(max(1, c * step), min(count + 1, (c + 1) * step)), root, 0)
@@ -373,7 +387,7 @@ def _wishart_chunks(n, count, root):
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_laguerre_purity_anchor(n):
     # E tr(rho^2) = 2n / (n^2 + 1) for a normalized n x n complex Wishart state
-    lam = np.concatenate([lam for lam, _ in _wishart_chunks(n, 4000, SeededGenerator(30 + n))])
+    lam = np.concatenate([lam for lam, *_ in _wishart_chunks(n, 4000, SeededGenerator(30 + n))])
     assert lam.shape == (4000, n)
     assert np.abs(lam.sum(axis=-1) - 1.0).max() < 1e-14
     assert (np.diff(lam, axis=-1) >= 0).all() and lam.min() > -1e-15
@@ -391,10 +405,10 @@ def test_basis_frame_draws_match_the_wishart_path(n):
     rng = SeededGenerator(60 + n).generator()
     states = [rewrite_in_basis(random_density_matrix(n, rng), random_basis(n, rng))
               for _ in range(samples)]
-    batches = [b for _, b in _wishart_chunks(n, samples, SeededGenerator(70 + n))]
+    batches = [b for *_, b in _wishart_chunks(n, samples, SeededGenerator(70 + n))]
     for m in (ETA2, DELTA):
         old = [evaluate_measure(s, m) for s in states]
-        new = np.concatenate([measure_values(b, m) for b in batches])
+        new = np.concatenate([MEASURES[m](b) for b in batches])
         assert ks_2samp(old, new).pvalue > 0.01
 
 

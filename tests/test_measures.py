@@ -13,8 +13,8 @@ from qcoherence import (
     CounterexampleNotFoundError,
     DensityMatrix,
     DimensionMismatchError,
-    MeasureId,
     OrthonormalBasis,
+    SeededGenerator,
     Subspace,
     approach_path,
     basis_distance,
@@ -36,19 +36,23 @@ from qcoherence import (
     s_rel,
     srel_counterexample,
     srel_family_state,
-    srel_id,
     tpf_deviation,
     validate_density,
 )
+from qcoherence.cli import DEFAULT_MEASURES
 from qcoherence.distance import overlap_tables
-from qcoherence.experiments import random_density_matrix
+from qcoherence.experiments import (
+    THEOREM42_MEASURES,
+    _draw_chunk,
+    random_density_matrix,
+    run_theorem42_suite,
+)
 from qcoherence.linalg import checked_eigh
 from qcoherence.measures import (
     MEASURE_CODES,
     MEASURES,
     StateBatch,
     adversarial_subspaces,
-    measure_values,
     worst_deviations,
 )
 
@@ -211,7 +215,7 @@ class TestOrderingProperties:
         b = random_basis(5, rng)
         shuffled = b.permuted(rng.permutation(5), np.exp(2j * np.pi * rng.random(5)))
         s1, s2 = rewrite_in_basis(rho, b), rewrite_in_basis(rho, shuffled)
-        for m in (ETA1, ETA2, ETA_INF, DELTA, srel_id(2.0)):
+        for m in (ETA1, ETA2, ETA_INF, DELTA, "s_rel"):
             assert abs(evaluate_measure(s1, m) - evaluate_measure(s2, m)) < 1e-10
 
 
@@ -270,7 +274,7 @@ class TestAxiomHarness:
 
     def test_axiom2_catches_srel_counterexample(self):
         # the adversarial line here is exactly the plus-state projector
-        report = check_axiom2(_eps_state(), (srel_id(1.0),))[srel_id(1.0)]
+        report = check_axiom2(_eps_state(), ("s_rel",))["s_rel"]
         assert abs(report.lhs - EPS / 2) < 1e-14
         assert not report.satisfied
 
@@ -288,7 +292,7 @@ class TestAxiomHarness:
         assert ds[0] < 1e-12 and vals[0] < 1e-12
 
     def test_axiom1_empty_and_one_point_paths(self):
-        measures = (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5))
+        measures = (ETA1, ETA2, ETA_INF, DELTA, "s_rel")
         rho = random_density_matrix(3, np.random.default_rng(5))
         ds, values = check_axiom1(rho, measures, [])
         assert ds.shape == (0,) and all(values[m].shape == (0,) for m in measures)
@@ -315,7 +319,7 @@ class TestAxiomHarness:
 
     def test_harnesses_equal_scalar_definitions_bit_for_bit(self):
         rng = np.random.default_rng(21)
-        measures = (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5))
+        measures = (ETA1, ETA2, ETA_INF, DELTA, "s_rel")
         ts = np.geomspace(0.1, 1e-7, 5)
         for n in (1, 2, 3, 5, 8):
             rho = random_density_matrix(n, rng)
@@ -387,9 +391,15 @@ def _ky_fan_sums(s):
 
 
 def _checked_batch(states, bases) -> StateBatch:
-    """The StateBatch of states[t] in bases[t], overlaps from checked_eigh."""
+    """The StateBatch of states[t] in bases[t], eigensystems from checked_eigh."""
     rho, basis = np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases])
-    return StateBatch(rho, basis, None, lambda: overlap_tables(checked_eigh(rho)[1], basis))
+    rep = np.stack([rewrite_in_basis(r, b).rep for r, b in zip(states, bases)])
+
+    def eigen():
+        w, v = checked_eigh(rho)
+        return w, overlap_tables(v, basis)
+
+    return StateBatch(rep, eigen)
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,8 +417,8 @@ def test_batched_kernel_equals_scalar_harness(n, kinds, seed):
     batch = _checked_batch(states, bases)
     worst = worst_deviations(batch)
     assert worst.shape == (len(kinds),)
-    for m in (ETA1, ETA2, ETA_INF, DELTA, srel_id(0.5)):
-        values = measure_values(batch, m)
+    for m in (ETA1, ETA2, ETA_INF, DELTA, "s_rel"):
+        values = MEASURES[m](batch)
         for t, (rho, b) in enumerate(zip(states, bases)):
             s = rewrite_in_basis(rho, b)
             assert abs(values[t] - evaluate_measure(s, m)) <= 1e-12
@@ -488,10 +498,22 @@ def test_batched_srel_equals_per_state_formula(n, kinds, c, seed):
     states = [_state_of_kind(kind, n, rng) for kind in kinds]
     bases = [random_basis(n, rng) for _ in kinds]
     batch = _checked_batch(states, bases)
-    got = measure_values(batch, srel_id(c))
+    got = c * MEASURES["s_rel"](batch)
     for t, rho in enumerate(states):
         dephased = np.diag(np.diag(batch.rep[t]))
         want = max(c * (_entropy_reference(dephased) - _entropy_reference(rho.matrix)), 0.0)
+        assert abs(got[t] - want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_srel_of_a_drawn_chunk_equals_the_per_state_formula(n):
+    # the batch reads the drawn spectrum, so every measure works on it
+    # (s_rel raised LinAlgError when the batch held no density matrices)
+    lam, w, batch = _draw_chunk(n, range(0, 12), SeededGenerator(6), 1)
+    got = MEASURES["s_rel"](batch)
+    for t in range(12):
+        dephased = np.diag(np.diag(w[t].conj().T @ np.diag(lam[t]) @ w[t]))
+        want = max(_entropy_reference(dephased) - _entropy_reference(np.diag(lam[t])), 0.0)
         assert abs(got[t] - want) <= 1e-13
 
 
@@ -526,38 +548,48 @@ class TestSrelCounterexample:
 
 
 class TestMeasureId:
+    """A measure is its name in MEASURES; s_rel's constant c is a scale."""
+
     def test_srel_requires_constant(self):
-        with pytest.raises(ValueError):
-            MeasureId("s_rel")
-        with pytest.raises(ValueError):
-            MeasureId("s_rel", -1.0)
+        s = _eps_state()
+        for c in (None, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                s_rel(s, c)
 
     @pytest.mark.parametrize("c", [np.nan, np.inf])
     def test_srel_rejects_non_finite_constant(self, c):
-        with pytest.raises(ValueError, match="finite"):
-            MeasureId("s_rel", c)
         s = rewrite_in_basis(DensityMatrix.maximally_mixed(2), OrthonormalBasis.standard(2))
         with pytest.raises(ValueError, match="finite"):
             s_rel(s, c)
 
-    def test_plain_measures_reject_constant(self):
-        with pytest.raises(ValueError):
-            MeasureId("eta2", 1.0)
+    def test_srel_constant_is_a_scale(self):
+        s = _eps_state()
+        one = s_rel(s, 1.0)
+        assert one == evaluate_measure(s, "s_rel") > 0.0
+        for c in (1e-3, 0.1, 0.5, 2.0, 3.7, 1e6):
+            assert s_rel(s, c) == c * one
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            MeasureId("eta3")
+        s = _eps_state()
+        with pytest.raises(KeyError):
+            evaluate_measure(s, "eta3")
+        with pytest.raises(KeyError):
+            check_axiom2(s, ("eta3",))
 
     def test_registry_drives_names_and_codes(self):
         assert list(MEASURES) == ["eta1", "eta2", "eta_inf", "delta", "s_rel"]
+        assert [ETA1, ETA2, ETA_INF, DELTA] == list(MEASURES)[:4]
         assert MEASURE_CODES == dict(zip(MEASURES, (1.0, 2.0, 3.0, 4.0, 5.0)))
         s = _eps_state()
         assert evaluate_measure(s, ETA1) == eta1(s)
-        assert evaluate_measure(s, srel_id(2.0)) == s_rel(s, 2.0)
+        assert 2.0 * evaluate_measure(s, "s_rel") == s_rel(s, 2.0)
 
     def test_labels(self):
-        assert srel_id(0.5).label() == "s_rel(c=0.5)"
-        assert ETA_INF.label() == "eta_inf"
+        # reports and the CLI default name the four proven measures by name
+        assert THEOREM42_MEASURES == (ETA1, ETA2, ETA_INF, DELTA)
+        assert DEFAULT_MEASURES == "eta1,eta2,eta_inf,delta"
+        report = run_theorem42_suite(n_list=(2,), trials=1, seed=0)
+        assert report.parameters["measures"] == ["eta1", "eta2", "eta_inf", "delta"]
 
 
 def test_basis_distance_equals_delta_of_pure_probe():
