@@ -26,7 +26,9 @@ import numpy as np
 from .distance import commutator_terms, relative_slacks
 from .haar import (
     SeededGenerator,
+    _ginibre,
     _haar_from_ginibre,
+    _hermitian,
     as_generator,
     estimate_diag_square_sum,
     exact_expected_diag_square_sum,
@@ -94,6 +96,8 @@ def write_report(report: ExperimentReport, path) -> None:
 
 
 def load_report(path) -> ExperimentReport:
+    """The report written to path; ValueError unless its verdict line
+    matches the verdict of its rows."""
     rows, meta = [], {}
     with open(path, newline="") as fh:
         header = None
@@ -109,20 +113,14 @@ def load_report(path) -> ExperimentReport:
                 if len(cells) != len(header):
                     raise ValueError(f"{path}:{lineno}: {len(cells)} cells, header has {len(header)}")
                 rows.append(dict(zip(header, map(float, cells))))
-    return ExperimentReport(
-        experiment_id=meta.get("experiment", ""),
-        parameters=json.loads(meta.get("parameters", "{}")),
-        rows=rows,
-        verdict=meta.get("verdict") == "pass",
-        seed=int(meta.get("seed", 0)),
-    )
-
-
-def _hermitian(gauss: np.ndarray) -> np.ndarray:
-    """(G + G^H) / 2 over any leading axes, where
-    G = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]."""
-    g = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
-    return (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+    if rows and "ok" not in header:
+        raise ValueError(f"{path}: the header has no ok column")
+    params = json.loads(meta.get("parameters", "{}"))
+    report = ExperimentReport.from_rows(meta.get("experiment", ""), params, rows, int(meta.get("seed", 0)))
+    word = "pass" if report.verdict else "fail"
+    if meta.get("verdict") != word:
+        raise ValueError(f"{path}: the rows {word}, but the verdict line reads {meta.get('verdict')!r}")
+    return report
 
 
 def random_hermitian(n: int, rng) -> HermitianObservable:
@@ -137,8 +135,7 @@ def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     rank = n if rank is None else min(rank, n)
-    gauss = rng.standard_normal((2, n, rank))
-    g = gauss[0] + 1j * gauss[1]
+    g = _ginibre(rng, (n, rank))
     w = g @ g.conj().T
     return DensityMatrix(w / np.trace(w).real)
 
@@ -189,14 +186,11 @@ def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
     rng = root.substream((block, c))
     df = np.concatenate([np.arange(2 * n, 0, -2), np.arange(2 * n - 2, 0, -2)])
     chi = rng.chisquare(df, size=(step, 2 * n - 1))
-    gauss = rng.standard_normal((2, step, n, n))
     local = slice(trials.start - c * step, trials.stop - c * step)
     lam = _laguerre_spectra(np.sqrt(chi[local]))
     if trials.start == 0:
         lam[0] = 1.0 / n
-    z = np.empty((len(trials), n, n), dtype=np.complex128)
-    z.real, z.imag = gauss[:, local]
-    w = _haar_from_ginibre(z)
+    w = _haar_from_ginibre(_ginibre(rng, (step, n, n))[local])
     rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
     return lam, w, StateBatch(rep, lambda: (lam, np.abs(w) ** 2))
 
@@ -214,6 +208,8 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     Each chunk, clipped to `trials`, is drawn and checked as one stack; an
     empty range draws nothing.
     """
+    if trials.step != 1 or trials.start < 0:
+        raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
     min_slack = dict.fromkeys(THEOREM42_MEASURES, np.inf)
     passed = dict.fromkeys(THEOREM42_MEASURES, len(trials) > 0)
     step = _chunk_trials(n)
@@ -364,34 +360,33 @@ def run_purity_sweep(
     Per (dimension, state family): sample mean of eta2^2 and of the
     deviation |eta2^2 - tr(rho^2)|, their exact predictions and z-scores.
     A row passes when both |z| <= 4 and the deviation has not increased
-    from the previous dimension of the same family.
+    from the previous dimension of the same family.  n_list must strictly
+    increase, so that the previous dimension is the smaller one.
     """
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"purity needs a strictly increasing n list, got {list(n_list)}")
     root = SeededGenerator(seed)
     rows = []
     last_dev: dict[str, float] = {}
     for block, n in enumerate(n_list):
         rng = root.substream(block)
+        ranks = {"pure": 1, "mixed": min(rank, n), "maximally_mixed": n}
         for family in PURITY_FAMILIES:
-            if family == "pure":
-                rho = random_density_matrix(n, rng, rank=1)
-            elif family == "mixed":
-                rho = random_density_matrix(n, rng, rank=min(rank, n))
-            else:
+            if family == "maximally_mixed":
                 rho = DensityMatrix.maximally_mixed(n)
+            else:
+                rho = random_density_matrix(n, rng, rank=ranks[family])
             p = purity(rho)
             dev = estimate_diag_square_sum(rho, samples, rng)
-            eta2sq_mean = p - dev.mean
             z = dev.z_score(exact_expected_diag_square_sum(rho))
-            eta2sq_z = -z  # eta2^2 = purity - T per sample: same error, flipped sign
             nonincreasing = dev.mean <= last_dev.get(family, np.inf)
             last_dev[family] = dev.mean
             rows.append({
-                "n": float(n), "family": _FAMILY_CODES[family],
-                "rank": float(min(rank, n) if family == "mixed" else (1 if family == "pure" else n)),
+                "n": float(n), "family": _FAMILY_CODES[family], "rank": float(ranks[family]),
                 "purity": p,
-                "eta2sq_mean": eta2sq_mean,
+                "eta2sq_mean": p - dev.mean,
                 "eta2sq_exact": exact_expected_eta2_sq(rho),
-                "eta2sq_z": eta2sq_z,
+                "eta2sq_z": -z,  # eta2^2 = purity - T per sample: same error, flipped sign
                 "dev_mean": dev.mean,
                 "dev_se": dev.std_error,
                 "dev_exact": exact_expected_diag_square_sum(rho),

@@ -3,7 +3,10 @@
 Sampling uses the standard exact construction: a complex Ginibre matrix
 (i.i.d. standard complex Gaussians) is QR-factored and column j of Q is
 multiplied by conj(r_jj)/|r_jj|.  Without that phase correction Q is not
-Haar-distributed, which the invariance tests detect immediately.
+Haar-distributed, which the invariance tests detect immediately.  Complex
+Gaussians are built only here, real parts then imaginary parts (_ginibre,
+_hermitian), and batched samplers map a statistic over _haar_samples, at
+most _CHUNK_ENTRIES complex entries a chunk.
 
 The exact monomial moments over the unitary group,
 
@@ -99,14 +102,25 @@ class MonteCarloEstimate:
         return diff / self.std_error
 
 
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """The first k columns of Haar unitaries from a (..., n, k) stack of
-    re + 1j * im standard Gaussian draws, which is overwritten: one stacked
-    QR, then the phase fix.
+def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
+    """A `shape` stack of standard complex Gaussians: one (2, *shape)
+    standard-normal draw, all real parts then all imaginary parts, written
+    into one complex array.  This is the package's one Ginibre stream layout."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = rng.standard_normal((2, *shape))
+    return z
 
-    Callers that interleave other draws can fill the stack one unitary at a
-    time and still factor it in one call.
-    """
+
+def _hermitian(gauss: np.ndarray) -> np.ndarray:
+    """(G + G^H) / 2 over any leading axes, where
+    G = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]."""
+    g = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
+    return (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+
+
+def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """The first k columns of Haar unitaries from a (..., n, k) _ginibre
+    stack, which is overwritten: one stacked QR, then the phase fix."""
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.einsum("...ii->...i", r)
@@ -114,27 +128,24 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def _haar_chunks(n: int, cols: int, count: int, rng: np.random.Generator):
-    """Yield (start, isometries) chunks covering `count` Haar draws of the
-    first `cols` columns of an n x n unitary (all of it at cols = n), in order.
-
-    No name holds a chunk's Gaussians, so they are freed before the caller
-    uses the chunk.
-    """
+def _haar_samples(f, n: int, cols: int, count: int, g) -> np.ndarray:
+    """f of `count` Haar draws of the first `cols` columns of an n x n
+    unitary, stacked: drawn in order, at most _CHUNK_ENTRIES complex entries
+    a chunk, whose Gaussians are freed before f sees it.  count = 0 maps one
+    empty chunk, so the result keeps f's trailing shape."""
+    rng = as_generator(g)
     step = max(1, _CHUNK_ENTRIES // (n * cols))
-    for start in range(0, count, step):
-        shape = (min(step, count - start), n, cols)
-        yield start, _haar_from_ginibre(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return np.concatenate([
+        f(_haar_from_ginibre(_ginibre(rng, (min(step, count - start), n, cols))))
+        for start in range(0, max(count, 1), step)
+    ])
 
 
 def sample_haar_unitaries(n: int, count: int, g) -> np.ndarray:
     """Stack of `count` independent Haar unitaries, shape (count, n, n)."""
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
-    out = np.empty((count, n, n), dtype=np.complex128)
-    for start, u in _haar_chunks(n, n, count, as_generator(g)):
-        out[start:start + len(u)] = u
-    return out
+    return _haar_samples(lambda u: u, n, n, count, g)
 
 
 def sample_haar_unitary(n: int, g) -> np.ndarray:
@@ -206,10 +217,7 @@ def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     lam, r = _excited_levels(rho)
     if r == 0:
         return np.full(samples, lam.size * lam[0] ** 2)
-    out = np.empty(samples, dtype=np.float64)
-    for start, w in _haar_chunks(lam.size, r, samples, as_generator(g)):
-        out[start:start + len(w)] = _diag_square_sums(lam, w)
-    return out
+    return _haar_samples(lambda w: _diag_square_sums(lam, w), lam.size, r, samples, g)
 
 
 def estimate_diag_square_sum(rho, samples: int, g) -> MonteCarloEstimate:
@@ -241,11 +249,8 @@ def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> Mom
     for name, idx in (("i", i), ("k", k), ("l", l)):
         if not 0 <= idx < n:
             raise DimensionMismatchError(f"index {name}={idx} out of range for dimension {n}")
-    rng = as_generator(g)
     exact = (2.0 if k == l else 1.0) / (n * (n + 1.0))
-    xs = np.empty(samples, dtype=np.float64)
-    for start, u in _haar_chunks(n, n, samples, rng):
-        xs[start:start + len(u)] = (np.abs(u[:, i, k]) ** 2) * (np.abs(u[:, i, l]) ** 2)
+    xs = _haar_samples(lambda u: np.abs(u[:, i, k]) ** 2 * np.abs(u[:, i, l]) ** 2, n, n, samples, g)
     est = MonteCarloEstimate.from_samples(xs)
     z = est.z_score(exact)
     return MomentCheck(est, exact, z, bool(abs(z) <= 4.0))

@@ -37,13 +37,14 @@ import numpy as np
 
 from .distance import BoundReport, overlap_distances, overlap_tables
 from .errors import CounterexampleNotFoundError, DimensionMismatchError
-from .haar import as_generator, sample_haar_unitary
+from .haar import _hermitian, as_generator, sample_haar_unitary
 from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
     Subspace,
     _freeze,
     entropies,
+    validate_density,
 )
 
 @dataclass(frozen=True)
@@ -80,8 +81,8 @@ def _off_diagonal(rep: np.ndarray) -> np.ndarray:
 
 
 def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
-    """Express rho in the given basis."""
-    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    """Express rho in the given basis; a raw array goes through validate_density."""
+    rho = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
     if rho.dim != basis.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} vs basis dim {basis.dim}")
     return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))
@@ -272,10 +273,8 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
     The generator K = iH with H a normalized random Hermitian matrix; as
     t -> 0 the path converges to `target` in basis distance.
     """
-    rng = as_generator(rng)
     n = target.dim
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
+    h = _hermitian(as_generator(rng).standard_normal((2, n, n)))
     h /= np.linalg.norm(h, 2)
     w, v = np.linalg.eigh(h)
     out = []
@@ -288,12 +287,12 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
 def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
 
-    `measures` are names in MEASURES.  The path is one StateBatch: rho's
-    eigensystem broadcast over the stacked path bases.  The caller asserts
-    the continuity claims: values tend to 0 with d, and for eta2 the
-    pointwise bound eta2 <= d.
+    `measures` are names in MEASURES; a raw rho goes through validate_density.
+    The path is one StateBatch: rho's eigensystem broadcast over the stacked
+    path bases.  The caller asserts the continuity claims: values tend to 0
+    with d, and for eta2 the pointwise bound eta2 <= d.
     """
-    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    rho = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
     if any(b.dim != rho.dim for b in path):
         raise DimensionMismatchError(f"path bases must have the state dim {rho.dim}")
     bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)

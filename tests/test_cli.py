@@ -383,6 +383,17 @@ class TestExperimentCommand:
         assert "n >= 2" in err[1]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n", ["8,4", "4,4"], ids=["decreasing", "repeated"])
+    def test_purity_n_not_increasing_exit_2(self, tmp_path, capsys, n):
+        # each n was compared with the previous one in the list, so these
+        # wrote rows with nonincreasing = 0 and exited 1
+        rc = main(["experiment", "purity", "--n", n, "--samples", "50", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "E_USAGE"
+        assert "strictly increasing" in err[1]
+        assert not list(tmp_path.iterdir())
+
     def test_zero_trials_reach_the_runner(self, tmp_path):
         # 0 is a legal count: only the maximally mixed trial runs, and passes
         rc = main(["experiment", "theorem42", "--n", "2", "--trials", "0",

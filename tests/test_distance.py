@@ -26,8 +26,7 @@ from qcoherence import (
     random_basis,
 )
 from qcoherence.distance import GAP_SCALE, _doubly_stochastic, basis_distances, commutator_terms
-from qcoherence.experiments import _hermitian
-from qcoherence.haar import sample_haar_unitaries
+from qcoherence.haar import _hermitian, sample_haar_unitaries
 from qcoherence.linalg import checked_eigh
 
 Z_BASIS = OrthonormalBasis.standard(2)

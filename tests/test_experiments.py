@@ -151,6 +151,40 @@ def test_load_report_rejects_a_row_that_does_not_fit_the_header(tmp_path, row):
         load_report(path)
 
 
+@pytest.mark.parametrize("text", [
+    "a,ok\n1,1\n2,0\n# experiment = demo\n# verdict = pass\n",
+    "a,ok\n# experiment = demo\n# verdict = pass\n",
+    "a,ok\n1,1\n# experiment = demo\n",
+    "a\n1\n# experiment = demo\n# verdict = pass\n",
+], ids=["failing-row", "no-rows", "no-verdict", "no-ok-column"])
+def test_load_report_recomputes_the_verdict(tmp_path, text):
+    # the first two loaded as a pass from the verdict line alone
+    path = tmp_path / "report.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="report.csv"):
+        load_report(path)
+
+
+def test_load_report_reads_a_failing_report(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("a,ok\n1,1\n2,0\n# experiment = demo\n# verdict = fail\n")
+    assert not load_report(path).verdict
+
+
+@pytest.mark.parametrize("trials", [range(0, 10, 2), range(-3, 2)], ids=["strided", "negative"])
+def test_subspace_bound_rejects_a_strided_or_negative_range(trials):
+    # strided checked all 10 trials but counted 5; negative failed inside
+    # numpy's SeedSequence
+    with pytest.raises(ValueError, match="consecutive nonnegative"):
+        check_subspace_bound(4, trials, SeededGenerator(0), 0)
+
+
+@pytest.mark.parametrize("n_list", [(8, 4), (4, 4)], ids=["decreasing", "repeated"])
+def test_purity_sweep_rejects_a_list_that_does_not_increase(n_list):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        run_purity_sweep(n_list=n_list, samples=10)
+
+
 @pytest.mark.parametrize("run", [
     lambda: run_theorem42_suite(n_list=()),
     lambda: run_proposition31_suite(n_list=()),

@@ -71,6 +71,41 @@ class TestSampling:
         again = sample_haar_unitaries(3, 50, SeededGenerator(5))
         assert (chunked == again).all()
 
+    @pytest.mark.parametrize("entries", [9 * 7, 2_000_000], ids=["chunked", "one-chunk"])
+    def test_stream_layout_across_chunks(self, monkeypatch, entries):
+        # per chunk: all real parts, then all imaginary parts, then QR with
+        # the phase fix; every sampler consumes the stream this way
+        monkeypatch.setattr(haar_mod, "_CHUNK_ENTRIES", entries)
+
+        def reference(seed, n, cols, count):
+            rng, step = SeededGenerator(seed).generator(), max(1, entries // (n * cols))
+            out = []
+            for start in range(0, count, step):
+                shape = (min(step, count - start), n, cols)
+                z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+                q, r = np.linalg.qr(z)
+                d = np.einsum("...ii->...i", r)
+                out.append(q * (d.conj() / np.abs(d))[..., None, :])
+            return np.concatenate(out)
+
+        assert (sample_haar_unitaries(3, 50, SeededGenerator(5)) == reference(5, 3, 3, 50)).all()
+        # rank 2 at n = 4: each sample draws the 4 x 2 isometry of the top levels
+        rho = DensityMatrix(np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex))
+        w = reference(6, 4, 2, 23)
+        want = ((np.abs(w) ** 2 @ np.array([0.4, 0.6])) ** 2).sum(axis=-1)
+        got = haar_mod._diag_square_sum_samples(rho, 23, SeededGenerator(6))
+        assert np.abs(got - want).max() <= 1e-15
+        u = reference(7, 3, 3, 40)
+        xs = np.abs(u[:, 0, 1]) ** 2 * np.abs(u[:, 0, 2]) ** 2
+        check = overlap_moment_check(3, 0, 1, 2, 40, SeededGenerator(7))
+        assert check.estimate == MonteCarloEstimate.from_samples(xs)
+
+    def test_zero_count_is_an_empty_stack(self, monkeypatch):
+        for entries in (9 * 7, 2_000_000):
+            monkeypatch.setattr(haar_mod, "_CHUNK_ENTRIES", entries)
+            us = sample_haar_unitaries(3, 0, SeededGenerator(5))
+            assert us.shape == (0, 3, 3) and us.dtype == np.complex128
+
     def test_random_basis_is_orthonormal(self):
         b = random_basis(6, 3)
         assert orthonormality_defect(b.vectors) < 1e-12

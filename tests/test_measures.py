@@ -13,6 +13,8 @@ from qcoherence import (
     CounterexampleNotFoundError,
     DensityMatrix,
     DimensionMismatchError,
+    NotFiniteError,
+    NotPSDError,
     OrthonormalBasis,
     SeededGenerator,
     Subspace,
@@ -104,6 +106,18 @@ class TestRewrite:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             rewrite_in_basis(DensityMatrix.maximally_mixed(2), OrthonormalBasis.standard(3))
+
+    @pytest.mark.parametrize("m, error", [
+        (np.full((2, 2), np.nan), NotFiniteError),
+        (np.diag([2.0, -1.0]), NotPSDError),
+        (np.ones((2, 3)) / 2, DimensionMismatchError),
+    ], ids=["nan", "not-psd", "not-square"])
+    def test_raw_array_is_validated(self, m, error):
+        # a raw array was wrapped unchecked: eta1 of the NaN state was nan
+        with pytest.raises(error):
+            rewrite_in_basis(m, OrthonormalBasis.standard(2))
+        with pytest.raises(error):
+            check_axiom1(m, [ETA1], [OrthonormalBasis.standard(2)])
 
 
 class TestParts:
