@@ -47,7 +47,7 @@ WEIGHT_SUM_TOL = 1e-10  # allowed |sum(weights) - 1| in jensen_gap_bound
 class BoundReport:
     """One checked inequality lhs <= rhs.
 
-    satisfied <=> slack >= -tol where tol = REPORT_SCALE * max(1, rhs).
+    satisfied <=> slack / max(1, rhs) >= -REPORT_SCALE (reduce_checks).
     """
 
     lhs: float
@@ -57,21 +57,26 @@ class BoundReport:
 
     @classmethod
     def check(cls, lhs: float, rhs: float) -> "BoundReport":
-        lhs = float(lhs)
-        rhs = float(rhs)
-        return cls(lhs, rhs, rhs - lhs, bool(relative_slacks(lhs, rhs)[1]))
+        lhs, rhs = float(lhs), float(rhs)
+        return cls(lhs, rhs, rhs - lhs, reduce_checks(relative_slacks(lhs, rhs), REPORT_SCALE)[2])
 
     @property
     def relative_slack(self) -> float:
-        return self.slack / max(1.0, self.rhs)
+        return float(relative_slacks(self.lhs, self.rhs))
+
+
+def reduce_checks(slack, tol: float) -> tuple[float, int, bool]:
+    """(min slack, count, ok) of a stack of checks, one slack each: ok needs
+    at least one check and every slack at least -tol, so a NaN slack fails."""
+    slack = np.asarray(slack, dtype=np.float64)
+    low = float(slack.min(initial=np.inf))  # NaN propagates through min
+    return low, slack.size, bool(slack.size and low >= -tol)
 
 
 def relative_slacks(lhs, rhs):
-    """(relative slack, satisfied) of stacked checks lhs <= rhs, elementwise:
-    slack / max(1, rhs) and slack >= -REPORT_SCALE * max(1, rhs)."""
-    scale = np.maximum(1.0, rhs)
-    slack = np.subtract(rhs, lhs)
-    return slack / scale, slack >= -REPORT_SCALE * scale
+    """Slacks of stacked checks lhs <= rhs relative to their size,
+    (rhs - lhs) / max(1, rhs), elementwise."""
+    return np.subtract(rhs, lhs) / np.maximum(1.0, rhs)
 
 
 def _doubly_stochastic(o: np.ndarray) -> np.ndarray:
@@ -79,7 +84,7 @@ def _doubly_stochastic(o: np.ndarray) -> np.ndarray:
     tol_ortho * n; return them clipped to [0, 1]."""
     tol = TOL_ORTHO * o.shape[-1]
     defect = max(float(np.abs(o.sum(axis=axis) - 1.0).max(initial=0.0)) for axis in (-1, -2))
-    if defect > tol:
+    if not defect <= tol:  # a NaN table fails every comparison
         raise NotOrthonormalError(
             f"overlap table not doubly stochastic: worst sum defect {defect:.3e} exceeds {tol:.1e}"
         )

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import commutator_terms, relative_slacks
+from .distance import REPORT_SCALE, commutator_terms, reduce_checks, relative_slacks
 from .haar import (
+    Z_MAX,
     SeededGenerator,
     _ginibre,
     _haar_from_ginibre,
@@ -181,7 +182,7 @@ def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
     """
     step = _chunk_trials(n)
     c = trials.start // step
-    if not trials or trials.step != 1 or trials[-1] // step != c:
+    if not trials or trials.step != 1 or trials.start < 0 or trials[-1] // step != c:
         raise ValueError(f"trials {trials} are not a nonempty run within one chunk of {step}")
     rng = root.substream((block, c))
     df = np.concatenate([np.arange(2 * n, 0, -2), np.arange(2 * n - 2, 0, -2)])
@@ -210,20 +211,19 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     """
     if trials.step != 1 or trials.start < 0:
         raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
-    min_slack = dict.fromkeys(THEOREM42_MEASURES, np.inf)
-    passed = dict.fromkeys(THEOREM42_MEASURES, len(trials) > 0)
+    slacks = np.empty((len(THEOREM42_MEASURES), len(trials)))
     step = _chunk_trials(n)
     for start in range(trials.start // step * step, trials.stop, step) if trials else ():
         chunk = range(max(trials.start, start), min(trials.stop, start + step))
         batch = _draw_chunk(n, chunk, root, block)[2]
         worst = worst_deviations(batch)
-        for m in THEOREM42_MEASURES:
-            slack = MEASURES[m](batch) - worst
-            passed[m] = passed[m] and bool(slack.min() >= -AXIOM_SLACK_TOL)
-            wishart = slack[1:] if chunk.start == 0 else slack
-            min_slack[m] = min(min_slack[m], float(wishart.min(initial=np.inf)))
+        local = slice(chunk.start - trials.start, chunk.stop - trials.start)
+        for row, m in zip(slacks, THEOREM42_MEASURES):
+            row[local] = MEASURES[m](batch) - worst
         del batch  # before the next chunk is drawn, to bound the peak memory
-    return {m: (min_slack[m], len(trials), passed[m]) for m in THEOREM42_MEASURES}
+    wishart = slacks[:, 1:] if trials.start == 0 else slacks  # trial 0's Q is roundoff
+    return {m: (float(w.min(initial=np.inf)), *reduce_checks(row, AXIOM_SLACK_TOL)[1:])
+            for m, row, w in zip(THEOREM42_MEASURES, slacks, wishart)}
 
 
 _THEOREM42_COLUMNS = "kind n measure count min_slack final_d final_value monotone ok".split()
@@ -268,11 +268,11 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
                 # Pointwise envelopes from the continuity argument:
                 # eta2 <= d, delta = d, and eta1, eta_inf <= n * eta2.
                 bound = ds if m in (ETA2, DELTA) else n * values[ETA2]
-                slack = float((bound - vals).min())
+                slack, count, ok = reduce_checks(bound - vals, AXIOM_SLACK_TOL)
                 monotone = bool((np.diff(vals) < 0).all())
-                ok = slack >= -AXIOM_SLACK_TOL and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6
+                ok = ok and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6
                 rows.append(_theorem42_row(
-                    2, n, m, count=len(DECAY_TS), min_slack=slack, final_d=ds[-1],
+                    2, n, m, count=count, min_slack=slack, final_d=ds[-1],
                     final_value=vals[-1], monotone=monotone, ok=ok,
                 ))
     parameters = {
@@ -303,12 +303,9 @@ def _near_degenerate_pair(n, rng):
 
 def _prop31_row(n, family, bound, lhs, rhs) -> dict:
     """One prop31 row over the checks lhs <= rhs; no checks fail the row."""
-    rel, satisfied = relative_slacks(lhs, rhs)
-    return {
-        "n": float(n), "family": family, "bound": bound, "count": float(len(lhs)),
-        "min_rel_slack": float(rel.min(initial=np.inf)),
-        "ok": float(len(lhs) > 0 and bool(satisfied.all())),
-    }
+    min_rel_slack, count, ok = reduce_checks(relative_slacks(lhs, rhs), REPORT_SCALE)
+    return {"n": float(n), "family": family, "bound": bound, "count": float(count),
+            "min_rel_slack": min_rel_slack, "ok": float(ok)}
 
 
 def run_proposition31_suite(
@@ -359,7 +356,7 @@ def run_purity_sweep(
 
     Per (dimension, state family): sample mean of eta2^2 and of the
     deviation |eta2^2 - tr(rho^2)|, their exact predictions and z-scores.
-    A row passes when both |z| <= 4 and the deviation has not increased
+    A row passes when both |z| <= Z_MAX and the deviation has not increased
     from the previous dimension of the same family.  n_list must strictly
     increase, so that the previous dimension is the smaller one.
     """
@@ -378,7 +375,8 @@ def run_purity_sweep(
                 rho = random_density_matrix(n, rng, rank=ranks[family])
             p = purity(rho)
             dev = estimate_diag_square_sum(rho, samples, rng)
-            z = dev.z_score(exact_expected_diag_square_sum(rho))
+            dev_exact = exact_expected_diag_square_sum(rho)
+            z = dev.z_score(dev_exact)
             nonincreasing = dev.mean <= last_dev.get(family, np.inf)
             last_dev[family] = dev.mean
             rows.append({
@@ -389,10 +387,10 @@ def run_purity_sweep(
                 "eta2sq_z": -z,  # eta2^2 = purity - T per sample: same error, flipped sign
                 "dev_mean": dev.mean,
                 "dev_se": dev.std_error,
-                "dev_exact": exact_expected_diag_square_sum(rho),
+                "dev_exact": dev_exact,
                 "dev_z": z,
                 "nonincreasing": float(nonincreasing),
-                "ok": float(abs(z) <= 4.0 and nonincreasing),
+                "ok": float(abs(z) <= Z_MAX and nonincreasing),
             })
     parameters = {"n_list": list(n_list), "samples": samples, "states": list(PURITY_FAMILIES),
                   "rank": rank}

@@ -38,6 +38,7 @@ from .linalg import OrthonormalBasis, _matrix_of, purity
 # Chunk cap for batched sampling, in complex entries; bounds peak memory.
 _CHUNK_ENTRIES = 2_000_000
 Z_ATOL = 1e-12  # |mean - expected| that MonteCarloEstimate.z_score scores as 0
+Z_MAX = 4.0  # largest |z| a Monte Carlo check accepts
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ class MomentCheck:
     estimate: MonteCarloEstimate
     exact: float
     z_score: float
-    agrees: bool  # |z| <= 4
+    agrees: bool  # |z| <= Z_MAX
 
 
 def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> MomentCheck:
@@ -253,4 +254,4 @@ def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> Mom
     xs = _haar_samples(lambda u: np.abs(u[:, i, k]) ** 2 * np.abs(u[:, i, l]) ** 2, n, n, samples, g)
     est = MonteCarloEstimate.from_samples(xs)
     z = est.z_score(exact)
-    return MomentCheck(est, exact, z, bool(abs(z) <= 4.0))
+    return MomentCheck(est, exact, z, bool(abs(z) <= Z_MAX))

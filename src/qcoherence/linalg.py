@@ -2,7 +2,7 @@
 
 Validated domain types (density matrices, orthonormal bases, Hermitian
 observables, subspaces) and the spectral quantities built on them: Hermitian
-eigendecomposition, operator norm, von Neumann entropy, purity.
+eigendecomposition, entropies of spectra, purity.
 
 All wrapped arrays are complex128, marked read-only after construction, and
 every operation here is a pure function, so values can be shared freely
@@ -52,11 +52,6 @@ def _square_complex(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |m_ij - conj(m_ji)|."""
-    return float(np.abs(m - m.conj().T).max())
-
-
 def orthonormality_defect(u: np.ndarray) -> float:
     """Largest entrywise deviation of u^H u from the identity."""
     k = u.shape[1]
@@ -68,9 +63,9 @@ def _entry_scale(m: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
 
 
-def _hermitian(m, name: str, symbol: str) -> np.ndarray:
+def _checked_hermitian(m, name: str, symbol: str) -> np.ndarray:
     m = _square_complex(m, name)
-    defect = hermiticity_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     tol = TOL_HERM * float(_entry_scale(m))
     if defect > tol:
         raise NotHermitianError(
@@ -198,7 +193,7 @@ class HermitianObservable:
 
     @classmethod
     def from_matrix(cls, m) -> "HermitianObservable":
-        m = _hermitian(m, "observable", "A")
+        m = _checked_hermitian(m, "observable", "A")
         spectrum, v = checked_eigh(m)
         return cls(m, spectrum, OrthonormalBasis(v))
 
@@ -254,7 +249,7 @@ def validate_density(m) -> DensityMatrix:
     Raises NotHermitianError, TraceNotOneError or NotPSDError, each naming
     the offending magnitude.
     """
-    m = _hermitian(m, "state", "M")
+    m = _checked_hermitian(m, "state", "M")
     trace_defect = abs(complex(np.trace(m)) - 1.0)
     if trace_defect > TOL_TRACE:
         raise TraceNotOneError(f"|tr M - 1| = {trace_defect:.3e} exceeds {TOL_TRACE:.1e}")
@@ -302,11 +297,6 @@ def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128), 2))
-
-
 def entropies(p: np.ndarray) -> np.ndarray:
     """-sum(p ln p) over the last axis of stacked spectra, with 0 ln 0 = 0.
 
@@ -315,11 +305,6 @@ def entropies(p: np.ndarray) -> np.ndarray:
     """
     p = np.clip(p, 0.0, 1.0)
     return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
-
-
-def von_neumann_entropy(rho) -> float:
-    """-sum(lambda ln lambda) in nats over the spectrum of rho."""
-    return float(entropies(np.linalg.eigvalsh(_matrix_of(rho))))
 
 
 def purity(rho) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .distance import BoundReport, overlap_distances, overlap_tables
 from .errors import CounterexampleNotFoundError, DimensionMismatchError
-from .haar import _hermitian, as_generator, sample_haar_unitary
+from .haar import _hermitian, as_generator
 from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
@@ -223,18 +223,6 @@ def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
         )
     w = s.basis.vectors.conj().T @ f.frame
     return float(abs(((off_diagonal_part(s) @ w) * w.conj()).real.sum(axis=0).sum()))
-
-
-def random_subspace(n: int, rng, k: int | None = None) -> Subspace:
-    """Random subspace: dimension k in 1..n (ValueError otherwise), uniform
-    unless given, frame from the leading columns of a Haar unitary."""
-    rng = as_generator(rng)
-    if k is None:
-        k = int(rng.integers(1, n + 1))
-    elif not 1 <= k <= n:
-        raise ValueError(f"subspace dimension must lie in 1..{n}, got {k}")
-    u = sample_haar_unitary(n, rng)
-    return Subspace(u[:, :k])
 
 
 def worst_deviations(b: StateBatch) -> np.ndarray:

@@ -3,6 +3,8 @@ kernels its sweep times, the functions its tracer wraps and the reports and
 outputs its workloads check.  A rename or a report change that would break
 the benchmark fails here, at tier 1."""
 
+import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +63,29 @@ def test_traced_theorem42_smoke_pass_has_no_failures(monkeypatch, tmp_path):
     assert (attempted, failed, messages) == (1, 0, [])
     layers = tracer.summarize(t.spans)
     assert layers["experiments.calls"] > 0 and layers["measures.calls"] > 0
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `from <module> import <name>` succeeds: an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_perfbench_takes_from_the_package_resolves():
+    # read from the source text, so the parts of perfbench that the tests
+    # above do not run (run_sweep's report round trip, say) are covered too
+    uses = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        text = path.read_text()
+        uses += [(path.name, "qcoherence", name) for name in re.findall(r"\bqc\.(\w+)", text)]
+        for module, names in re.findall(r"^\s*from (qcoherence(?:\.\w+)*) import ([\w, ]+)$", text, re.M):
+            uses += [(path.name, module, name.split(" as ")[0].strip()) for name in names.split(",")]
+    assert {name for _, _, name in uses} >= {"write_report", "load_report", "adversarial_subspaces"}
+    missing = [f"{file}: {module}.{name}" for file, module, name in uses
+               if not _resolves(module, name)]
+    assert missing == []

@@ -10,6 +10,7 @@ from qcoherence import (
     DimensionMismatchError,
     HermitianObservable,
     NotFiniteError,
+    NotOrthonormalError,
     OrthonormalBasis,
     PointsNotDistinctError,
     WeightsNotNormalizedError,
@@ -20,12 +21,17 @@ from qcoherence import (
     is_mutually_unbiased,
     is_relabelling,
     jensen_gap_bound,
-    operator_norm,
     overlap_matrix,
     quadratic_jensen_gap,
     random_basis,
 )
-from qcoherence.distance import GAP_SCALE, _doubly_stochastic, basis_distances, commutator_terms
+from qcoherence.distance import (
+    GAP_SCALE,
+    _doubly_stochastic,
+    basis_distances,
+    commutator_terms,
+    reduce_checks,
+)
 from qcoherence.haar import _hermitian, sample_haar_unitaries
 from qcoherence.linalg import checked_eigh
 
@@ -75,6 +81,13 @@ class TestBasisDistance:
         relabelled = b.permuted(rng.permutation(5), phases)
         assert basis_distance(b, relabelled) < 1e-12
         assert is_relabelling(overlap_matrix(b, relabelled))
+
+    def test_nan_basis_raises(self):
+        # a NaN overlap table passed the doubly-stochastic check (NaN fails
+        # every comparison), and the distance came out NaN
+        nan = OrthonormalBasis(np.full((2, 2), np.nan))
+        with pytest.raises(NotOrthonormalError, match="doubly stochastic"):
+            basis_distance(nan, OrthonormalBasis.standard(2))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_fourier_vs_standard_is_maximal(self, n):
@@ -179,6 +192,19 @@ class TestBoundReport:
     def test_fields(self):
         r = BoundReport.check(1.0, 3.0)
         assert (r.lhs, r.rhs, r.slack, r.satisfied) == (1.0, 3.0, 2.0, True)
+
+
+class TestReduceChecks:
+    def test_no_checks_fail(self):
+        assert reduce_checks(np.empty(0), 1e-9) == (np.inf, 0, False)
+
+    def test_nan_slack_fails(self):
+        low, count, ok = reduce_checks([1.0, np.nan, 2.0], 1e-9)
+        assert np.isnan(low) and count == 3 and not ok
+
+    def test_slack_of_exactly_minus_tol_passes(self):
+        assert reduce_checks([-1e-9, 2.0], 1e-9) == (-1e-9, 2, True)
+        assert reduce_checks([-1.1e-9, 2.0], 1e-9)[2] is False
 
 
 class TestCommutatorUpperBound:
@@ -339,7 +365,7 @@ def test_norm_never_below_commutator_over_unbiased_pair():
     b = (f * np.arange(4.0)) @ f.conj().T
     r = commutator_upper_bound(a, b)
     assert r.satisfied
-    assert operator_norm(a @ b - b @ a) == pytest.approx(r.lhs)
+    assert np.linalg.norm(a @ b - b @ a, 2) == pytest.approx(r.lhs)
 
 
 def _scalar_reference(a, b):

@@ -352,11 +352,11 @@ def test_chunk_replays_alone():
 
 @pytest.mark.parametrize("n, trials", [
     (2, range(4090, 4097)), (3, range(1819, 1821)), (32, range(15, 17)), (128, range(0, 2)),
-    (4, range(5, 5)), (4, range(0, 10, 2)),
+    (4, range(5, 5)), (4, range(0, 10, 2)), (4, range(-3, -1)),
 ])
 def test_draw_chunk_rejects_a_run_outside_one_chunk(n, trials):
     # across an edge, slicing one chunk would return fewer trials than asked
-    # for; an empty or strided range is no run of trials either
+    # for; an empty, strided or negative range is no run of trials either
     with pytest.raises(ValueError, match="within one chunk"):
         _draw_chunk(n, trials, SeededGenerator(0), 0)
 

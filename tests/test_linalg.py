@@ -16,13 +16,14 @@ from qcoherence import (
     TraceNotOneError,
     fourier_basis,
     hermitian_eigendecomposition,
-    operator_norm,
     purity,
+    random_basis,
+    rewrite_in_basis,
     sample_haar_unitary,
     validate_density,
-    von_neumann_entropy,
 )
-from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, orthonormality_defect
+from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, entropies, orthonormality_defect
+from qcoherence.measures import StateBatch, off_diagonal_part, worst_deviations
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -187,49 +188,68 @@ def _power_iteration_norm(m, rng, starts=10_000, iters=500):
     return sampled_max, float(np.sqrt(np.vdot(v, h @ v).real))
 
 
-class TestOperatorNorm:
-    def test_zero_matrix(self):
-        assert operator_norm(np.zeros((4, 4))) == 0.0
+def _q_norm(rho, basis) -> float:
+    """||Q||_op of rho rewritten in basis, as worst_deviations computes it."""
+    return float(worst_deviations(StateBatch.of(rewrite_in_basis(rho, basis)))[0])
 
-    def test_unitary_has_norm_one(self):
-        u = sample_haar_unitary(5, 123)
-        assert abs(operator_norm(u) - 1.0) < 1e-12
+
+class TestOperatorNorm:
+    """The operator norm of a state's off-diagonal part Q, the one the
+    subspace bound is checked against (measures.worst_deviations)."""
+
+    def test_zero_matrix(self):
+        # a diagonal state in the standard basis has Q = 0 exactly
+        rho = validate_density(np.diag([0.5, 0.3, 0.2, 0.0]))
+        assert _q_norm(rho, OrthonormalBasis.standard(4)) == 0.0
+
+    def test_unbiased_pure_state_has_norm_one_minus_one_over_n(self):
+        # rep = J/n, so Q = (J - I)/n has eigenvalues (n-1)/n and -1/n
+        for n in (2, 5, 8):
+            rho = DensityMatrix.pure(np.ones(n))
+            assert abs(_q_norm(rho, OrthonormalBasis.standard(n)) - (n - 1) / n) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_random_vector_oracle(self, n):
         rng = np.random.default_rng(n)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        sampled_max, oracle = _power_iteration_norm(m, rng)
-        norm = operator_norm(m)
+        rho, basis = validate_density(_random_state(n, rng)), random_basis(n, rng)
+        q = off_diagonal_part(rewrite_in_basis(rho, basis))
+        sampled_max, oracle = _power_iteration_norm(q, rng)
+        norm = _q_norm(rho, basis)
         assert norm >= sampled_max - 1e-12
         assert abs(norm - oracle) < 1e-6
+        assert abs(norm - np.linalg.norm(q, 2)) < 1e-12
 
     def test_unitary_invariance(self):
+        # relabelling the basis conjugates Q by a permutation times phases
         rng = np.random.default_rng(9)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        base = operator_norm(m)
-        for seed in range(10):
-            u = sample_haar_unitary(6, 2 * seed)
-            v = sample_haar_unitary(6, 2 * seed + 1)
-            assert abs(operator_norm(u @ m @ v) - base) < 1e-10
+        rho, basis = validate_density(_random_state(6, rng)), random_basis(6, rng)
+        base = _q_norm(rho, basis)
+        for _ in range(10):
+            relabelled = basis.permuted(rng.permutation(6), np.exp(2j * np.pi * rng.random(6)))
+            assert abs(_q_norm(rho, relabelled) - base) < 1e-10
+
+
+def _entropy(rho) -> float:
+    """The von Neumann entropy in nats, on the spectrum path s_rel takes."""
+    return float(entropies(rho.eigensystem()[0]))
 
 
 class TestEntropyAndPurity:
     def test_pure_state(self):
         rho = DensityMatrix.pure(np.array([1.0, 1.0j]) / np.sqrt(2))
-        assert von_neumann_entropy(rho) < 1e-12
+        assert _entropy(rho) < 1e-12
         assert abs(purity(rho) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_maximally_mixed(self, n):
         rho = DensityMatrix.maximally_mixed(n)
-        assert abs(von_neumann_entropy(rho) - np.log(n)) < 1e-12
+        assert abs(_entropy(rho) - np.log(n)) < 1e-12
         assert abs(purity(rho) - 1.0 / n) < 1e-12
 
     def test_binary_entropy_value(self):
         # -0.55 ln 0.55 - 0.45 ln 0.45, evaluated directly
         rho = validate_density(np.diag([0.55, 0.45]))
-        assert abs(von_neumann_entropy(rho) - 0.6881388137135884) < 1e-12
+        assert abs(_entropy(rho) - 0.6881388137135884) < 1e-12
 
     def test_purity_by_hand(self):
         assert abs(purity(validate_density(np.diag([0.7, 0.3]))) - 0.58) < 1e-14
@@ -240,7 +260,7 @@ class TestEntropyAndPurity:
             n = int(rng.integers(2, 17))
             rho = validate_density(_random_state(n, rng))
             p = purity(rho)
-            s = von_neumann_entropy(rho)
+            s = _entropy(rho)
             assert 1.0 / n - 1e-12 <= p <= 1.0 + 1e-12
             assert -1e-12 <= s <= np.log(n) + 1e-12
 
