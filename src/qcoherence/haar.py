@@ -3,10 +3,12 @@
 Sampling uses the standard exact construction: a complex Ginibre matrix
 (i.i.d. standard complex Gaussians) is QR-factored and column j of Q is
 multiplied by conj(r_jj)/|r_jj|.  Without that phase correction Q is not
-Haar-distributed, which the invariance tests detect immediately.  Complex
-Gaussians are built only here, real parts then imaginary parts (_ginibre,
-_hermitian), and batched samplers map a statistic over _haar_samples, at
-most _CHUNK_ENTRIES complex entries a chunk.
+Haar-distributed, which the invariance tests detect immediately.  Every
+Gaussian block is one (2, *shape) standard-normal draw, real parts then
+imaginary parts; complex Gaussians are built from it only here (_ginibre,
+_hermitian).  Batched samplers map a statistic over _haar_samples, at most
+_CHUNK_ENTRIES complex entries a chunk, each chunk drawn as Haar isometries
+or, for the estimator below, straight as their moduli.
 
 The exact monomial moments over the unitary group,
 
@@ -22,7 +24,11 @@ E eta2^2 = (n tr(rho^2) - 1) / (n + 1).
 The Monte Carlo estimates of sum_i rho_ii^2 use unitary invariance: the
 statistic depends on the basis only through the r rows of V^H U that belong
 to eigenvalues above the lowest, so each sample draws just the n x r Haar
-isometry (Mezzadri, Notices AMS 2007) instead of a full unitary.
+isometry (Mezzadri, Notices AMS 2007) instead of a full unitary, and uses
+only its moduli.  For r <= 2 those come in closed form from the same
+normals (Gram-Schmidt in real arithmetic, no complex array and no QR); for
+r >= 3 they come from the stacked QR, which beats a numpy Gram-Schmidt loop
+at full rank (r = n - 1).
 """
 
 from __future__ import annotations
@@ -129,15 +135,22 @@ def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def _haar_samples(f, n: int, cols: int, count: int, g) -> np.ndarray:
+def _haar_chunk(rng: np.random.Generator, shape) -> np.ndarray:
+    """A `shape` stack of Haar isometries from one _ginibre draw."""
+    return _haar_from_ginibre(_ginibre(rng, shape))
+
+
+def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
     """f of `count` Haar draws of the first `cols` columns of an n x n
-    unitary, stacked: drawn in order, at most _CHUNK_ENTRIES complex entries
-    a chunk, whose Gaussians are freed before f sees it.  count = 0 maps one
-    empty chunk, so the result keeps f's trailing shape."""
+    unitary, stacked.  draw(rng, shape) turns one chunk of shape (m, n, cols)
+    into what f takes (_haar_chunk: the isometries), drawing its Gaussians
+    itself, so they are freed before f sees it; chunks come in order, at most
+    _CHUNK_ENTRIES complex entries each.  count = 0 maps one empty chunk, so
+    the result keeps f's trailing shape."""
     rng = as_generator(g)
     step = max(1, _CHUNK_ENTRIES // (n * cols))
     return np.concatenate([
-        f(_haar_from_ginibre(_ginibre(rng, (min(step, count - start), n, cols))))
+        f(draw(rng, (min(step, count - start), n, cols)))
         for start in range(0, max(count, 1), step)
     ])
 
@@ -146,7 +159,7 @@ def sample_haar_unitaries(n: int, count: int, g) -> np.ndarray:
     """Stack of `count` independent Haar unitaries, shape (count, n, n)."""
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
-    return _haar_samples(lambda u: u, n, n, count, g)
+    return _haar_samples(lambda u: u, _haar_chunk, n, n, count, g)
 
 
 def sample_haar_unitary(n: int, g) -> np.ndarray:
@@ -198,11 +211,35 @@ def _excited_levels(rho) -> tuple[np.ndarray, int]:
     return lam, int((lam - lam[0] > tol).sum())
 
 
-def _diag_square_sums(lam: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i (lam_0 + sum_k mu_k |w_ik|^2)^2 for each n x r isometry in the
-    stack w, where mu holds the r top gaps lam_k - lam_0."""
-    mu = lam[lam.size - w.shape[-1]:] - lam[0]
-    diag = lam[0] + (np.abs(w) ** 2) @ mu
+def _qr_moduli(rng: np.random.Generator, shape) -> np.ndarray:
+    """|W|^2 for a `shape` stack of Haar isometries W from _haar_chunk."""
+    return np.abs(_haar_chunk(rng, shape)) ** 2
+
+
+def _gram_schmidt_moduli(rng: np.random.Generator, shape) -> np.ndarray:
+    """_qr_moduli for at most two columns, from the same normals, in real
+    arithmetic.  Gram-Schmidt of one or two columns gives the QR factor with
+    a positive R diagonal, which is what the phase fix makes: normalise
+    column 1, take column 1's projection off column 2, normalise that."""
+    # (real | imaginary, column, sample, row), contiguous per column
+    re, im = np.ascontiguousarray(np.moveaxis(rng.standard_normal((2, *shape)), -1, 1))
+    p = re**2 + im**2
+    if shape[-1] == 2:
+        (ar, br), (ai, bi) = re, im
+        # column 2 minus c times column 1, c = a^H b / |a|^2
+        s = p[0].sum(axis=-1, keepdims=True)
+        cr = (ar * br + ai * bi).sum(axis=-1, keepdims=True) / s
+        ci = (ar * bi - ai * br).sum(axis=-1, keepdims=True) / s
+        p[1] = (br - ar * cr + ai * ci) ** 2 + (bi - ar * ci - ai * cr) ** 2
+    return np.moveaxis(p / p.sum(axis=-1, keepdims=True), 0, -1)
+
+
+def _diag_square_sums(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_i (lam_0 + sum_k mu_k p_ik)^2 for each n x r moduli table
+    p = |w|^2 of an isometry w in the stack, where mu holds the r top gaps
+    lam_k - lam_0."""
+    mu = lam[lam.size - p.shape[-1]:] - lam[0]
+    diag = lam[0] + p @ mu
     return (diag**2).sum(axis=-1)
 
 
@@ -213,12 +250,16 @@ def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     (U^H rho U)_ii = lam_0 + sum_k (lam_k - lam_0) |(V^H U)_ki|^2.  V^H U
     and its transpose are Haar, so the r rows with lam_k > lam_0 have the
     law of the first r columns of a Haar unitary: only that n x r isometry
-    is drawn.  r = 0 (rho a multiple of the identity) needs no draw.
+    is drawn, as its moduli.  r = 0 (rho a multiple of the identity) needs
+    no draw.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     lam, r = _excited_levels(rho)
     if r == 0:
         return np.full(samples, lam.size * lam[0] ** 2)
-    return _haar_samples(lambda w: _diag_square_sums(lam, w), lam.size, r, samples, g)
+    moduli = _gram_schmidt_moduli if r <= 2 else _qr_moduli
+    return _haar_samples(lambda p: _diag_square_sums(lam, p), moduli, lam.size, r, samples, g)
 
 
 def estimate_diag_square_sum(rho, samples: int, g) -> MonteCarloEstimate:
@@ -251,7 +292,8 @@ def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> Mom
         if not 0 <= idx < n:
             raise DimensionMismatchError(f"index {name}={idx} out of range for dimension {n}")
     exact = (2.0 if k == l else 1.0) / (n * (n + 1.0))
-    xs = _haar_samples(lambda u: np.abs(u[:, i, k]) ** 2 * np.abs(u[:, i, l]) ** 2, n, n, samples, g)
+    xs = _haar_samples(lambda u: np.abs(u[:, i, k]) ** 2 * np.abs(u[:, i, l]) ** 2,
+                       _haar_chunk, n, n, samples, g)
     est = MonteCarloEstimate.from_samples(xs)
     z = est.z_score(exact)
     return MomentCheck(est, exact, z, bool(abs(z) <= Z_MAX))

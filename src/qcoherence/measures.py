@@ -43,6 +43,7 @@ from .linalg import (
     OrthonormalBasis,
     Subspace,
     _freeze,
+    _square_complex,
     entropies,
     validate_density,
 )
@@ -81,8 +82,10 @@ def _off_diagonal(rep: np.ndarray) -> np.ndarray:
 
 
 def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
-    """Express rho in the given basis; a raw array goes through validate_density."""
+    """Express rho in the given basis; a raw array goes through validate_density.
+    A NaN or infinite basis entry raises NotFiniteError."""
     rho = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
+    _square_complex(basis.vectors, "basis")
     if rho.dim != basis.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} vs basis dim {basis.dim}")
     return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))

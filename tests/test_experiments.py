@@ -463,7 +463,7 @@ GOLDEN = {
     ("prop31", "--n", "2,4", "--trials", "30"):
         "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
     ("purity", "--n", "4,8", "--samples", "300"):
-        "a4e91c40051cae63940e7ae243ad1af5b24033d812581482dad70d86c5b60272",
+        "e7528b2508f378c65a763490c71c280bb0640c6dac7f209d221869b3d193b904",
     ("srel",):
         "12ce540ec1cc9fdaf00aff72fb7bb8e0326f600af65e98db50c074e4d60f6a7a",
     # several chunks at both n

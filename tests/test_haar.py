@@ -74,7 +74,8 @@ class TestSampling:
     @pytest.mark.parametrize("entries", [9 * 7, 2_000_000], ids=["chunked", "one-chunk"])
     def test_stream_layout_across_chunks(self, monkeypatch, entries):
         # per chunk: all real parts, then all imaginary parts, then QR with
-        # the phase fix; every sampler consumes the stream this way
+        # the phase fix; every sampler consumes the stream this way, and
+        # the estimator's closed form for r <= 2 reads the same normals
         monkeypatch.setattr(haar_mod, "_CHUNK_ENTRIES", entries)
 
         def reference(seed, n, cols, count):
@@ -89,12 +90,17 @@ class TestSampling:
             return np.concatenate(out)
 
         assert (sample_haar_unitaries(3, 50, SeededGenerator(5)) == reference(5, 3, 3, 50)).all()
-        # rank 2 at n = 4: each sample draws the 4 x 2 isometry of the top levels
-        rho = DensityMatrix(np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex))
-        w = reference(6, 4, 2, 23)
-        want = ((np.abs(w) ** 2 @ np.array([0.4, 0.6])) ** 2).sum(axis=-1)
-        got = haar_mod._diag_square_sum_samples(rho, 23, SeededGenerator(6))
-        assert np.abs(got - want).max() <= 1e-15
+        # r levels above the lowest: each sample draws the n x r isometry of
+        # the top levels; for r <= 2 its moduli come from Gram-Schmidt on the
+        # same normals, equal to the QR's up to rounding
+        for r, top, ns in ((1, [0.75], (2, 3, 8, 32, 64)), (2, [0.3, 0.5], (3, 8, 32, 64))):
+            for n in ns:
+                lam0 = (1.0 - sum(top)) / (n - r)
+                rho = DensityMatrix(np.diag([lam0] * (n - r) + top).astype(complex))
+                w = reference(6, n, r, 40)
+                want = ((lam0 + np.abs(w) ** 2 @ (np.array(top) - lam0)) ** 2).sum(axis=-1)
+                got = haar_mod._diag_square_sum_samples(rho, 40, SeededGenerator(6))
+                assert np.abs(got - want).max() <= 1e-14 * want.min(), (r, n)
         u = reference(7, 3, 3, 40)
         xs = np.abs(u[:, 0, 1]) ** 2 * np.abs(u[:, 0, 2]) ** 2
         check = overlap_moment_check(3, 0, 1, 2, 40, SeededGenerator(7))
@@ -314,7 +320,7 @@ class TestIsometryEstimator:
         v = hermitian_eigendecomposition(matrix)[1].vectors
         us = sample_haar_unitaries(n, 5, 17)
         w = np.swapaxes(us, 1, 2) @ v.conj()
-        got = haar_mod._diag_square_sums(lam, w[:, :, n - r:])
+        got = haar_mod._diag_square_sums(lam, np.abs(w[:, :, n - r:]) ** 2)
         assert np.abs(got - _direct_diag_square_sums(matrix, us)).max() < 1e-12
 
     @pytest.mark.parametrize("rho", [DensityMatrix.maximally_mixed(4),
@@ -325,6 +331,28 @@ class TestIsometryEstimator:
         xs = haar_mod._diag_square_sum_samples(rho, 50, g)
         assert g.bit_generator.state == before
         assert np.abs(xs - 1.0 / rho.dim).max() < 1e-15
+
+    @pytest.mark.parametrize("samples", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("rho, r", [
+        (DensityMatrix.maximally_mixed(4), 0),
+        (_state("pure", 4), 1),
+        (_state("rank2", 4), 2),
+        (_state("full", 4), 3),
+    ], ids=["r0", "r1", "r2", "r3"])
+    def test_sample_count_edges_agree_across_paths(self, rho, r, samples):
+        # no draw, closed form and QR treat a sample count alike
+        assert haar_mod._excited_levels(rho)[1] == r
+        if samples < 0:
+            with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
+                haar_mod._diag_square_sum_samples(rho, samples, 3)
+            return
+        xs = haar_mod._diag_square_sum_samples(rho, samples, 3)
+        assert xs.shape == (samples,) and xs.dtype == np.float64
+        if samples < 2:
+            with pytest.raises(ValueError, match=f"need at least 2 samples, got {samples}"):
+                estimate_diag_square_sum(rho, samples, 3)
+        else:
+            assert estimate_diag_square_sum(rho, samples, 3).samples == 2
 
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("kind", ["pure", "rank2", "full"])

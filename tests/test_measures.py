@@ -119,6 +119,17 @@ class TestRewrite:
         with pytest.raises(error):
             check_axiom1(m, [ETA1], [OrthonormalBasis.standard(2)])
 
+    @pytest.mark.parametrize("evaluate", [
+        eta1, eta2, eta_inf, delta, lambda s: s_rel(s, 1.0), lambda s: check_axiom2(s, MEASURES),
+    ], ids=["eta1", "eta2", "eta_inf", "delta", "s_rel", "check_axiom2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_is_rejected(self, evaluate, bad):
+        # the trusting constructor let a NaN basis through: eta1, eta2,
+        # eta_inf and check_axiom2 gave NaN, while delta raised
+        basis = OrthonormalBasis(np.full((2, 2), bad))
+        with pytest.raises(NotFiniteError, match="basis has 4 NaN or infinite entries"):
+            evaluate(rewrite_in_basis(DensityMatrix.maximally_mixed(2), basis))
+
 
 class TestParts:
     def test_plus_state_in_z_basis(self):
