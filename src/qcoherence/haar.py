@@ -19,7 +19,8 @@ serve as the analytic anchor for all Monte Carlo estimates, in particular
     E sum_i rho_ii^2 = (tr(rho^2) + 1) / (n + 1)
 
 for the diagonal of a state rewritten in a Haar-random basis, and hence
-E eta2^2 = (n tr(rho^2) - 1) / (n + 1).
+E eta2^2 = (n tr(rho^2) - 1) / (n + 1).  A state argument enters through
+linalg.as_density, so a raw array is validated as a density matrix.
 
 The Monte Carlo estimates of sum_i rho_ii^2 use unitary invariance: the
 statistic depends on the basis only through the r rows of V^H U that belong
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import OrthonormalBasis, _matrix_of, purity
+from .linalg import OrthonormalBasis, as_density, purity
 
 # Chunk cap for batched sampling, in complex entries; bounds peak memory.
 _CHUNK_ENTRIES = 2_000_000
@@ -140,6 +141,11 @@ def _haar_chunk(rng: np.random.Generator, shape) -> np.ndarray:
     return _haar_from_ginibre(_ginibre(rng, shape))
 
 
+def _check_samples(count: int) -> None:
+    if count < 0:  # every sampler path reaches this check once
+        raise ValueError(f"samples must be nonnegative, got {count}")
+
+
 def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
     """f of `count` Haar draws of the first `cols` columns of an n x n
     unitary, stacked.  draw(rng, shape) turns one chunk of shape (m, n, cols)
@@ -147,6 +153,7 @@ def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
     itself, so they are freed before f sees it; chunks come in order, at most
     _CHUNK_ENTRIES complex entries each.  count = 0 maps one empty chunk, so
     the result keeps f's trailing shape."""
+    _check_samples(count)
     rng = as_generator(g)
     step = max(1, _CHUNK_ENTRIES // (n * cols))
     return np.concatenate([
@@ -189,15 +196,14 @@ def monomial_moment(a, n: int) -> float:
 
 def exact_expected_diag_square_sum(rho) -> float:
     """E sum_i rho_ii^2 over Haar-random bases: (tr(rho^2) + 1) / (n + 1)."""
-    m = _matrix_of(rho)
-    return (purity(m) + 1.0) / (m.shape[0] + 1.0)
+    rho = as_density(rho)
+    return (purity(rho) + 1.0) / (rho.dim + 1.0)
 
 
 def exact_expected_eta2_sq(rho) -> float:
     """E eta2^2 over Haar-random bases: (n tr(rho^2) - 1) / (n + 1)."""
-    m = _matrix_of(rho)
-    n = m.shape[0]
-    return (n * purity(m) - 1.0) / (n + 1.0)
+    rho = as_density(rho)
+    return (rho.dim * purity(rho) - 1.0) / (rho.dim + 1.0)
 
 
 def _excited_levels(rho) -> tuple[np.ndarray, int]:
@@ -206,7 +212,7 @@ def _excited_levels(rho) -> tuple[np.ndarray, int]:
 
     The eigenvectors are not needed: the sampled law depends on lam alone.
     """
-    lam = np.linalg.eigvalsh(_matrix_of(rho))
+    lam = np.linalg.eigvalsh(as_density(rho).matrix)
     tol = lam.size * np.finfo(np.float64).eps * np.abs(lam).max()
     return lam, int((lam - lam[0] > tol).sum())
 
@@ -253,10 +259,9 @@ def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     is drawn, as its moduli.  r = 0 (rho a multiple of the identity) needs
     no draw.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
     lam, r = _excited_levels(rho)
     if r == 0:
+        _check_samples(samples)
         return np.full(samples, lam.size * lam[0] ** 2)
     moduli = _gram_schmidt_moduli if r <= 2 else _qr_moduli
     return _haar_samples(lambda p: _diag_square_sums(lam, p), moduli, lam.size, r, samples, g)
@@ -272,6 +277,7 @@ def estimate_expected_eta2_sq(rho, samples: int, g) -> MonteCarloEstimate:
 
     Uses eta2^2 = tr(rho^2) - sum_i rho_ii^2 per sample.
     """
+    rho = as_density(rho)
     t = _diag_square_sum_samples(rho, samples, g)
     return MonteCarloEstimate.from_samples(purity(rho) - t)
 

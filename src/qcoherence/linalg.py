@@ -2,7 +2,8 @@
 
 Validated domain types (density matrices, orthonormal bases, Hermitian
 observables, subspaces) and the spectral quantities built on them: Hermitian
-eigendecomposition, entropies of spectra, purity.
+eigendecomposition, entropies of spectra, purity.  A state argument enters
+the package through as_density alone.
 
 All wrapped arrays are complex128, marked read-only after construction, and
 every operation here is a pure function, so values can be shared freely
@@ -41,14 +42,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _square_complex(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square, finite complex128 array; the shared validation entry."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
+def _check_finite(a: np.ndarray, name: str) -> None:
     finite = np.isfinite(a)
     if not finite.all():
         raise NotFiniteError(f"{name} has {int((~finite).sum())} NaN or infinite entries")
+
+
+def _square_complex(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a nonempty square, finite complex128 array; the shared validation entry."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2 or not a.shape[0] == a.shape[1] >= 1:
+        raise DimensionMismatchError(f"{name} must be square with n >= 1, got shape {a.shape}")
+    _check_finite(a, name)
     return a
 
 
@@ -76,7 +81,7 @@ def _checked_hermitian(m, name: str, symbol: str) -> np.ndarray:
 
 def _check_orthonormal(u: np.ndarray) -> None:
     defect = orthonormality_defect(u)
-    if defect > TOL_ORTHO:
+    if not defect <= TOL_ORTHO:  # a NaN defect fails too
         raise NotOrthonormalError(
             f"max |<v_i|v_j> - delta_ij| = {defect:.3e} exceeds {TOL_ORTHO:.1e}"
         )
@@ -229,18 +234,13 @@ class Subspace:
         f = np.asarray(frame, dtype=np.complex128)
         if f.ndim == 1:
             f = f.reshape(-1, 1)
-        if f.shape[1] > f.shape[0]:
+        if f.ndim != 2 or not 1 <= f.shape[1] <= f.shape[0]:
             raise DimensionMismatchError(
-                f"frame has {f.shape[1]} vectors in ambient dimension {f.shape[0]}"
+                f"frame must hold 1 <= k <= n vectors of dimension n, got shape {f.shape}"
             )
+        _check_finite(f, "frame")
         _check_orthonormal(f)
         return cls(f)
-
-
-def _matrix_of(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return _square_complex(rho, "state")
 
 
 def validate_density(m) -> DensityMatrix:
@@ -260,6 +260,11 @@ def validate_density(m) -> DensityMatrix:
     if smallest < -TOL_PSD:
         raise NotPSDError(f"smallest eigenvalue {smallest:.3e} below -{TOL_PSD:.1e}")
     return DensityMatrix(m)
+
+
+def as_density(rho) -> DensityMatrix:
+    """rho if a DensityMatrix, else validate_density(rho): how a state enters."""
+    return rho if isinstance(rho, DensityMatrix) else validate_density(rho)
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,6 +314,6 @@ def entropies(p: np.ndarray) -> np.ndarray:
 
 def purity(rho) -> float:
     """tr(rho^2), in [1/n, 1] for a valid state."""
-    m = _matrix_of(rho)
+    m = as_density(rho).matrix
     # For Hermitian rho, tr(rho^2) = sum |rho_ij|^2.
     return float(np.vdot(m, m).real)

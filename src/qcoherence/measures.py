@@ -18,18 +18,17 @@ F.  The first four satisfy both; s_rel fails (2) for every constant c, and
 positive scale: a measure is its name in MEASURES, and s_rel's entry is the
 c = 1 value, which s_rel(s, c) multiplies by c.
 
-The measures and the subspace-bound kernel compute on a StateBatch, T
-states rewritten in T bases stacked on a leading axis, with one source of
-their spectra and eigenbasis overlaps.  The scalar API (eta1(s),
-check_axiom2, ...) evaluates a batch of one.  The kernel needs no
-subspace at all: |tr(Q P_F)| <= dim(F) * ||Q||_op, with equality on a line
-through an extreme eigenvector of Q, so (2) holds for every F exactly when
-measure >= ||Q||_op: one check per state.
+The measures and the subspace-bound kernel compute on a StateBatch, states
+rewritten in bases on any leading axes; the scalar state StateInBasis is
+the batch with no leading axis, and a state argument enters through
+linalg.as_density.  The kernel needs no subspace at all: |tr(Q P_F)| <=
+dim(F) * ||Q||_op, with equality on a line through an extreme eigenvector
+of Q, so (2) holds for every F exactly when measure >= ||Q||_op: one check
+per state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,29 +43,9 @@ from .linalg import (
     Subspace,
     _freeze,
     _square_complex,
+    as_density,
     entropies,
-    validate_density,
 )
-
-@dataclass(frozen=True)
-class StateInBasis:
-    """A density matrix together with its representation rep_ij = <e_i|rho|e_j>.
-
-    The change of basis is unitary, so rep inherits hermiticity, unit trace
-    and positivity from rho.  diagonal_part(s) + off_diagonal_part(s) == rep
-    exactly (entrywise, same storage).
-    """
-
-    rho: DensityMatrix
-    basis: OrthonormalBasis
-    rep: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rep", _freeze(np.asarray(self.rep, dtype=np.complex128)))
-
-    @property
-    def dim(self) -> int:
-        return self.rep.shape[0]
 
 
 def _rewrite(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -74,50 +53,32 @@ def _rewrite(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.swapaxes(u.conj(), -1, -2) @ rho @ u
 
 
-def _off_diagonal(rep: np.ndarray) -> np.ndarray:
-    q = rep.copy()
-    i = np.arange(rep.shape[-1])
-    q[..., i, i] = 0.0
-    return q
-
-
-def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
-    """Express rho in the given basis; a raw array goes through validate_density.
-    A NaN or infinite basis entry raises NotFiniteError."""
-    rho = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
-    _square_complex(basis.vectors, "basis")
-    if rho.dim != basis.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} vs basis dim {basis.dim}")
-    return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))
-
-
 class StateBatch:
-    """T states rewritten in T bases, stacked on a leading axis.
+    """States rewritten in bases, stacked on any leading axes; with no
+    leading axis it is one state (StateInBasis).
 
-    `rep` is the (T, n, n) stack of rewrites.  `eigen`, a zero-argument
-    callable, returns the (T, n) spectra of the states and the (T, n, n)
+    `rep` is the (..., n, n) stack of rewrites.  `eigen`, a zero-argument
+    callable, returns the (..., n) spectra of the states and the (..., n, n)
     squared overlaps between their eigenbases, checked ones that the caller
     holds, and the bases: the batch runs no eigh.  The off-diagonal parts
-    and `eigen` are computed once, when first needed.  The batch trusts its
-    input.
+    (read-only) and `eigen` are computed once, when first needed.  The
+    batch trusts its input.
     """
 
     def __init__(self, rep: np.ndarray, eigen):
         self.rep, self._eigen = rep, eigen
 
-    @classmethod
-    def of(cls, s: StateInBasis) -> "StateBatch":
-        """The batch of one holding s; its eigensystem is s.rho's cached one."""
-        def eigen():
-            w, v = s.rho.eigensystem()
-            return w[None], overlap_tables(v.vectors[None], s.basis.vectors[None])
-
-        return cls(s.rep[None], eigen)
+    @property
+    def dim(self) -> int:
+        return self.rep.shape[-1]
 
     @cached_property
     def offdiag(self) -> np.ndarray:
         """rep with each diagonal zeroed: the interference parts Q."""
-        return _off_diagonal(self.rep)
+        q = self.rep.copy()
+        i = np.arange(self.dim)
+        q[..., i, i] = 0.0
+        return _freeze(q)
 
     @cached_property
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
@@ -126,17 +87,42 @@ class StateBatch:
         return self._eigen()
 
 
+class StateInBasis(StateBatch):
+    """rho in a basis, rep_ij = <e_i|rho|e_j> read-only: the batch with no
+    leading axis, its eigensystem rho's cached one.  The change of basis is
+    unitary, so rep inherits hermiticity, unit trace and positivity from
+    rho; diagonal_part(s) + off_diagonal_part(s) == rep exactly.
+    """
+
+    def __init__(self, rho: DensityMatrix, basis: OrthonormalBasis, rep: np.ndarray):
+        self.rho, self.basis, self.rep = rho, basis, _freeze(rep)
+
+    def _eigen(self):
+        w, v = self.rho.eigensystem()
+        return w, overlap_tables(v.vectors, self.basis.vectors)
+
+
+def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
+    """Express rho in the given basis; rho goes through as_density.
+    A NaN or infinite basis entry raises NotFiniteError."""
+    rho = as_density(rho)
+    _square_complex(basis.vectors, "basis")
+    if rho.dim != basis.dim:
+        raise DimensionMismatchError(f"state dim {rho.dim} vs basis dim {basis.dim}")
+    return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))
+
+
 def diagonal_part(s: StateInBasis) -> DensityMatrix:
     """The diagonal of rep as a density matrix (expressed in the same basis)."""
     return DensityMatrix(np.diag(np.diag(s.rep)))
 
 
 def off_diagonal_part(s: StateInBasis) -> np.ndarray:
-    """rep with its diagonal zeroed; Hermitian and traceless."""
-    return _off_diagonal(s.rep)
+    """rep with its diagonal zeroed; Hermitian, traceless and read-only."""
+    return s.offdiag
 
 
-# Batched evaluators: StateBatch -> one value per state.
+# Evaluators: StateBatch -> one value per state, in its leading shape.
 
 def _eta1(b: StateBatch) -> np.ndarray:
     return np.abs(b.offdiag).sum(axis=(-2, -1))
@@ -144,9 +130,9 @@ def _eta1(b: StateBatch) -> np.ndarray:
 
 def _eta2(b: StateBatch) -> np.ndarray:
     q = b.offdiag
-    q = q.reshape(len(q), 1, q.shape[-1] ** 2)
+    q = q.reshape(*q.shape[:-2], 1, q.shape[-1] ** 2)
     # One BLAS dot q^H q per state, as np.vdot computes it.
-    return np.sqrt((q.conj() @ np.swapaxes(q, -1, -2))[:, 0, 0].real)
+    return np.sqrt((q.conj() @ np.swapaxes(q, -1, -2))[..., 0, 0].real)
 
 
 def _eta_inf(b: StateBatch) -> np.ndarray:
@@ -181,7 +167,7 @@ def _check_srel_constant(c) -> None:
 
 def evaluate_measure(s: StateInBasis, measure: str) -> float:
     """MEASURES[measure] of s; s_rel at c = 1."""
-    return float(MEASURES[measure](StateBatch.of(s))[0])
+    return float(MEASURES[measure](s))
 
 
 def eta1(s: StateInBasis) -> float:
@@ -225,11 +211,12 @@ def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
             f"subspace ambient dim {f.ambient_dim} vs state dim {s.dim}"
         )
     w = s.basis.vectors.conj().T @ f.frame
-    return float(abs(((off_diagonal_part(s) @ w) * w.conj()).real.sum(axis=0).sum()))
+    return float(abs(((s.offdiag @ w) * w.conj()).real.sum(axis=0).sum()))
 
 
 def worst_deviations(b: StateBatch) -> np.ndarray:
-    """||Q||_op per state, (T,): the largest deviation per dimension of F.
+    """||Q||_op per state, of b's leading shape: the largest deviation per
+    dimension of F.
 
     tr(Q P_F) is a sum of dim(F) Rayleigh quotients of Q, each between its
     extreme eigenvalues, so |tr(Q P_F)| <= dim(F) * ||Q||_op; a line through
@@ -242,7 +229,7 @@ def worst_deviations(b: StateBatch) -> np.ndarray:
 def adversarial_subspaces(s: StateInBasis) -> Subspace:
     """The line attaining worst_deviations: the eigenvector of Q whose
     eigenvalue is largest in magnitude, mapped to ambient coordinates."""
-    w, v = np.linalg.eigh(off_diagonal_part(s))
+    w, v = np.linalg.eigh(s.offdiag)
     top = -1 if w[-1] >= -w[0] else 0
     return Subspace(s.basis.vectors @ v[:, [top]])
 
@@ -253,9 +240,8 @@ def check_axiom2(s: StateInBasis, measures) -> dict:
     The check is exact and one per measure name: deviation ||Q||_op against
     the measure (worst_deviations).  Returns {measure: BoundReport}.
     """
-    b = StateBatch.of(s)
-    worst = worst_deviations(b)[0]
-    return {m: BoundReport.check(worst, MEASURES[m](b)[0]) for m in measures}
+    worst = worst_deviations(s)
+    return {m: BoundReport.check(worst, MEASURES[m](s)) for m in measures}
 
 
 def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
@@ -278,12 +264,12 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
 def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
 
-    `measures` are names in MEASURES; a raw rho goes through validate_density.
+    `measures` are names in MEASURES; rho goes through as_density.
     The path is one StateBatch: rho's eigensystem broadcast over the stacked
     path bases.  The caller asserts the continuity claims: values tend to 0
     with d, and for eta2 the pointwise bound eta2 <= d.
     """
-    rho = rho if isinstance(rho, DensityMatrix) else validate_density(rho)
+    rho = as_density(rho)
     if any(b.dim != rho.dim for b in path):
         raise DimensionMismatchError(f"path bases must have the state dim {rho.dim}")
     bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)

@@ -11,7 +11,11 @@ import qcoherence.haar as haar_mod
 from qcoherence import (
     DensityMatrix,
     MonteCarloEstimate,
+    NotFiniteError,
+    NotHermitianError,
+    NotPSDError,
     SeededGenerator,
+    TraceNotOneError,
     estimate_diag_square_sum,
     estimate_expected_eta2_sq,
     exact_expected_diag_square_sum,
@@ -210,6 +214,21 @@ class TestExactFormulas:
             n = int(rng.integers(1, 20))
             assert exact_expected_eta2_sq(random_density_matrix(n, rng)) >= -1e-14
 
+    @pytest.mark.parametrize("m, error", [
+        (np.diag([2.0, -1.0]), NotPSDError),
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), NotHermitianError),
+        (np.diag([0.5, 0.4]), TraceNotOneError),
+        (np.full((2, 2), np.nan), NotFiniteError),
+    ], ids=["not-psd", "not-hermitian", "trace", "nan"])
+    def test_raw_non_states_are_rejected(self, m, error):
+        # only shape and finiteness were checked: E eta2^2 of diag(2, -1)
+        # was 3.0, and the estimators averaged a non-Hermitian matrix
+        for f in (exact_expected_eta2_sq, exact_expected_diag_square_sum,
+                  lambda rho: estimate_diag_square_sum(rho, 100, 0),
+                  lambda rho: estimate_expected_eta2_sq(rho, 100, 0)):
+            with pytest.raises(error):
+                f(m)
+
 
 class TestMonteCarloEstimate:
     def test_from_samples(self):
@@ -340,17 +359,24 @@ class TestIsometryEstimator:
         (_state("full", 4), 3),
     ], ids=["r0", "r1", "r2", "r3"])
     def test_sample_count_edges_agree_across_paths(self, rho, r, samples):
-        # no draw, closed form and QR treat a sample count alike
+        # no draw, closed form, QR and the unitary samplers treat a sample
+        # count alike
         assert haar_mod._excited_levels(rho)[1] == r
         if samples < 0:
-            with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
-                haar_mod._diag_square_sum_samples(rho, samples, 3)
+            for sample in (lambda: haar_mod._diag_square_sum_samples(rho, samples, 3),
+                           lambda: sample_haar_unitaries(4, samples, 3),
+                           lambda: overlap_moment_check(4, 0, 0, 1, samples, 3)):
+                with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
+                    sample()
             return
         xs = haar_mod._diag_square_sum_samples(rho, samples, 3)
         assert xs.shape == (samples,) and xs.dtype == np.float64
+        assert sample_haar_unitaries(4, samples, 3).shape == (samples, 4, 4)
         if samples < 2:
-            with pytest.raises(ValueError, match=f"need at least 2 samples, got {samples}"):
-                estimate_diag_square_sum(rho, samples, 3)
+            for estimate in (lambda: estimate_diag_square_sum(rho, samples, 3),
+                             lambda: overlap_moment_check(4, 0, 0, 1, samples, 3)):
+                with pytest.raises(ValueError, match=f"need at least 2 samples, got {samples}"):
+                    estimate()
         else:
             assert estimate_diag_square_sum(rho, samples, 3).samples == 2
 

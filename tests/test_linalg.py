@@ -8,6 +8,7 @@ from qcoherence import (
     DensityMatrix,
     DimensionMismatchError,
     HermitianObservable,
+    NotFiniteError,
     NotHermitianError,
     NotOrthonormalError,
     NotPSDError,
@@ -23,7 +24,7 @@ from qcoherence import (
     validate_density,
 )
 from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, entropies, orthonormality_defect
-from qcoherence.measures import StateBatch, off_diagonal_part, worst_deviations
+from qcoherence.measures import off_diagonal_part, worst_deviations
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -73,6 +74,12 @@ class TestValidateDensity:
     def test_non_square(self):
         with pytest.raises(DimensionMismatchError):
             validate_density(np.zeros((2, 3)))
+
+    def test_zero_dimension(self):
+        # numpy's zero-size reduction ValueError escaped both checks
+        for check in (validate_density, OrthonormalBasis.from_columns):
+            with pytest.raises(DimensionMismatchError, match=r"n >= 1, got shape \(0, 0\)"):
+                check(np.zeros((0, 0)))
 
     def test_matrix_is_read_only(self):
         rho = validate_density(np.eye(3) / 3)
@@ -190,7 +197,7 @@ def _power_iteration_norm(m, rng, starts=10_000, iters=500):
 
 def _q_norm(rho, basis) -> float:
     """||Q||_op of rho rewritten in basis, as worst_deviations computes it."""
-    return float(worst_deviations(StateBatch.of(rewrite_in_basis(rho, basis)))[0])
+    return float(worst_deviations(rewrite_in_basis(rho, basis)))
 
 
 class TestOperatorNorm:
@@ -290,6 +297,22 @@ class TestBasesAndSubspaces:
     def test_subspace_rejects_skewed_frame(self):
         with pytest.raises(NotOrthonormalError):
             Subspace.from_vectors(np.array([[1.0, 0.9], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_subspace_rejects_non_finite_frame(self, bad):
+        # a NaN frame passed the orthonormality check, and tpf_deviation gave nan
+        with pytest.raises(NotFiniteError, match="frame has 2 NaN or infinite entries"):
+            Subspace.from_vectors(np.full((2, 1), bad))
+
+    def test_nan_orthonormality_defect_fails(self):
+        with pytest.raises(NotOrthonormalError, match="nan"):
+            qcoherence.linalg._check_orthonormal(np.full((2, 1), np.nan))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 0), (1, 2)], ids=["3-axes", "no-vector", "too-many"])
+    def test_subspace_rejects_frame_shape(self, shape):
+        # a 3-axis frame raised numpy's matmul ValueError
+        with pytest.raises(DimensionMismatchError, match="1 <= k <= n vectors"):
+            Subspace.from_vectors(np.zeros(shape))
 
     def test_single_vector_frame(self):
         f = Subspace.from_vectors(np.array([1.0, 1.0]) / np.sqrt(2))

@@ -154,6 +154,16 @@ class TestParts:
             assert abs(np.trace(d.matrix) - 1.0) < 1e-12
             assert np.abs(np.diag(q)).max() == 0.0
 
+    def test_parts_are_read_only(self):
+        # off_diagonal_part hands out the cached Q that the measures,
+        # tpf_deviation and adversarial_subspaces read
+        s = _eps_state()
+        before = eta1(s)
+        for part in (s.rep, off_diagonal_part(s)):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 1] = 1.0
+        assert eta1(s) == before == EPS
+
 
 class TestMeasureValues:
     def test_zero_in_eigenbasis(self):
@@ -458,6 +468,23 @@ def test_batched_kernel_equals_scalar_harness(n, kinds, seed):
             assert abs(report.slack - (values[t] - worst[t])) <= 1e-12
 
 
+def test_kernels_take_any_leading_shape():
+    # a StateInBasis is the batch with no leading axis, and a (2, 2) grid
+    # of states gives the values of the flat stack
+    rng = np.random.default_rng(5)
+    states = [_state_of_kind(k, 4, rng) for k in ("wishart", "pure", "degenerate", "mixed")]
+    bases = [random_basis(4, rng) for _ in states]
+    flat = _checked_batch(states, bases)
+    grid = StateBatch(flat.rep.reshape(2, 2, 4, 4),
+                      lambda: tuple(a.reshape(2, 2, *a.shape[1:]) for a in flat.eigen))
+    for kernel in (*MEASURES.values(), worst_deviations):
+        want = kernel(flat)
+        assert np.abs(kernel(grid) - want.reshape(2, 2)).max() <= 1e-14
+        for t, (rho, b) in enumerate(zip(states, bases)):
+            got = kernel(rewrite_in_basis(rho, b))
+            assert got.shape == () and abs(got - want[t]) <= 1e-12
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 8),
@@ -471,7 +498,7 @@ def test_spectral_adversarial_deviations_equal_frame_contractions(n, kind, seed)
     # the adversarial line attains the worst deviation through the frame
     rng = np.random.default_rng(seed)
     s = rewrite_in_basis(_state_of_kind(kind, n, rng), random_basis(n, rng))
-    worst = worst_deviations(StateBatch.of(s))[0]
+    worst = worst_deviations(s)
     line = adversarial_subspaces(s)
     assert (line.ambient_dim, line.dim) == (n, 1)
     assert abs(tpf_deviation(s, line) - worst) <= 1e-12
@@ -491,7 +518,7 @@ def test_no_subspace_deviates_beyond_the_ky_fan_sum(n, kind, seed):
     # random subspaces of dimension k, and D_1 small rotations of the line
     rng = np.random.default_rng(seed)
     s = rewrite_in_basis(_state_of_kind(kind, n, rng), random_basis(n, rng))
-    worst = worst_deviations(StateBatch.of(s))[0]
+    worst = worst_deviations(s)
     ky_fan = _ky_fan_sums(s)
     dims = np.arange(1, n + 1)
     assert ky_fan[0] == worst
@@ -519,20 +546,21 @@ def _entropy_reference(m):
 @given(
     n=st.integers(1, 8),
     kinds=st.lists(st.sampled_from(["wishart", "pure", "degenerate", "mixed"]), min_size=1, max_size=5),
-    c=st.floats(0.01, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=1, kinds=["mixed"], c=1.0, seed=0)
-@example(n=5, kinds=["pure", "mixed", "degenerate"], c=0.5, seed=3)
-def test_batched_srel_equals_per_state_formula(n, kinds, c, seed):
+@example(n=1, kinds=["mixed"], seed=0)
+@example(n=5, kinds=["pure", "mixed", "degenerate"], seed=3)
+@example(n=6, kinds=["wishart", "pure"], seed=572538652)  # erred 1.1e-13 scaled by c = 7
+def test_batched_srel_equals_per_state_formula(n, kinds, seed):
+    # the c = 1 value; test_srel_constant_is_a_scale checks the scaling by c
     rng = np.random.default_rng(seed)
     states = [_state_of_kind(kind, n, rng) for kind in kinds]
     bases = [random_basis(n, rng) for _ in kinds]
     batch = _checked_batch(states, bases)
-    got = c * MEASURES["s_rel"](batch)
+    got = MEASURES["s_rel"](batch)
     for t, rho in enumerate(states):
         dephased = np.diag(np.diag(batch.rep[t]))
-        want = max(c * (_entropy_reference(dephased) - _entropy_reference(rho.matrix)), 0.0)
+        want = max(_entropy_reference(dephased) - _entropy_reference(rho.matrix), 0.0)
         assert abs(got[t] - want) <= 1e-13
 
 
