@@ -86,22 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
+    p.set_defaults(run=_cmd_measure)
 
     p = sub.add_parser("distance", help="distance between two bases")
     p.add_argument("basis_a")
     p.add_argument("basis_b")
     p.add_argument("--mub-tol", type=float, default=1e-9)
+    p.set_defaults(run=_cmd_distance)
 
     p = sub.add_parser("experiment", help="run an experiment suite, write CSV")
     p.add_argument("suite", choices=list(_SUITES))
     p.add_argument("--n", type=_dim_list, default=None, help="comma list of dimensions")
     p.add_argument("--trials", type=_count, default=None)
-    p.add_argument("--samples", type=_count, default=None)
+    p.add_argument("--samples", type=_int_at_least(2), default=None)
     p.add_argument("--seed", type=_count, default=DEFAULT_SEED)
     p.add_argument("--c", type=_float_list, default=None, help="comma list of s_rel constants")
     p.add_argument("--rank", type=_positive, default=None,
                    help="rank of the mixed purity family (default 2)")
     p.add_argument("--out", default=".", help="output directory for CSV reports")
+    p.set_defaults(run=_cmd_experiment)
     return parser
 
 
@@ -160,34 +163,24 @@ def _cmd_experiment(args) -> int:
     return 0 if report.verdict else 1
 
 
+# (type, machine code, exit code) of escaped errors; a subclass precedes its base.
+_ERRORS = (
+    (MatrixParseError, "E_PARSE", 2),
+    (CounterexampleNotFoundError, "E_NOT_FOUND", 1),
+    (CoherenceError, "E_VALIDATION", 3),
+    (ValueError, "E_USAGE", 2),
+    (OSError, "E_IO", 4),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "measure":
-            return _cmd_measure(args)
-        if args.command == "distance":
-            return _cmd_distance(args)
-        return _cmd_experiment(args)
-    except MatrixParseError as exc:
-        print("E_PARSE", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 2
-    except CounterexampleNotFoundError as exc:
-        print("E_NOT_FOUND", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 1
-    except CoherenceError as exc:
-        print("E_VALIDATION", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print("E_USAGE", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print("E_IO", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 4
+        return args.run(args)
+    except tuple(kind for kind, *_ in _ERRORS) as exc:
+        code, status = next((c, s) for kind, c, s in _ERRORS if isinstance(exc, kind))
+        print(code, exc, sep="\n", file=sys.stderr)
+        return status
 
 
 def entry_point():

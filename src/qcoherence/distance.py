@@ -25,12 +25,11 @@ import numpy as np
 from .errors import (
     DegenerateSpectrumError,
     DimensionMismatchError,
-    NotFiniteError,
     NotOrthonormalError,
     PointsNotDistinctError,
     WeightsNotNormalizedError,
 )
-from .linalg import TOL_ORTHO, HermitianObservable, OrthonormalBasis
+from .linalg import TOL_ORTHO, OrthonormalBasis, _check_finite, as_observable
 
 # Degenerate-spectrum detection threshold, relative to the spectral spread:
 # separates true degeneracy from eigen-solver jitter at double precision.
@@ -185,8 +184,7 @@ def commutator_terms(m: np.ndarray, w: np.ndarray, v: np.ndarray):
 
 def _pair_terms(a, b):
     """commutator_terms of the batch of one (A, B), and the two spectra."""
-    a, b = (x if isinstance(x, HermitianObservable) else HermitianObservable.from_matrix(x)
-            for x in (a, b))
+    a, b = as_observable(a), as_observable(b)
     _check_same_dim(a, b)
     m, w = np.stack([a.matrix, b.matrix]), np.stack([a.spectrum, b.spectrum])
     v = np.stack([a.eigenbasis.vectors, b.eigenbasis.vectors])
@@ -240,9 +238,7 @@ def jensen_gap_bound(weights, points, epsilon: float) -> BoundReport:
             f"weights and points must be equal-length vectors, got {w.shape} and {x.shape}"
         )
     for name, v in (("weights", w), ("points", x), ("epsilon", np.float64(epsilon))):
-        bad = int(np.size(v) - np.isfinite(v).sum())
-        if bad:
-            raise NotFiniteError(f"{name} has {bad} NaN or infinite entries")
+        _check_finite(v, name)
     if w.min() < 0.0:
         raise WeightsNotNormalizedError(f"weight {w.min():.3e} is negative")
     norm_defect = abs(w.sum() - 1.0)

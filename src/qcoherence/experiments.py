@@ -193,7 +193,7 @@ def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
         lam[0] = 1.0 / n
     w = _haar_from_ginibre(_ginibre(rng, (step, n, n))[local])
     rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
-    return lam, w, StateBatch(rep, lambda: (lam, np.abs(w) ** 2))
+    return lam, w, StateBatch(rep, (lam, np.abs(w) ** 2))
 
 
 def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int) -> dict:

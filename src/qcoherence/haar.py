@@ -184,6 +184,8 @@ def monomial_moment(a, n: int) -> float:
 
     Evaluated in log space so factorials stay finite for n in the hundreds.
     """
+    if n < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 1 or a.size != n:
         raise DimensionMismatchError(f"need {n} exponents, got shape {a.shape}")

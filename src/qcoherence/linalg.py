@@ -214,9 +214,7 @@ class Subspace:
 
     def __post_init__(self):
         f = np.asarray(self.frame, dtype=np.complex128)
-        if f.ndim == 1:
-            f = f.reshape(-1, 1)
-        object.__setattr__(self, "frame", _freeze(f))
+        object.__setattr__(self, "frame", _freeze(f.reshape(-1, 1) if f.ndim == 1 else f))
 
     @property
     def ambient_dim(self) -> int:
@@ -231,16 +229,14 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, frame) -> "Subspace":
-        f = np.asarray(frame, dtype=np.complex128)
-        if f.ndim == 1:
-            f = f.reshape(-1, 1)
+        f = (sub := cls(frame)).frame
         if f.ndim != 2 or not 1 <= f.shape[1] <= f.shape[0]:
             raise DimensionMismatchError(
                 f"frame must hold 1 <= k <= n vectors of dimension n, got shape {f.shape}"
             )
         _check_finite(f, "frame")
         _check_orthonormal(f)
-        return cls(f)
+        return sub
 
 
 def validate_density(m) -> DensityMatrix:
@@ -267,6 +263,11 @@ def as_density(rho) -> DensityMatrix:
     return rho if isinstance(rho, DensityMatrix) else validate_density(rho)
 
 
+def as_observable(a) -> HermitianObservable:
+    """a if a HermitianObservable, else HermitianObservable.from_matrix(a)."""
+    return a if isinstance(a, HermitianObservable) else HermitianObservable.from_matrix(a)
+
+
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(m)
@@ -281,7 +282,7 @@ def hermitian_eigendecomposition(a):
     solver produces is returned, and downstream statements hold for any choice.
     A matrix goes through HermitianObservable.from_matrix and its checks.
     """
-    obs = a if isinstance(a, HermitianObservable) else HermitianObservable.from_matrix(a)
+    obs = as_observable(a)
     return obs.spectrum, obs.eigenbasis
 
 

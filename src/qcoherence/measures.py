@@ -57,16 +57,16 @@ class StateBatch:
     """States rewritten in bases, stacked on any leading axes; with no
     leading axis it is one state (StateInBasis).
 
-    `rep` is the (..., n, n) stack of rewrites.  `eigen`, a zero-argument
-    callable, returns the (..., n) spectra of the states and the (..., n, n)
-    squared overlaps between their eigenbases, checked ones that the caller
-    holds, and the bases: the batch runs no eigh.  The off-diagonal parts
-    (read-only) and `eigen` are computed once, when first needed.  The
-    batch trusts its input.
+    `rep` is the (..., n, n) stack of rewrites.  `eigen` is the pair
+    (spectra, overlaps): the (..., n) ascending spectra of the states, and
+    the (..., n, n) tables |<v_i|b_j>|^2 for their eigenvectors v_i and
+    basis vectors b_j, checked ones that the caller holds: the batch runs
+    no eigh.  The off-diagonal parts (read-only) are computed once, when
+    first needed.  The batch trusts its input.
     """
 
-    def __init__(self, rep: np.ndarray, eigen):
-        self.rep, self._eigen = rep, eigen
+    def __init__(self, rep: np.ndarray, eigen: tuple[np.ndarray, np.ndarray]):
+        self.rep, self.eigen = rep, eigen
 
     @property
     def dim(self) -> int:
@@ -80,24 +80,20 @@ class StateBatch:
         q[..., i, i] = 0.0
         return _freeze(q)
 
-    @cached_property
-    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """(spectra, overlaps): the ascending spectra of the states, and
-        |<v_i|b_j>|^2 for their eigenvectors v_i and basis vectors b_j."""
-        return self._eigen()
-
 
 class StateInBasis(StateBatch):
     """rho in a basis, rep_ij = <e_i|rho|e_j> read-only: the batch with no
-    leading axis, its eigensystem rho's cached one.  The change of basis is
-    unitary, so rep inherits hermiticity, unit trace and positivity from
-    rho; diagonal_part(s) + off_diagonal_part(s) == rep exactly.
+    leading axis, and the one state whose `eigen` is deferred, to its first
+    read, from rho's cached eigensystem.  The change of basis is unitary, so
+    rep inherits hermiticity, unit trace and positivity from rho;
+    diagonal_part(s) + off_diagonal_part(s) == rep exactly.
     """
 
     def __init__(self, rho: DensityMatrix, basis: OrthonormalBasis, rep: np.ndarray):
         self.rho, self.basis, self.rep = rho, basis, _freeze(rep)
 
-    def _eigen(self):
+    @cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
         w, v = self.rho.eigensystem()
         return w, overlap_tables(v.vectors, self.basis.vectors)
 
@@ -274,9 +270,8 @@ def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
         raise DimensionMismatchError(f"path bases must have the state dim {rho.dim}")
     bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)
     w, v = rho.eigensystem()
-    eigen = (np.broadcast_to(w, bases.shape[:-1]),
-             overlap_tables(np.broadcast_to(v.vectors, bases.shape), bases))
-    b = StateBatch(_rewrite(rho.matrix, bases), lambda: eigen)
+    eigen = np.broadcast_to(w, bases.shape[:-1]), overlap_tables(v.vectors, bases)
+    b = StateBatch(_rewrite(rho.matrix, bases), eigen)
     ds = _delta(b)  # delta's values, computed once
     return ds, {m: ds if m == DELTA else MEASURES[m](b) for m in measures}
 

@@ -294,11 +294,15 @@ class TestExperimentCommand:
         ["purity", "--rank", "0"],
         ["srel", "--seed", "-5"],
         ["theorem42", "--seed", "-1"],
+        ["purity", "--samples", "1"],
+        ["purity", "--samples", "0"],
     ], ids=["negative-trials", "negative-prop31-trials", "negative-samples",
-            "zero-n", "negative-n", "zero-rank", "negative-srel-seed", "negative-theorem42-seed"])
+            "zero-n", "negative-n", "zero-rank", "negative-srel-seed", "negative-theorem42-seed",
+            "one-sample", "zero-samples"])
     def test_bad_parameter_exit_2(self, tmp_path, capsys, args):
+        # rejected at parse time: --out is not created
         with pytest.raises(SystemExit) as exc:
-            main(["experiment", *args, "--out", str(tmp_path)])
+            main(["experiment", *args, "--out", str(tmp_path / "reports")])
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "E_USAGE"

@@ -469,13 +469,23 @@ GOLDEN = {
     # several chunks at both n
     ("theorem42", "--n", "16,32", "--trials", "100"):
         "0662845574e1afa5dd33666b4d7f6998d6156a3609b85667c83f1c0f2d148fef",
+    # the default runs
+    ("theorem42",):
+        "fcb698af5ed4f152edb9ea6fcf02eae30a2fa084e714fb28ac217f377064431b",
+    ("prop31",):
+        "f5d27f292b2cd79c45ddcb33419fc226c4383b61765bd25011e0866ae15e8309",
+    ("purity",):
+        "8369031db69132c75bc745c83fb58c7d738455425b1f9d3bc94c2ac7ec13b632",
 }
 
 
 def _golden_id(args):
-    """The suite name; a suite's later goldens add their --n list."""
+    """The suite name; a suite's later goldens add their --n list, or
+    "default" when they have none."""
     first = next(a for a in GOLDEN if a[0] == args[0])
-    return args[0] if args == first else f"{args[0]}-n{args[args.index('--n') + 1]}"
+    if args == first:
+        return args[0]
+    return f"{args[0]}-n{args[args.index('--n') + 1]}" if "--n" in args else f"{args[0]}-default"
 
 
 @pytest.mark.parametrize("args", list(GOLDEN), ids=_golden_id)

@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp
 import qcoherence.haar as haar_mod
 from qcoherence import (
     DensityMatrix,
+    DimensionMismatchError,
     MonteCarloEstimate,
     NotFiniteError,
     NotHermitianError,
@@ -173,6 +174,9 @@ class TestMonomialMoment:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             monomial_moment([-1, 1], 2)
+        # n = 0 raised lgamma's untyped "math domain error"
+        with pytest.raises(DimensionMismatchError, match="dimension must be >= 1, got 0"):
+            monomial_moment([], 0)
 
     @pytest.mark.parametrize("a", [(4, 0, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)])
     def test_against_monte_carlo(self, a):
@@ -298,8 +302,6 @@ class TestOverlapMomentCheck:
         assert a.agrees and b.agrees
 
     def test_index_out_of_range(self):
-        from qcoherence import DimensionMismatchError
-
         with pytest.raises(DimensionMismatchError):
             overlap_moment_check(3, 3, 0, 0, 10, 1)
 

@@ -435,12 +435,8 @@ def _checked_batch(states, bases) -> StateBatch:
     """The StateBatch of states[t] in bases[t], eigensystems from checked_eigh."""
     rho, basis = np.stack([r.matrix for r in states]), np.stack([b.vectors for b in bases])
     rep = np.stack([rewrite_in_basis(r, b).rep for r, b in zip(states, bases)])
-
-    def eigen():
-        w, v = checked_eigh(rho)
-        return w, overlap_tables(v, basis)
-
-    return StateBatch(rep, eigen)
+    w, v = checked_eigh(rho)
+    return StateBatch(rep, (w, overlap_tables(v, basis)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,7 +472,7 @@ def test_kernels_take_any_leading_shape():
     bases = [random_basis(4, rng) for _ in states]
     flat = _checked_batch(states, bases)
     grid = StateBatch(flat.rep.reshape(2, 2, 4, 4),
-                      lambda: tuple(a.reshape(2, 2, *a.shape[1:]) for a in flat.eigen))
+                      tuple(a.reshape(2, 2, *a.shape[1:]) for a in flat.eigen))
     for kernel in (*MEASURES.values(), worst_deviations):
         want = kernel(flat)
         assert np.abs(kernel(grid) - want.reshape(2, 2)).max() <= 1e-14
