@@ -153,10 +153,17 @@ def _cmd_experiment(args) -> int:
             raise ValueError(f"--{flag} names no value")
         if value is not None:
             kwargs[kwarg] = value
-    # Fail on an unusable --out before the run, not after it.
+    # Fail on an unusable --out before the run, not after it; if the run
+    # fails, remove the directories made here again, innermost first.
     out_dir = Path(args.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = getattr(experiments, runner)(**kwargs)
+    try:
+        report = getattr(experiments, runner)(**kwargs)
+    except BaseException:
+        for d in made:
+            d.rmdir()
+        raise
     path = out_dir / f"{args.suite}.csv"
     experiments.write_report(report, path)
     print(f"{path}: {'pass' if report.verdict else 'fail'} ({len(report.rows)} rows)")

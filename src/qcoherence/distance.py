@@ -104,11 +104,6 @@ def overlap_matrix(b1: OrthonormalBasis, b2: OrthonormalBasis) -> np.ndarray:
     return o
 
 
-def is_relabelling(o: np.ndarray) -> bool:
-    """True when the overlap table o is a permutation matrix within n * TOL_ORTHO."""
-    return bool((o.max(axis=1) >= 1.0 - o.shape[0] * TOL_ORTHO).all())
-
-
 def overlap_tables(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Squared-overlap tables |u1^H u2|^2 of stacked bases (..., n, n)."""
     return np.abs(np.swapaxes(u1.conj(), -1, -2) @ u2) ** 2

@@ -37,7 +37,7 @@ RECON_SCALE = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    a = np.asarray(a, order="C")
     a.setflags(write=False)
     return a
 
@@ -148,9 +148,6 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.vectors[:, j]
-
     @classmethod
     def from_columns(cls, u) -> "OrthonormalBasis":
         u = _square_complex(u, "basis")
@@ -160,13 +157,6 @@ class OrthonormalBasis:
     @classmethod
     def standard(cls, n: int) -> "OrthonormalBasis":
         return cls(np.eye(n, dtype=np.complex128))
-
-    def permuted(self, permutation, phases=None) -> "OrthonormalBasis":
-        """Same basis with relabelled columns, optionally rephased by unit scalars."""
-        u = self.vectors[:, list(permutation)]
-        if phases is not None:
-            u = u * np.asarray(phases, dtype=np.complex128)[None, :]
-        return OrthonormalBasis(u)
 
 
 def fourier_basis(n: int) -> OrthonormalBasis:
@@ -223,9 +213,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.frame.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
 
     @classmethod
     def from_vectors(cls, frame) -> "Subspace":

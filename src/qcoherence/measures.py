@@ -86,7 +86,7 @@ class StateInBasis(StateBatch):
     leading axis, and the one state whose `eigen` is deferred, to its first
     read, from rho's cached eigensystem.  The change of basis is unitary, so
     rep inherits hermiticity, unit trace and positivity from rho;
-    diagonal_part(s) + off_diagonal_part(s) == rep exactly.
+    diagonal_part(s) + s.offdiag == rep exactly.
     """
 
     def __init__(self, rho: DensityMatrix, basis: OrthonormalBasis, rep: np.ndarray):
@@ -111,11 +111,6 @@ def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
 def diagonal_part(s: StateInBasis) -> DensityMatrix:
     """The diagonal of rep as a density matrix (expressed in the same basis)."""
     return DensityMatrix(np.diag(np.diag(s.rep)))
-
-
-def off_diagonal_part(s: StateInBasis) -> np.ndarray:
-    """rep with its diagonal zeroed; Hermitian, traceless and read-only."""
-    return s.offdiag
 
 
 # Evaluators: StateBatch -> one value per state, in its leading shape.

@@ -335,13 +335,15 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("args", [
         ["srel", "--c", "nan"],
         ["srel", "--c", "1,inf"],
+        ["srel", "--c", "1,nan"],
         ["prop31", "--n", "1", "--trials", "3"],
-    ], ids=["srel-nan-c", "srel-inf-c", "prop31-dimension-one"])
+    ], ids=["srel-nan-c", "srel-inf-c", "srel-later-nan-c", "prop31-dimension-one"])
     def test_runner_usage_error_exit_2(self, tmp_path, capsys, args):
-        rc = main(["experiment", *args, "--out", str(tmp_path)])
+        # the suite rejects its arguments after --out is made: it is removed again
+        rc = main(["experiment", *args, "--out", str(tmp_path / "a" / "reports")])
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[0] == "E_USAGE"
-        assert not list(tmp_path.iterdir())
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("args", [
         ["srel", "--c", ""],
@@ -380,23 +382,24 @@ class TestExperimentCommand:
 
     def test_theorem42_dimension_one_exit_2(self, tmp_path, capsys):
         rc = main(["experiment", "theorem42", "--n", "1", "--trials", "1",
-                   "--out", str(tmp_path)])
+                   "--out", str(tmp_path / "a" / "reports")])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "E_USAGE"
         assert "n >= 2" in err[1]
-        assert not list(tmp_path.iterdir())
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("n", ["8,4", "4,4"], ids=["decreasing", "repeated"])
     def test_purity_n_not_increasing_exit_2(self, tmp_path, capsys, n):
         # each n was compared with the previous one in the list, so these
         # wrote rows with nonincreasing = 0 and exited 1
-        rc = main(["experiment", "purity", "--n", n, "--samples", "50", "--out", str(tmp_path)])
+        out = tmp_path / "a" / "reports"
+        rc = main(["experiment", "purity", "--n", n, "--samples", "50", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "E_USAGE"
         assert "strictly increasing" in err[1]
-        assert not list(tmp_path.iterdir())
+        assert not (tmp_path / "a").exists()
 
     def test_zero_trials_reach_the_runner(self, tmp_path):
         # 0 is a legal count: only the maximally mixed trial runs, and passes

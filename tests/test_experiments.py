@@ -469,6 +469,9 @@ GOLDEN = {
     # several chunks at both n
     ("theorem42", "--n", "16,32", "--trials", "100"):
         "0662845574e1afa5dd33666b4d7f6998d6156a3609b85667c83f1c0f2d148fef",
+    # r = 3 levels above the lowest: the QR moduli path
+    ("purity", "--n", "4,8", "--samples", "300", "--rank", "3"):
+        "6adc7c0f258e9906db9b18c33eae8a814e700c3e91494f19a3d5062117bfde19",
     # the default runs
     ("theorem42",):
         "fcb698af5ed4f152edb9ea6fcf02eae30a2fa084e714fb28ac217f377064431b",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +26,7 @@ from qcoherence import (
     validate_density,
 )
 from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, entropies, orthonormality_defect
-from qcoherence.measures import off_diagonal_part, worst_deviations
+from qcoherence.measures import worst_deviations
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -98,7 +100,7 @@ class TestEigendecomposition:
         w, basis = hermitian_eigendecomposition(PAULI_X)
         assert_allclose(w, [-1.0, 1.0])
         for j in range(2):
-            assert_allclose(PAULI_X @ basis.column(j), w[j] * basis.column(j), atol=1e-12)
+            assert_allclose(PAULI_X @ basis.vectors[:, j], w[j] * basis.vectors[:, j], atol=1e-12)
         assert_allclose(np.abs(basis.vectors), np.full((2, 2), 1 / np.sqrt(2)), atol=1e-12)
 
     def test_reconstruction_on_random_matrices(self):
@@ -219,7 +221,7 @@ class TestOperatorNorm:
     def test_random_vector_oracle(self, n):
         rng = np.random.default_rng(n)
         rho, basis = validate_density(_random_state(n, rng)), random_basis(n, rng)
-        q = off_diagonal_part(rewrite_in_basis(rho, basis))
+        q = rewrite_in_basis(rho, basis).offdiag
         sampled_max, oracle = _power_iteration_norm(q, rng)
         norm = _q_norm(rho, basis)
         assert norm >= sampled_max - 1e-12
@@ -232,7 +234,9 @@ class TestOperatorNorm:
         rho, basis = validate_density(_random_state(6, rng)), random_basis(6, rng)
         base = _q_norm(rho, basis)
         for _ in range(10):
-            relabelled = basis.permuted(rng.permutation(6), np.exp(2j * np.pi * rng.random(6)))
+            relabelled = OrthonormalBasis(
+                basis.vectors[:, rng.permutation(6)] * np.exp(2j * np.pi * rng.random(6))
+            )
             assert abs(_q_norm(rho, relabelled) - base) < 1e-10
 
 
@@ -276,7 +280,7 @@ class TestBasesAndSubspaces:
     def test_standard_basis(self):
         b = OrthonormalBasis.standard(4)
         assert b.dim == 4
-        assert_allclose(b.column(2), np.eye(4)[:, 2])
+        assert_allclose(b.vectors[:, 2], np.eye(4)[:, 2])
 
     def test_from_columns_rejects_non_orthonormal(self):
         with pytest.raises(NotOrthonormalError):
@@ -291,7 +295,7 @@ class TestBasesAndSubspaces:
         u = sample_haar_unitary(6, rng)
         f = Subspace.from_vectors(u[:, :3])
         assert f.dim == 3 and f.ambient_dim == 6
-        p = f.projector()
+        p = f.frame @ f.frame.conj().T
         assert np.abs(p @ p - p).max() < 1e-12
 
     def test_subspace_rejects_skewed_frame(self):
@@ -308,10 +312,13 @@ class TestBasesAndSubspaces:
         with pytest.raises(NotOrthonormalError, match="nan"):
             qcoherence.linalg._check_orthonormal(np.full((2, 1), np.nan))
 
-    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 0), (1, 2)], ids=["3-axes", "no-vector", "too-many"])
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 0), (1, 2), ()],
+                             ids=["3-axes", "no-vector", "too-many", "scalar"])
     def test_subspace_rejects_frame_shape(self, shape):
-        # a 3-axis frame raised numpy's matmul ValueError
-        with pytest.raises(DimensionMismatchError, match="1 <= k <= n vectors"):
+        # a 3-axis frame raised numpy's matmul ValueError, and a scalar was
+        # reported as shape (1,)
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"1 <= k <= n vectors of dimension n, got shape {shape}")):
             Subspace.from_vectors(np.zeros(shape))
 
     def test_single_vector_frame(self):

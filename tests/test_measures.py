@@ -30,7 +30,6 @@ from qcoherence import (
     eta_inf,
     evaluate_measure,
     fourier_basis,
-    off_diagonal_part,
     purity,
     random_basis,
     rewrite_in_basis,
@@ -136,11 +135,11 @@ class TestParts:
         rho = DensityMatrix.pure(np.array([1.0, 1.0]) / np.sqrt(2))
         s = rewrite_in_basis(rho, STANDARD2)
         assert_allclose(diagonal_part(s).matrix, np.eye(2) / 2, atol=1e-14)
-        assert_allclose(off_diagonal_part(s), np.array([[0, 0.5], [0.5, 0]]), atol=1e-14)
+        assert_allclose(s.offdiag, np.array([[0, 0.5], [0.5, 0]]), atol=1e-14)
 
     def test_maximally_mixed_has_no_offdiagonal(self):
         s = rewrite_in_basis(DensityMatrix.maximally_mixed(4), random_basis(4, 8))
-        assert np.abs(off_diagonal_part(s)).max() < 1e-14
+        assert np.abs(s.offdiag).max() < 1e-14
 
     def test_parts_recompose_exactly(self):
         for seed in range(30):
@@ -149,17 +148,17 @@ class TestParts:
                 random_density_matrix(n, np.random.default_rng(seed)), random_basis(n, seed)
             )
             d = diagonal_part(s)
-            q = off_diagonal_part(s)
+            q = s.offdiag
             assert (d.matrix + q == s.rep).all()
             assert abs(np.trace(d.matrix) - 1.0) < 1e-12
             assert np.abs(np.diag(q)).max() == 0.0
 
     def test_parts_are_read_only(self):
-        # off_diagonal_part hands out the cached Q that the measures,
-        # tpf_deviation and adversarial_subspaces read
+        # s.offdiag is the cached Q that the measures, tpf_deviation and
+        # adversarial_subspaces read
         s = _eps_state()
         before = eta1(s)
-        for part in (s.rep, off_diagonal_part(s)):
+        for part in (s.rep, s.offdiag):
             with pytest.raises(ValueError, match="read-only"):
                 part[0, 1] = 1.0
         assert eta1(s) == before == EPS
@@ -236,7 +235,7 @@ class TestOrderingProperties:
             n = 2 + seed % 9
             rho = random_density_matrix(n, np.random.default_rng(seed))
             s = rewrite_in_basis(rho, random_basis(n, seed))
-            qnorm = np.linalg.norm(off_diagonal_part(s), 2)
+            qnorm = np.linalg.norm(s.offdiag, 2)
             e1, e2, einf, d = eta1(s), eta2(s), eta_inf(s), delta(s)
             assert qnorm <= e2 + 1e-12
             assert qnorm <= einf + 1e-12
@@ -244,11 +243,13 @@ class TestOrderingProperties:
             assert e1 <= n * e2 + 1e-12
             assert einf <= n * e2 + 1e-12
 
-    def test_invariance_under_basis_relabelling(self):
+    def test_invariance_under_relabelling_of_the_basis(self):
         rng = np.random.default_rng(23)
         rho = random_density_matrix(5, rng)
         b = random_basis(5, rng)
-        shuffled = b.permuted(rng.permutation(5), np.exp(2j * np.pi * rng.random(5)))
+        shuffled = OrthonormalBasis(
+            b.vectors[:, rng.permutation(5)] * np.exp(2j * np.pi * rng.random(5))
+        )
         s1, s2 = rewrite_in_basis(rho, b), rewrite_in_basis(rho, shuffled)
         for m in (ETA1, ETA2, ETA_INF, DELTA, "s_rel"):
             assert abs(evaluate_measure(s1, m) - evaluate_measure(s2, m)) < 1e-10
@@ -280,7 +281,7 @@ class TestTpfDeviation:
             s = rewrite_in_basis(rho, b)
             k = int(rng.integers(1, n + 1))
             f = Subspace.from_vectors(random_basis(n, rng).vectors[:, :k])
-            p = f.projector()
+            p = f.frame @ f.frame.conj().T
             u = b.vectors
             d_op = u @ diagonal_part(s).matrix @ u.conj().T
             direct = abs(np.trace(rho.matrix @ p) - np.trace(d_op @ p))
@@ -366,7 +367,7 @@ class TestAxiomHarness:
                 assert reports[m].rhs == evaluate_measure(s, m)
                 # The deviation is an eigenvalue, not a frame contraction.
                 assert abs(reports[m].lhs - tpf_deviation(s, line)) <= 1e-12
-                assert abs(reports[m].lhs - np.linalg.norm(off_diagonal_part(s), 2)) <= 1e-12
+                assert abs(reports[m].lhs - np.linalg.norm(s.offdiag, 2)) <= 1e-12
             path = approach_path(rho.eigensystem()[1], ts, rng)
             ds, values = check_axiom1(rho, measures, path)
             eigenbasis = rho.eigensystem()[1]
@@ -427,7 +428,7 @@ def _ky_fan_sums(s):
     """D_k for k = 1..n: the largest |tr(Q P_F)| over dim(F) = k, the larger
     in magnitude of the sums of the k largest and the k smallest eigenvalues
     of Q (Ky Fan, PNAS 35, 1949)."""
-    w = np.linalg.eigvalsh(off_diagonal_part(s))
+    w = np.linalg.eigvalsh(s.offdiag)
     return np.maximum(np.cumsum(w[::-1]), -np.cumsum(w))
 
 
