@@ -1,7 +1,7 @@
 """Command-line front end.
 
     qcoherence measure STATE [--basis FILE] [--measures LIST] [--c C] [--json|--csv]
-    qcoherence distance BASIS_A BASIS_B [--mub-tol TOL]
+    qcoherence distance BASIS_A BASIS_B
     qcoherence experiment {theorem42,prop31,purity,srel} [--n LIST] [--trials T]
                           [--samples S] [--rank R] [--seed SEED] [--c LIST] [--out DIR]
 
@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="distance between two bases")
     p.add_argument("basis_a")
     p.add_argument("basis_b")
-    p.add_argument("--mub-tol", type=float, default=1e-9)
     p.set_defaults(run=_cmd_distance)
 
     p = sub.add_parser("experiment", help="run an experiment suite, write CSV")
@@ -135,7 +134,7 @@ def _cmd_measure(args) -> int:
 def _cmd_distance(args) -> int:
     a = read_basis(args.basis_a)
     b = read_basis(args.basis_b)
-    unbiased = is_mutually_unbiased(a, b, args.mub_tol)
+    unbiased = is_mutually_unbiased(a, b)
     print(f"distance = {basis_distance(a, b):.12g}")
     print(f"mutually_unbiased = {str(unbiased).lower()}")
     return 0

@@ -38,7 +38,7 @@ GAP_SCALE = 1e-8
 # checked inequalities scale with the operators.
 REPORT_SCALE = 1e-9
 
-MUB_DEFAULT_TOL = 1e-9
+MUB_TOL = 1e-9  # allowed |overlap^2 - 1/n| in is_mutually_unbiased
 WEIGHT_SUM_TOL = 1e-10  # allowed |sum(weights) - 1| in jensen_gap_bound
 
 
@@ -137,13 +137,9 @@ def basis_distance(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:
     return float(basis_distances(b1.vectors, b2.vectors))
 
 
-def is_mutually_unbiased(
-    b1: OrthonormalBasis, b2: OrthonormalBasis, tol: float = MUB_DEFAULT_TOL
-) -> bool:
-    """True when every squared overlap equals 1/n within tol."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    return bool(np.abs(overlap_matrix(b1, b2) - 1.0 / b1.dim).max() <= tol)
+def is_mutually_unbiased(b1: OrthonormalBasis, b2: OrthonormalBasis) -> bool:
+    """True when every squared overlap equals 1/n within MUB_TOL."""
+    return bool(np.abs(overlap_matrix(b1, b2) - 1.0 / b1.dim).max() <= MUB_TOL)
 
 
 def _spectral_scales(w: np.ndarray):

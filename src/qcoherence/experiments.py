@@ -27,6 +27,7 @@ from .distance import REPORT_SCALE, commutator_terms, reduce_checks, relative_sl
 from .haar import (
     Z_MAX,
     SeededGenerator,
+    _check_count,
     _ginibre,
     _haar_from_ginibre,
     _hermitian,
@@ -125,7 +126,7 @@ def load_report(path) -> ExperimentReport:
 
 
 def random_hermitian(n: int, rng) -> HermitianObservable:
-    return HermitianObservable.from_matrix(_hermitian(as_generator(rng).standard_normal((2, n, n))))
+    return HermitianObservable.from_matrix(_hermitian(_ginibre(as_generator(rng), (n, n))))
 
 
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
@@ -214,7 +215,7 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     slacks = np.empty((len(THEOREM42_MEASURES), len(trials)))
     step = _chunk_trials(n)
     for start in range(trials.start // step * step, trials.stop, step) if trials else ():
-        chunk = range(max(trials.start, start), min(trials.stop, start + step))
+        chunk = range(max(start, trials.start), min(start + step, trials.stop))
         batch = _draw_chunk(n, chunk, root, block)[2]
         worst = worst_deviations(batch)
         local = slice(chunk.start - trials.start, chunk.stop - trials.start)
@@ -251,6 +252,7 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
     """
     if any(n < 2 for n in n_list):
         raise ValueError(f"theorem42 needs every n >= 2, got {list(n_list)}")
+    _check_count("trials", trials)
     root = SeededGenerator(seed)
     rows = []
     for block, n in enumerate(n_list):
@@ -298,7 +300,7 @@ def _near_degenerate_pair(n, rng):
     w = np.sort(rng.standard_normal(n))
     w[1] = w[0] + 1e-13  # gap far below the degeneracy threshold
     v = random_basis(n, rng).vectors
-    return (v * w) @ v.conj().T, _hermitian(rng.standard_normal((2, n, n)))
+    return (v * w) @ v.conj().T, _hermitian(_ginibre(rng, (n, n)))
 
 
 def _prop31_row(n, family, bound, lhs, rhs) -> dict:
@@ -321,13 +323,13 @@ def run_proposition31_suite(
     """
     if any(n < 2 for n in n_list):
         raise ValueError(f"prop31 needs every n >= 2, got {list(n_list)}")
+    _check_count("trials", trials)
     root = SeededGenerator(seed)
     rows = []
     for block, n in enumerate(n_list):
         rng = root.substream(block)
-        # random_hermitian's stream: (re, im) of A, then of B, pair by pair.
         families = {
-            1.0: _hermitian(rng.standard_normal((max(trials, 0), 2, 2, n, n))),
+            1.0: _hermitian(_ginibre(rng, (trials, 2, n, n))),
             2.0: np.array([_commuting_pair(n, rng)]),
             3.0: np.array([_unbiased_eigenbasis_pair(n, rng)]),
             4.0: np.array([_near_degenerate_pair(n, rng)]),

@@ -4,11 +4,12 @@ Sampling uses the standard exact construction: a complex Ginibre matrix
 (i.i.d. standard complex Gaussians) is QR-factored and column j of Q is
 multiplied by conj(r_jj)/|r_jj|.  Without that phase correction Q is not
 Haar-distributed, which the invariance tests detect immediately.  Every
-Gaussian block is one (2, *shape) standard-normal draw, real parts then
-imaginary parts; complex Gaussians are built from it only here (_ginibre,
-_hermitian).  Batched samplers map a statistic over _haar_samples, at most
-_CHUNK_ENTRIES complex entries a chunk, each chunk drawn as Haar isometries
-or, for the estimator below, straight as their moduli.
+stack of complex Gaussians in the package is one _ginibre draw: a
+(2, *shape) standard-normal block, all real parts then all imaginary parts;
+_hermitian takes the Hermitian part of such a stack.  Batched samplers map
+a statistic over _haar_samples, at most _CHUNK_ENTRIES complex entries a
+chunk, each chunk drawn as Haar isometries or, for the estimator below,
+straight as their moduli.
 
 The exact monomial moments over the unitary group,
 
@@ -52,10 +53,10 @@ Z_MAX = 4.0  # largest |z| a Monte Carlo check accepts
 class SeededGenerator:
     """Reproducible PCG64 randomness root: same seed => same stream.
 
-    Worker substream i is derived as SeedSequence(seed, spawn_key=(i,)), and
-    a key tuple (i, j, ...) as SeedSequence(seed, spawn_key=(i, j, ...)), so
-    fanning trials out over workers cannot change results: they depend only
-    on the seed and the (fixed) substream indexing.
+    Substream i is derived as SeedSequence(seed, spawn_key=(i,)), and a key
+    tuple (i, j, ...) as SeedSequence(seed, spawn_key=(i, j, ...)), so
+    splitting trials into blocks and chunks cannot change results: they
+    depend only on the seed and the (fixed) substream indexing.
     """
 
     seed: int
@@ -119,11 +120,9 @@ def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
-def _hermitian(gauss: np.ndarray) -> np.ndarray:
-    """(G + G^H) / 2 over any leading axes, where
-    G = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]."""
-    g = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
-    return (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+def _hermitian(z: np.ndarray) -> np.ndarray:
+    """(z + z^H) / 2 over any leading axes, for a _ginibre stack z."""
+    return (z + np.swapaxes(z.conj(), -1, -2)) / 2.0
 
 
 def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
@@ -141,9 +140,9 @@ def _haar_chunk(rng: np.random.Generator, shape) -> np.ndarray:
     return _haar_from_ginibre(_ginibre(rng, shape))
 
 
-def _check_samples(count: int) -> None:
-    if count < 0:  # every sampler path reaches this check once
-        raise ValueError(f"samples must be nonnegative, got {count}")
+def _check_count(name: str, count: int) -> None:
+    if count < 0:  # every sampler and suite checks its count once, before any draw
+        raise ValueError(f"{name} must be nonnegative, got {count}")
 
 
 def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
@@ -153,7 +152,7 @@ def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
     itself, so they are freed before f sees it; chunks come in order, at most
     _CHUNK_ENTRIES complex entries each.  count = 0 maps one empty chunk, so
     the result keeps f's trailing shape."""
-    _check_samples(count)
+    _check_count("samples", count)
     rng = as_generator(g)
     step = max(1, _CHUNK_ENTRIES // (n * cols))
     return np.concatenate([
@@ -263,7 +262,7 @@ def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     """
     lam, r = _excited_levels(rho)
     if r == 0:
-        _check_samples(samples)
+        _check_count("samples", samples)
         return np.full(samples, lam.size * lam[0] ** 2)
     moduli = _gram_schmidt_moduli if r <= 2 else _qr_moduli
     return _haar_samples(lambda p: _diag_square_sums(lam, p), moduli, lam.size, r, samples, g)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .distance import BoundReport, overlap_distances, overlap_tables
 from .errors import CounterexampleNotFoundError, DimensionMismatchError
-from .haar import _hermitian, as_generator
+from .haar import _ginibre, _hermitian, as_generator
 from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
@@ -242,7 +242,7 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
     t -> 0 the path converges to `target` in basis distance.
     """
     n = target.dim
-    h = _hermitian(as_generator(rng).standard_normal((2, n, n)))
+    h = _hermitian(_ginibre(as_generator(rng), (n, n)))
     h /= np.linalg.norm(h, 2)
     w, v = np.linalg.eigh(h)
     out = []

@@ -26,16 +26,20 @@ from qcoherence import (
     write_report,
 )
 from qcoherence.cli import main as cli_main
-from qcoherence.distance import basis_distances, overlap_tables
+from qcoherence.distance import basis_distances, commutator_terms, overlap_tables
 from qcoherence.experiments import (
     AXIOM_SLACK_TOL,
     MEASURE_CODES,
     THEOREM42_MEASURES,
     _chunk_trials,
     _draw_chunk,
+    _prop31_row,
     check_subspace_bound,
     random_density_matrix,
+    random_hermitian,
 )
+from qcoherence.haar import _ginibre, _hermitian, as_generator
+from qcoherence.linalg import checked_eigh
 from qcoherence.measures import MEASURES, adversarial_subspaces
 
 
@@ -294,6 +298,36 @@ def test_prop31_zero_trials_writes_failing_zero_check_rows():
     assert not report.verdict
 
 
+def test_prop31_random_family_is_one_ginibre_draw():
+    # block b's random pairs are the Hermitian parts of one
+    # _ginibre(substream(b), (trials, 2, n, n)) stack, drawn first
+    report = run_proposition31_suite(n_list=(2, 4), trials=30, seed=5)
+    want = []
+    for block, n in enumerate((2, 4)):
+        m = _hermitian(_ginibre(SeededGenerator(5).substream(block), (30, 2, n, n)))
+        norm, upper, d, lower, degenerate = commutator_terms(m, *checked_eigh(m))
+        assert not degenerate.any()
+        want += [_prop31_row(n, 1.0, 1.0, norm, upper), _prop31_row(n, 1.0, 2.0, d, lower)]
+    assert [r for r in report.rows if r["family"] == 1.0] == want
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_random_hermitian_is_the_hermitian_part_of_one_ginibre_draw(n):
+    z = _ginibre(as_generator(11), (n, n))
+    assert np.array_equal(random_hermitian(n, 11).matrix, (z + z.conj().T) / 2)
+
+
+@pytest.mark.parametrize("run", [run_theorem42_suite, run_proposition31_suite],
+                         ids=["theorem42", "prop31"])
+def test_runners_reject_negative_trials_before_any_draw(monkeypatch, run):
+    def substream(self, key):
+        raise AssertionError(f"substream {key} opened")
+
+    monkeypatch.setattr(SeededGenerator, "substream", substream)
+    with pytest.raises(ValueError, match=r"^trials must be nonnegative, got -5$"):
+        run(n_list=(2,), trials=-5, seed=9)
+
+
 def _scalar_min_slacks(n, trials, root, block):
     """{measure: (min slack, checks, ok)} of the drawn pairs through the
     scalar API: rewrite_in_basis, adversarial_subspaces, tpf_deviation, one
@@ -446,22 +480,13 @@ def test_basis_frame_draws_match_the_wishart_path(n):
         assert ks_2samp(old, new).pvalue > 0.01
 
 
-def test_theorem42_bound_rows_fail_without_checks():
-    # negative trials run no bound check at all: that must not read as a pass
-    report = run_theorem42_suite(n_list=(2,), trials=-5, seed=9)
-    bound = [r for r in report.rows if r["kind"] == 1.0]
-    assert [r["count"] for r in bound] == [0.0] * 4
-    assert all(r["ok"] == 0.0 for r in bound)
-    assert not report.verdict
-
-
 # sha256 of small seeded reports; a change here must be deliberate and
 # explained in CHANGES.md.
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
         "253a5b6d08e476d04657cb687f2f05a04c24d91d7f8a0d632a81a237447daede",
     ("prop31", "--n", "2,4", "--trials", "30"):
-        "148cbc28def9fae066c90a4a277823e0653bc1a219cae9998fd7cd8e82290231",
+        "f3a7fdc4b6ccb2d8a4c76d9b764fff4c6d9c3068aa5dd669b0b1bb382a68f418",
     ("purity", "--n", "4,8", "--samples", "300"):
         "e7528b2508f378c65a763490c71c280bb0640c6dac7f209d221869b3d193b904",
     ("srel",):
@@ -476,7 +501,7 @@ GOLDEN = {
     ("theorem42",):
         "fcb698af5ed4f152edb9ea6fcf02eae30a2fa084e714fb28ac217f377064431b",
     ("prop31",):
-        "f5d27f292b2cd79c45ddcb33419fc226c4383b61765bd25011e0866ae15e8309",
+        "c963be963f2ed147eaff48c9480687e6b08fe06fb434867ca9bebacd4ee99131",
     ("purity",):
         "8369031db69132c75bc745c83fb58c7d738455425b1f9d3bc94c2ac7ec13b632",
 }
