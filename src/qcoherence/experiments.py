@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ AXIOM_SLACK_TOL = 1e-10
 
 # Complex entries per chunk (4096 trials at n = 2, 16 at n = 32), the one
 # unit of the subspace-bound check: one substream draw and one stacked check,
-# so its size keys the stream and the reports and bounds the peak memory.
+# so its size keys the stream and the reports, and bounds memory per thread.
 _CHUNK_ENTRIES = 16384
 
 
@@ -197,6 +198,12 @@ def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
     return lam, w, StateBatch(rep, (lam, np.abs(w) ** 2))
 
 
+def _threads(chunks: int) -> int:
+    """Threads for `chunks` chunks: one per usable CPU, at most one per chunk."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, chunks))
+
+
 def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int) -> dict:
     """{measure: (min slack, checks, ok)} of the subspace bound over `trials`.
 
@@ -207,21 +214,26 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     (worst_deviations), exact for every subspace.  The min slack is over
     the Wishart trials (inf if none), as trial 0's Q is roundoff; ok needs
     checks and every slack, trial 0's too, to be at least -AXIOM_SLACK_TOL.
-    Each chunk, clipped to `trials`, is drawn and checked as one stack; an
-    empty range draws nothing.
+    Each chunk, clipped to `trials`, is one stack drawn and checked into its
+    own slacks on up to one thread per CPU (_threads), reduced after all of
+    them, so thread count and order change nothing; an empty range draws nothing.
     """
     if trials.step != 1 or trials.start < 0:
         raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
+    from concurrent.futures import ThreadPoolExecutor  # not at module load: it imports logging
     slacks = np.empty((len(THEOREM42_MEASURES), len(trials)))
     step = _chunk_trials(n)
-    for start in range(trials.start // step * step, trials.stop, step) if trials else ():
+
+    def check(start: int) -> None:
         chunk = range(max(start, trials.start), min(start + step, trials.stop))
         batch = _draw_chunk(n, chunk, root, block)[2]
         worst = worst_deviations(batch)
         local = slice(chunk.start - trials.start, chunk.stop - trials.start)
-        for row, m in zip(slacks, THEOREM42_MEASURES):
-            row[local] = MEASURES[m](batch) - worst
-        del batch  # before the next chunk is drawn, to bound the peak memory
+        slacks[:, local] = [MEASURES[m](batch) - worst for m in THEOREM42_MEASURES]
+
+    starts = range(trials.start // step * step, trials.stop, step) if trials else range(0)
+    with ThreadPoolExecutor(_threads(len(starts))) as pool:
+        list(pool.map(check, starts))  # reading every result raises a chunk's error
     wishart = slacks[:, 1:] if trials.start == 0 else slacks  # trial 0's Q is roundoff
     return {m: (float(w.min(initial=np.inf)), *reduce_checks(row, AXIOM_SLACK_TOL)[1:])
             for m, row, w in zip(THEOREM42_MEASURES, slacks, wishart)}
@@ -364,6 +376,9 @@ def run_purity_sweep(
     """
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"purity needs a strictly increasing n list, got {list(n_list)}")
+    _check_count("samples", samples)
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     root = SeededGenerator(seed)
     rows = []
     last_dev: dict[str, float] = {}

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,13 +38,14 @@ from qcoherence.experiments import (
     _chunk_trials,
     _draw_chunk,
     _prop31_row,
+    _threads,
     check_subspace_bound,
     random_density_matrix,
     random_hermitian,
 )
 from qcoherence.haar import _ginibre, _hermitian, as_generator
 from qcoherence.linalg import checked_eigh
-from qcoherence.measures import MEASURES, adversarial_subspaces
+from qcoherence.measures import MEASURES, adversarial_subspaces, worst_deviations
 
 
 def test_theorem42_passes_for_genuine_measures():
@@ -187,6 +192,18 @@ def test_subspace_bound_rejects_a_strided_or_negative_range(trials):
 def test_purity_sweep_rejects_a_list_that_does_not_increase(n_list):
     with pytest.raises(ValueError, match="strictly increasing"):
         run_purity_sweep(n_list=n_list, samples=10)
+
+
+@pytest.mark.parametrize("samples, message", [
+    (-1, "samples must be nonnegative, got -1"), (1, "need at least 2 samples, got 1"),
+])
+def test_purity_sweep_rejects_samples_before_any_draw(monkeypatch, samples, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(experiments, "random_density_matrix", never)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_purity_sweep(n_list=(4,), samples=samples)
 
 
 @pytest.mark.parametrize("run", [
@@ -396,15 +413,27 @@ def test_draw_chunk_rejects_a_run_outside_one_chunk(n, trials):
 
 
 def _spy(monkeypatch) -> tuple[list, list]:
-    """The trial ranges check_subspace_bound draws as chunks and the keys of
-    the substreams it opens, appended as it opens them."""
-    chunks, keys = [], []
+    """The (trial range, substream keys) of each chunk check_subspace_bound
+    draws, each key recorded with the draw that opened it on its own thread,
+    in completion order; and the keys opened outside any draw."""
+    drawn, stray, local = [], [], threading.local()
     draw, substream = experiments._draw_chunk, SeededGenerator.substream
-    monkeypatch.setattr(experiments, "_draw_chunk",
-                        lambda n, chunk, *rest: chunks.append(chunk) or draw(n, chunk, *rest))
-    monkeypatch.setattr(SeededGenerator, "substream",
-                        lambda self, key: keys.append(key) or substream(self, key))
-    return chunks, keys
+
+    def spy_draw(n, chunk, *rest):
+        local.keys = keys = []
+        try:
+            return draw(n, chunk, *rest)
+        finally:
+            del local.keys
+            drawn.append((chunk, keys))
+
+    def spy_substream(self, key):
+        getattr(local, "keys", stray).append(key)
+        return substream(self, key)
+
+    monkeypatch.setattr(experiments, "_draw_chunk", spy_draw)
+    monkeypatch.setattr(SeededGenerator, "substream", spy_substream)
+    return drawn, stray
 
 
 @pytest.mark.parametrize("n, trials", [
@@ -413,21 +442,94 @@ def _spy(monkeypatch) -> tuple[list, list]:
 ])
 def test_chunks_cover_the_trials_once(monkeypatch, n, trials):
     # each chunk, clipped to the trials, is drawn once from its own
-    # substream; one trial fills a chunk when it exceeds _CHUNK_ENTRIES
-    chunks, keys = _spy(monkeypatch)
+    # substream; one trial fills a chunk when it exceeds _CHUNK_ENTRIES.
+    # Threads draw chunks in any order, so the draws are compared sorted.
+    drawn, stray = _spy(monkeypatch)
     check_subspace_bound(n, trials, SeededGenerator(3), 5)
     step = _chunk_trials(n)
+    drawn.sort(key=lambda d: d[0].start)
+    chunks = [c for c, _ in drawn]
     assert [t for c in chunks for t in c] == list(trials)
-    assert keys == [(5, c.start // step) for c in chunks]
+    assert [keys for _, keys in drawn] == [[(5, c.start // step)] for c in chunks]
     assert all(c.start // step == (c.stop - 1) // step for c in chunks)
-    assert len(set(keys)) == len(keys) == -(-trials.stop // step) - trials.start // step
+    assert len(chunks) == -(-trials.stop // step) - trials.start // step
+    assert stray == []
 
 
 def test_empty_range_opens_no_substream(monkeypatch):
-    chunks, keys = _spy(monkeypatch)
+    drawn, stray = _spy(monkeypatch)
     got = check_subspace_bound(4, range(5, 5), SeededGenerator(3), 0)
     assert got == dict.fromkeys(THEOREM42_MEASURES, (np.inf, 0, False))
-    assert chunks == keys == []
+    assert drawn == stray == []
+
+
+def test_threads_are_one_per_cpu_at_most_one_per_chunk():
+    assert _threads(0) == _threads(1) == 1
+    assert 1 <= _threads(10**6) <= (os.cpu_count() or 1)
+
+
+def _serial_slacks(n, trials, root, block):
+    """The subspace-bound slacks (measures x trials), one chunk after another."""
+    step = _chunk_trials(n)
+    parts = []
+    for start in range(trials.start // step * step, trials.stop, step):
+        batch = _draw_chunk(n, range(max(start, trials.start), min(start + step, trials.stop)),
+                            root, block)[2]
+        worst = worst_deviations(batch)
+        parts.append([MEASURES[m](batch) - worst for m in THEOREM42_MEASURES])
+    return np.concatenate(parts, axis=1)
+
+
+def test_threads_over_chunks_match_the_chunk_by_chunk_results(monkeypatch):
+    # more threads than cores and a switch every microsecond: a lost or
+    # misplaced write into the shared slacks would change the rows reduced
+    # (np.empty leaves unwritten columns as garbage) or the reduction
+    cases = [(16, range(30, 600)), (32, range(5, 137)), (32, range(0, 90))]
+    serial = {}
+    for n, trials in cases:
+        step = _chunk_trials(n)
+        alone = [check_subspace_bound(n, range(max(s, trials.start), min(s + step, trials.stop)),
+                                      SeededGenerator(8), 2)
+                 for s in range(trials.start // step * step, trials.stop, step)]
+        want = {m: (min(a[m][0] for a in alone), sum(a[m][1] for a in alone),
+                    all(a[m][2] for a in alone)) for m in THEOREM42_MEASURES}
+        serial[n, trials] = want, _serial_slacks(n, trials, SeededGenerator(8), 2)
+    rows = []
+    reduce = experiments.reduce_checks
+    monkeypatch.setattr(experiments, "_threads", lambda chunks: 8)
+    monkeypatch.setattr(experiments, "reduce_checks",
+                        lambda slacks, tol: rows.append(slacks.copy()) or reduce(slacks, tol))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 20
+        for _ in range(3):
+            for (n, trials), (want, slacks) in serial.items():
+                rows.clear()
+                assert check_subspace_bound(n, trials, SeededGenerator(8), 2) == want
+                assert (np.array(rows) == slacks).all()
+            assert time.monotonic() < deadline
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_chunk_error_propagates_and_every_thread_ends(monkeypatch):
+    draw = experiments._draw_chunk
+
+    def failing(n, chunk, *rest):
+        if chunk.start // _chunk_trials(n) == 3:
+            raise RuntimeError(f"chunk {chunk} failed")
+        return draw(n, chunk, *rest)
+
+    before = set(threading.enumerate())
+    monkeypatch.setattr(experiments, "_threads", lambda chunks: 4)
+    monkeypatch.setattr(experiments, "_draw_chunk", failing)
+    with pytest.raises(RuntimeError, match=r"^chunk range\(48, 64\) failed$"):
+        check_subspace_bound(32, range(5, 137), SeededGenerator(1), 0)
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert threading.active_count() == len(before)
 
 
 def test_trial_zero_is_the_maximally_mixed_state():
