@@ -7,8 +7,12 @@
 
 Exit codes: 0 success / experiment pass, 1 experiment fail, 2 usage or parse
 error, 3 validation error, 4 I/O error; the README lists what raises each.
-Every error path prints a one-line machine code (E_USAGE, E_PARSE,
-E_VALIDATION, E_NOT_FOUND, E_IO) on stderr before the human-readable message.
+This module only parses: the suite runners own every parameter range, so a
+bad value is reported after --out is made, which is then removed again (an
+unwritable --out with a bad value is E_IO, exit 4).  Every usage error,
+argparse's included, returns 2 from main; only --help exits (0).  Every
+error path prints a one-line machine code (E_USAGE, E_PARSE, E_VALIDATION,
+E_NOT_FOUND, E_IO) on stderr before the human-readable message.
 The default seed is the fixed constant 42, so identical invocations produce
 byte-identical report files.
 """
@@ -45,31 +49,20 @@ _SUITE_FLAGS = tuple(dict.fromkeys(flag for _, flags in _SUITES.values() for fla
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print("E_USAGE", file=sys.stderr)
-        print(f"{self.prog}: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"{self.prog}: {message}")  # main reports it as E_USAGE, exit 2
 
 
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+def _list(kind):
+    """Parser of a comma list of `kind`; an empty list is an error, so it
+    never falls back to the suite's default."""
+    def parse(text: str) -> list:
+        values = [kind(x) for x in text.split(",") if x]
+        if not values:
+            raise argparse.ArgumentTypeError("names no value")
+        return values
 
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in "invalid ... value"
     return parse
-
-
-_count = _int_at_least(0)
-_positive = _int_at_least(1)
-
-
-def _dim_list(text: str) -> list[int]:
-    return [_positive(x) for x in text.split(",") if x]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
 
 
 @functools.cache  # one parser per process: parse_args keeps no state in it
@@ -95,12 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an experiment suite, write CSV")
     p.add_argument("suite", choices=list(_SUITES))
-    p.add_argument("--n", type=_dim_list, default=None, help="comma list of dimensions")
-    p.add_argument("--trials", type=_count, default=None)
-    p.add_argument("--samples", type=_int_at_least(2), default=None)
-    p.add_argument("--seed", type=_count, default=DEFAULT_SEED)
-    p.add_argument("--c", type=_float_list, default=None, help="comma list of s_rel constants")
-    p.add_argument("--rank", type=_positive, default=None,
+    p.add_argument("--n", type=_list(int), default=None, help="comma list of dimensions")
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--c", type=_list(float), default=None, help="comma list of s_rel constants")
+    p.add_argument("--rank", type=int, default=None,
                    help="rank of the mixed purity family (default 2)")
     p.add_argument("--out", default=".", help="output directory for CSV reports")
     p.set_defaults(run=_cmd_experiment)
@@ -145,20 +138,14 @@ def _cmd_experiment(args) -> int:
     for flag in _SUITE_FLAGS:
         if flag not in flags and getattr(args, flag) is not None:
             raise ValueError(f"--{flag} does not apply to experiment {args.suite}")
-    kwargs = {"seed": args.seed}
-    for flag, kwarg in flags.items():
-        value = getattr(args, flag)
-        if value == []:
-            raise ValueError(f"--{flag} names no value")
-        if value is not None:
-            kwargs[kwarg] = value
+    kwargs = {kw: v for flag, kw in flags.items() if (v := getattr(args, flag)) is not None}
     # Fail on an unusable --out before the run, not after it; if the run
     # fails, remove the directories made here again, innermost first.
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = getattr(experiments, runner)(**kwargs)
+        report = getattr(experiments, runner)(seed=args.seed, **kwargs)
     except BaseException:
         for d in made:
             d.rmdir()
@@ -180,8 +167,8 @@ _ERRORS = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except tuple(kind for kind, *_ in _ERRORS) as exc:
         code, status = next((c, s) for kind, c, s in _ERRORS if isinstance(exc, kind))

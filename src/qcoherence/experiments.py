@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import REPORT_SCALE, commutator_terms, reduce_checks, relative_slacks
+from .errors import DimensionMismatchError
 from .haar import (
     Z_MAX,
     SeededGenerator,
@@ -218,6 +219,8 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     own slacks on up to one thread per CPU (_threads), reduced after all of
     them, so thread count and order change nothing; an empty range draws nothing.
     """
+    if n < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
     if trials.step != 1 or trials.start < 0:
         raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
     from concurrent.futures import ThreadPoolExecutor  # not at module load: it imports logging
@@ -372,13 +375,15 @@ def run_purity_sweep(
     deviation |eta2^2 - tr(rho^2)|, their exact predictions and z-scores.
     A row passes when both |z| <= Z_MAX and the deviation has not increased
     from the previous dimension of the same family.  n_list must strictly
-    increase, so that the previous dimension is the smaller one.
+    increase from n >= 1, so that the previous dimension is the smaller one.
     """
-    if any(a >= b for a, b in zip(n_list, n_list[1:])):
-        raise ValueError(f"purity needs a strictly increasing n list, got {list(n_list)}")
+    if any(a >= b for a, b in zip((0, *n_list), n_list)):
+        raise ValueError(f"purity needs a strictly increasing list of n >= 1, got {list(n_list)}")
     _check_count("samples", samples)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     root = SeededGenerator(seed)
     rows = []
     last_dev: dict[str, float] = {}
@@ -416,6 +421,7 @@ def run_purity_sweep(
 
 def run_srel_demo(c_list=(0.1, 1.0, 10.0, 100.0), seed: int = 0) -> ExperimentReport:
     """Counterexample search for the relative entropy of coherence at each c."""
+    _check_count("seed", seed)  # nothing is drawn, but the seed is checked as in every suite
     rows = []
     for c in c_list:
         found = srel_counterexample(c)

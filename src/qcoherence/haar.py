@@ -49,6 +49,11 @@ Z_ATOL = 1e-12  # |mean - expected| that MonteCarloEstimate.z_score scores as 0
 Z_MAX = 4.0  # largest |z| a Monte Carlo check accepts
 
 
+def _check_count(name: str, count: int) -> None:
+    if count < 0:  # every seed, sampler and suite checks its count once, before any draw
+        raise ValueError(f"{name} must be nonnegative, got {count}")
+
+
 @dataclass(frozen=True)
 class SeededGenerator:
     """Reproducible PCG64 randomness root: same seed => same stream.
@@ -61,8 +66,11 @@ class SeededGenerator:
 
     seed: int
 
+    def __post_init__(self):
+        _check_count("seed", self.seed)
+
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
+        return self.substream(())  # SeedSequence(seed) has spawn key ()
 
     def substream(self, key: int | tuple[int, ...]) -> np.random.Generator:
         spawn_key = key if isinstance(key, tuple) else (key,)
@@ -140,11 +148,6 @@ def _haar_chunk(rng: np.random.Generator, shape) -> np.ndarray:
     return _haar_from_ginibre(_ginibre(rng, shape))
 
 
-def _check_count(name: str, count: int) -> None:
-    if count < 0:  # every sampler and suite checks its count once, before any draw
-        raise ValueError(f"{name} must be nonnegative, got {count}")
-
-
 def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
     """f of `count` Haar draws of the first `cols` columns of an n x n
     unitary, stacked.  draw(rng, shape) turns one chunk of shape (m, n, cols)
@@ -185,11 +188,11 @@ def monomial_moment(a, n: int) -> float:
     """
     if n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
-    a = np.asarray(a, dtype=np.int64)
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 1 or a.size != n:
         raise DimensionMismatchError(f"need {n} exponents, got shape {a.shape}")
-    if (a < 0).any():
-        raise ValueError("exponents must be nonnegative")
+    if not (np.isfinite(a) & (a >= 0) & (a == np.round(a))).all():
+        raise ValueError(f"exponents must be nonnegative integers, got {a.tolist()}")
     m = int(a.sum())
     log_value = math.lgamma(n) - math.lgamma(m + n) + sum(math.lgamma(k + 1) for k in a.tolist())
     return math.exp(log_value)

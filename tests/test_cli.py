@@ -211,9 +211,7 @@ class TestDistanceCommand:
     def test_mub_tol_is_not_a_flag_exit_2(self, basis_files, capsys):
         # the tolerance is the constant distance.MUB_TOL
         z, x = basis_files
-        with pytest.raises(SystemExit) as exc:
-            main(["distance", z, x, "--mub-tol", "1e-6"])
-        assert exc.value.code == 2
+        assert main(["distance", z, x, "--mub-tol", "1e-6"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[0] == "E_USAGE"
@@ -275,38 +273,58 @@ class TestExperimentCommand:
         assert rc == 0
 
     def test_unknown_suite_exit_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "nope", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[0] == "E_USAGE"
+        assert main(["experiment", "nope", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "E_USAGE" and len(err) == 2
+        assert err[1].startswith("qcoherence experiment: argument suite: invalid choice: 'nope'")
 
     def test_missing_command_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
+        assert main([]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE", "qcoherence: the following arguments are required: command"
+        ]
 
-    @pytest.mark.parametrize("args", [
-        ["theorem42", "--n", "2", "--trials", "-5"],
-        ["prop31", "--trials", "-1"],
-        ["purity", "--samples", "-3"],
-        ["purity", "--n", "0"],
-        ["theorem42", "--n", "2,-4"],
-        ["purity", "--rank", "0"],
-        ["srel", "--seed", "-5"],
-        ["theorem42", "--seed", "-1"],
-        ["purity", "--samples", "1"],
-        ["purity", "--samples", "0"],
+    @pytest.mark.parametrize("args, message", [
+        (["--trials", "1.5"], "argument --trials: invalid int value: '1.5'"),
+        (["--n", "2,x"], "argument --n: invalid int list value: '2,x'"),
+        (["--c", "1,y"], "argument --c: invalid float list value: '1,y'"),
+    ], ids=["float-trials", "bad-n-entry", "bad-c-entry"])
+    def test_argparse_type_error_exit_2(self, tmp_path, capsys, args, message):
+        out = tmp_path / "reports"
+        assert main(["experiment", "theorem42", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE", f"qcoherence experiment: {message}"
+        ]
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--help"])
+        assert exc.value.code == 0
+        assert "--samples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, message", [
+        (["theorem42", "--n", "2", "--trials", "-5"], "trials must be nonnegative, got -5"),
+        (["prop31", "--trials", "-1"], "trials must be nonnegative, got -1"),
+        (["purity", "--samples", "-3"], "samples must be nonnegative, got -3"),
+        (["purity", "--n", "0"], "purity needs a strictly increasing list of n >= 1, got [0]"),
+        (["theorem42", "--n", "2,-4"], "theorem42 needs every n >= 2, got [2, -4]"),
+        (["purity", "--rank", "0"], "rank must be at least 1, got 0"),
+        (["srel", "--seed", "-5"], "seed must be nonnegative, got -5"),
+        (["theorem42", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["purity", "--samples", "1"], "need at least 2 samples, got 1"),
+        (["purity", "--samples", "0"], "need at least 2 samples, got 0"),
     ], ids=["negative-trials", "negative-prop31-trials", "negative-samples",
             "zero-n", "negative-n", "zero-rank", "negative-srel-seed", "negative-theorem42-seed",
             "one-sample", "zero-samples"])
-    def test_bad_parameter_exit_2(self, tmp_path, capsys, args):
-        # rejected at parse time: --out is not created
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", *args, "--out", str(tmp_path / "reports")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err[0] == "E_USAGE"
-        assert "must be >=" in err[1]
+    def test_bad_parameter_exit_2(self, tmp_path, capsys, args, message):
+        # the runner owns every range: it rejects the value after --out is
+        # made, and --out is removed again
+        rc = main(["experiment", *args, "--out", str(tmp_path / "a" / "reports")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["E_USAGE", message]
         assert not list(tmp_path.iterdir())
 
     def test_unwritable_out_exit_4(self, tmp_path, capsys):
@@ -317,6 +335,14 @@ class TestExperimentCommand:
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "E_IO"
         assert len(err) == 2
+
+    def test_unwritable_out_precedes_a_bad_value(self, tmp_path, capsys):
+        # --out is made before the runner checks its values
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("not a directory\n")
+        rc = main(["experiment", "srel", "--seed", "-1", "--out", str(blocker / "reports")])
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines()[0] == "E_IO"
 
     def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
         import qcoherence.experiments
@@ -358,7 +384,9 @@ class TestExperimentCommand:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["E_USAGE", f"{args[1]} names no value"]
+        assert captured.err.splitlines() == [
+            "E_USAGE", f"qcoherence experiment: argument {args[1]}: names no value"
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

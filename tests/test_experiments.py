@@ -31,6 +31,7 @@ from qcoherence import (
 )
 from qcoherence.cli import main as cli_main
 from qcoherence.distance import basis_distances, commutator_terms, overlap_tables
+from qcoherence.errors import DimensionMismatchError
 from qcoherence.experiments import (
     AXIOM_SLACK_TOL,
     MEASURE_CODES,
@@ -93,10 +94,34 @@ def test_random_density_matrix_rejects_rank_below_one(n, rank, match):
         random_density_matrix(n, np.random.default_rng(0), rank=rank)
 
 
-def test_purity_sweep_rejects_rank_zero():
-    # was a LinAlgError from the NaN state
-    with pytest.raises(ValueError, match="rank must be at least 1"):
+def _never(*args, **kwargs):
+    raise AssertionError("drawn before the parameters were checked")
+
+
+def test_purity_sweep_rejects_rank_zero(monkeypatch):
+    # was a LinAlgError from the NaN state, and then a ValueError raised
+    # after the pure state was drawn
+    monkeypatch.setattr(experiments, "random_density_matrix", _never)
+    with pytest.raises(ValueError, match="^rank must be at least 1, got 0$"):
         run_purity_sweep(n_list=(4,), samples=10, seed=0, rank=0)
+
+
+@pytest.mark.parametrize("run", [
+    run_theorem42_suite, run_proposition31_suite, run_purity_sweep, run_srel_demo,
+    lambda seed: as_generator(seed),
+], ids=["theorem42", "prop31", "purity", "srel", "as_generator"])
+def test_a_negative_seed_is_rejected_before_any_draw(monkeypatch, run):
+    # srel recorded seed = -1, the others raised numpy's unnamed
+    # "expected non-negative integer"
+    monkeypatch.setattr(SeededGenerator, "substream", _never)
+    monkeypatch.setattr(experiments, "srel_counterexample", _never)
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        run(seed=-1)
+
+
+def test_generator_is_the_empty_spawn_key():
+    ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(42)))
+    assert SeededGenerator(42).generator().bit_generator.state == ref.bit_generator.state
 
 
 def test_purity_sweep_matches_exact_rows():
@@ -188,9 +213,20 @@ def test_subspace_bound_rejects_a_strided_or_negative_range(trials):
         check_subspace_bound(4, trials, SeededGenerator(0), 0)
 
 
-@pytest.mark.parametrize("n_list", [(8, 4), (4, 4)], ids=["decreasing", "repeated"])
-def test_purity_sweep_rejects_a_list_that_does_not_increase(n_list):
-    with pytest.raises(ValueError, match="strictly increasing"):
+@pytest.mark.parametrize("n", [0, -1])
+def test_subspace_bound_rejects_a_dimension_below_one(monkeypatch, n):
+    # n = 0 raised ZeroDivisionError in _chunk_trials, n = -1 numpy's
+    # "negative dimensions are not allowed"
+    monkeypatch.setattr(SeededGenerator, "substream", _never)
+    with pytest.raises(DimensionMismatchError, match=f"^dimension must be >= 1, got {n}$"):
+        check_subspace_bound(n, range(5), SeededGenerator(0), 0)
+
+
+@pytest.mark.parametrize("n_list", [(8, 4), (4, 4), (0, 4), (-2,)],
+                         ids=["decreasing", "repeated", "zero", "negative"])
+def test_purity_sweep_rejects_a_list_that_does_not_increase(monkeypatch, n_list):
+    monkeypatch.setattr(SeededGenerator, "substream", _never)
+    with pytest.raises(ValueError, match=r"strictly increasing list of n >= 1"):
         run_purity_sweep(n_list=n_list, samples=10)
 
 
@@ -198,10 +234,7 @@ def test_purity_sweep_rejects_a_list_that_does_not_increase(n_list):
     (-1, "samples must be nonnegative, got -1"), (1, "need at least 2 samples, got 1"),
 ])
 def test_purity_sweep_rejects_samples_before_any_draw(monkeypatch, samples, message):
-    def never(*args, **kwargs):
-        raise AssertionError("a state was drawn")
-
-    monkeypatch.setattr(experiments, "random_density_matrix", never)
+    monkeypatch.setattr(experiments, "random_density_matrix", _never)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run_purity_sweep(n_list=(4,), samples=samples)
 

@@ -178,6 +178,13 @@ class TestMonomialMoment:
         with pytest.raises(DimensionMismatchError, match="dimension must be >= 1, got 0"):
             monomial_moment([], 0)
 
+    @pytest.mark.parametrize("a", [[0.5, 1], [1, 2.25], [np.nan, 1], [np.inf, 0]],
+                             ids=["half", "quarter", "nan", "inf"])
+    def test_rejects_exponents_that_are_not_integers(self, a):
+        # [0.5, 1] returned 0.5, the moment of [0, 1]
+        with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+            monomial_moment(a, 2)
+
     @pytest.mark.parametrize("a", [(4, 0, 0, 0), (2, 1, 1, 0), (1, 1, 1, 1)])
     def test_against_monte_carlo(self, a):
         n = 4
