@@ -9,12 +9,12 @@ Exit codes: 0 success / experiment pass, 1 experiment fail, 2 usage or parse
 error, 3 validation error, 4 I/O error; the README lists what raises each.
 This module only parses: the suite runners own every parameter range, so a
 bad value is reported after --out is made, which is then removed again (an
-unwritable --out with a bad value is E_IO, exit 4).  Every usage error,
-argparse's included, returns 2 from main; only --help exits (0).  Every
-error path prints a one-line machine code (E_USAGE, E_PARSE, E_VALIDATION,
-E_NOT_FOUND, E_IO) on stderr before the human-readable message.
-The default seed is the fixed constant 42, so identical invocations produce
-byte-identical report files.
+unwritable --out with a bad value is E_IO, exit 4).  Every comma list
+(--measures, --n, --c) is read by _list.  Every usage error, argparse's
+included, returns 2 from main; only --help exits (0).  Every error path
+prints a one-line machine code (E_USAGE, E_PARSE, E_VALIDATION, E_NOT_FOUND,
+E_IO) on stderr before the human-readable message.  The default seed is the
+fixed constant 42, so identical invocations produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .linalg import OrthonormalBasis
 from .measures import MEASURES, _check_srel_constant, evaluate_measure, rewrite_in_basis, s_rel
 
 DEFAULT_SEED = 42
-DEFAULT_MEASURES = ",".join(experiments.THEOREM42_MEASURES)
 
 
 # suite -> (runner in experiments, {CLI flag: runner keyword}); a suite
@@ -53,10 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _list(kind):
-    """Parser of a comma list of `kind`; an empty list is an error, so it
-    never falls back to the suite's default."""
+    """Parser of a comma list of `kind`, each item stripped and blank ones
+    skipped; an empty list is an error, so it never falls back to the default."""
     def parse(text: str) -> list:
-        values = [kind(x) for x in text.split(",") if x]
+        values = [kind(x) for x in map(str.strip, text.split(",")) if x]
         if not values:
             raise argparse.ArgumentTypeError("names no value")
         return values
@@ -73,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate coherence measures on a state")
     p.add_argument("state", help="density-matrix file")
     p.add_argument("--basis", help="basis file (default: standard basis)")
-    p.add_argument("--measures", default=DEFAULT_MEASURES,
+    p.add_argument("--measures", type=_list(str), default=list(experiments.THEOREM42_MEASURES),
                    help=f"comma list from {','.join(MEASURES)}")
     p.add_argument("--c", type=float, default=1.0, help="constant for s_rel")
     fmt = p.add_mutually_exclusive_group()
@@ -105,11 +104,8 @@ def _cmd_measure(args) -> int:
     rho = read_density(args.state)
     basis = read_basis(args.basis) if args.basis else OrthonormalBasis.standard(rho.dim)
     state = rewrite_in_basis(rho, basis)
-    names = [x.strip() for x in args.measures.split(",") if x.strip()]
-    if not names:
-        raise ValueError("--measures names no measure")
     values = {}
-    for name in names:
+    for name in args.measures:
         if name not in MEASURES:
             raise ValueError(f"unknown measure {name!r}")
         values[name] = s_rel(state, args.c) if name == "s_rel" else evaluate_measure(state, name)

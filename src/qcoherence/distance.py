@@ -29,7 +29,7 @@ from .errors import (
     PointsNotDistinctError,
     WeightsNotNormalizedError,
 )
-from .linalg import TOL_ORTHO, OrthonormalBasis, _check_finite, as_observable
+from .linalg import TOL_ORTHO, OrthonormalBasis, _check_finite, _check_same_dim, as_observable
 
 # Degenerate-spectrum detection threshold, relative to the spectral spread:
 # separates true degeneracy from eigen-solver jitter at double precision.
@@ -90,15 +90,10 @@ def _doubly_stochastic(o: np.ndarray) -> np.ndarray:
     return np.clip(o, 0.0, 1.0)  # roundoff can push |.|^2 a hair outside [0, 1]
 
 
-def _check_same_dim(a, b):
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
 def overlap_matrix(b1: OrthonormalBasis, b2: OrthonormalBasis) -> np.ndarray:
     """Read-only table o_ij = |<e_i|f_j>|^2 of two bases of equal dimension, clipped
     to [0, 1]; checked doubly stochastic, as unitarity makes it, within tol_ortho * n."""
-    _check_same_dim(b1, b2)
+    _check_same_dim(b1.dim, b2.dim)
     o = _doubly_stochastic(overlap_tables(b1.vectors, b2.vectors))
     o.setflags(write=False)
     return o
@@ -133,7 +128,7 @@ def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 def basis_distance(b1: OrthonormalBasis, b2: OrthonormalBasis) -> float:
     """Distance between two orthonormal bases, in [0, sqrt(n-1)]."""
-    _check_same_dim(b1, b2)
+    _check_same_dim(b1.dim, b2.dim)
     return float(basis_distances(b1.vectors, b2.vectors))
 
 
@@ -176,7 +171,7 @@ def commutator_terms(m: np.ndarray, w: np.ndarray, v: np.ndarray):
 def _pair_terms(a, b):
     """commutator_terms of the batch of one (A, B), and the two spectra."""
     a, b = as_observable(a), as_observable(b)
-    _check_same_dim(a, b)
+    _check_same_dim(a.dim, b.dim)
     m, w = np.stack([a.matrix, b.matrix]), np.stack([a.spectrum, b.spectrum])
     v = np.stack([a.eigenbasis.vectors, b.eigenbasis.vectors])
     return [t[0] for t in commutator_terms(m[None], w[None], v[None])], w

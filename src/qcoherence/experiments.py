@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import REPORT_SCALE, commutator_terms, reduce_checks, relative_slacks
-from .errors import DimensionMismatchError
 from .haar import (
     Z_MAX,
     SeededGenerator,
@@ -39,7 +38,7 @@ from .haar import (
     exact_expected_eta2_sq,
     random_basis,
 )
-from .linalg import DensityMatrix, HermitianObservable, checked_eigh, fourier_basis, purity
+from .linalg import DensityMatrix, HermitianObservable, _check_dim, checked_eigh, fourier_basis, purity
 from .measures import (
     DELTA,
     ETA1,
@@ -128,14 +127,14 @@ def load_report(path) -> ExperimentReport:
 
 
 def random_hermitian(n: int, rng) -> HermitianObservable:
+    _check_dim(n)
     return HermitianObservable.from_matrix(_hermitian(_ginibre(as_generator(rng), (n, n))))
 
 
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
     """Normalized Wishart state G G^H / tr with controllable rank (default full)."""
     rng = as_generator(rng)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_dim(n)
     if rank is not None and rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     rank = n if rank is None else min(rank, n)
@@ -219,8 +218,7 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     own slacks on up to one thread per CPU (_threads), reduced after all of
     them, so thread count and order change nothing; an empty range draws nothing.
     """
-    if n < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     if trials.step != 1 or trials.start < 0:
         raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
     from concurrent.futures import ThreadPoolExecutor  # not at module load: it imports logging

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import OrthonormalBasis, as_density, purity
+from .linalg import OrthonormalBasis, _check_dim, _check_same_dim, as_density, purity
 
 # Chunk cap for batched sampling, in complex entries; bounds peak memory.
 _CHUNK_ENTRIES = 2_000_000
@@ -50,7 +50,9 @@ Z_MAX = 4.0  # largest |z| a Monte Carlo check accepts
 
 
 def _check_count(name: str, count: int) -> None:
-    if count < 0:  # every seed, sampler and suite checks its count once, before any draw
+    if not isinstance(count, (int, np.integer)):  # every seed, sampler and suite, before any draw
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if count < 0:
         raise ValueError(f"{name} must be nonnegative, got {count}")
 
 
@@ -166,8 +168,7 @@ def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
 
 def sample_haar_unitaries(n: int, count: int, g) -> np.ndarray:
     """Stack of `count` independent Haar unitaries, shape (count, n, n)."""
-    if n < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     return _haar_samples(lambda u: u, _haar_chunk, n, n, count, g)
 
 
@@ -186,11 +187,9 @@ def monomial_moment(a, n: int) -> float:
 
     Evaluated in log space so factorials stay finite for n in the hundreds.
     """
-    if n < 1:
-        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.size != n:
-        raise DimensionMismatchError(f"need {n} exponents, got shape {a.shape}")
+    _check_same_dim(a.shape, (n,), "exponent shape vs (n,)")
     if not (np.isfinite(a) & (a >= 0) & (a == np.round(a))).all():
         raise ValueError(f"exponents must be nonnegative integers, got {a.tolist()}")
     m = int(a.sum())
@@ -298,6 +297,7 @@ class MomentCheck:
 
 def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> MomentCheck:
     """Compare the MC mean of |u_ik|^2 |u_il|^2 with (delta_kl + 1)/(n(n+1))."""
+    _check_dim(n)
     for name, idx in (("i", i), ("k", k), ("l", l)):
         if not 0 <= idx < n:
             raise DimensionMismatchError(f"index {name}={idx} out of range for dimension {n}")

@@ -29,7 +29,7 @@ def parse_matrix(text: str) -> np.ndarray:
     except ValueError:
         raise MatrixParseError(f"expected the dimension, found {header!r}", header_no) from None
     if n < 1:
-        raise MatrixParseError(f"dimension must be positive, found {n}", header_no)
+        raise MatrixParseError(f"expected a positive dimension, found {n}", header_no)
     body = stripped[1:]
     if len(body) != n:
         raise MatrixParseError(

@@ -48,6 +48,16 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise NotFiniteError(f"{name} has {int((~finite).sum())} NaN or infinite entries")
 
 
+def _check_dim(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
+
+
+def _check_same_dim(a, b, what: str = "dimension mismatch") -> None:
+    if a != b:
+        raise DimensionMismatchError(f"{what}: {a} vs {b}")
+
+
 def _square_complex(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a nonempty square, finite complex128 array; the shared validation entry."""
     a = np.asarray(m, dtype=np.complex128)
@@ -118,6 +128,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
+        _check_dim(n)
         return cls(np.eye(n, dtype=np.complex128) / n)
 
     @classmethod
@@ -156,11 +167,13 @@ class OrthonormalBasis:
 
     @classmethod
     def standard(cls, n: int) -> "OrthonormalBasis":
+        _check_dim(n)
         return cls(np.eye(n, dtype=np.complex128))
 
 
 def fourier_basis(n: int) -> OrthonormalBasis:
     """The discrete Fourier basis, mutually unbiased with the standard one."""
+    _check_dim(n)
     j = np.arange(n)
     u = np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
     return OrthonormalBasis(u)

@@ -35,12 +35,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .distance import BoundReport, overlap_distances, overlap_tables
-from .errors import CounterexampleNotFoundError, DimensionMismatchError
+from .errors import CounterexampleNotFoundError
 from .haar import _ginibre, _hermitian, as_generator
 from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
     Subspace,
+    _check_same_dim,
     _freeze,
     _square_complex,
     as_density,
@@ -103,8 +104,7 @@ def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
     A NaN or infinite basis entry raises NotFiniteError."""
     rho = as_density(rho)
     _square_complex(basis.vectors, "basis")
-    if rho.dim != basis.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} vs basis dim {basis.dim}")
+    _check_same_dim(rho.dim, basis.dim, "state dim vs basis dim")
     return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))
 
 
@@ -197,10 +197,7 @@ def tpf_deviation(s: StateInBasis, f: Subspace) -> float:
     Computed as |sum_k <pi_k| Q |pi_k>| with the frame vectors rewritten in
     the basis of s; agrees with the trace difference to 1e-12.
     """
-    if f.ambient_dim != s.dim:
-        raise DimensionMismatchError(
-            f"subspace ambient dim {f.ambient_dim} vs state dim {s.dim}"
-        )
+    _check_same_dim(f.ambient_dim, s.dim, "subspace ambient dim vs state dim")
     w = s.basis.vectors.conj().T @ f.frame
     return float(abs(((s.offdiag @ w) * w.conj()).real.sum(axis=0).sum()))
 
@@ -261,8 +258,8 @@ def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     with d, and for eta2 the pointwise bound eta2 <= d.
     """
     rho = as_density(rho)
-    if any(b.dim != rho.dim for b in path):
-        raise DimensionMismatchError(f"path bases must have the state dim {rho.dim}")
+    for b in path:
+        _check_same_dim(b.dim, rho.dim, "path basis dim vs state dim")
     bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)
     w, v = rho.eigensystem()
     eigen = np.broadcast_to(w, bases.shape[:-1]), overlap_tables(v.vectors, bases)

@@ -100,6 +100,20 @@ class TestMeasureCommand:
         assert header == "eta1,delta"
         assert [float(x) for x in row.split(",")] == pytest.approx([0.1, 1.0])
 
+    def test_measure_list_items_are_stripped(self, eps_state_file, capsys):
+        rc = main(["measure", eps_state_file, "--csv", "--measures", "eta1, delta"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "eta1,delta"
+
+    @pytest.mark.parametrize("measures", ["", ","], ids=["empty", "comma"])
+    def test_a_measure_list_naming_nothing_is_a_usage_error(self, eps_state_file, capsys,
+                                                            measures):
+        rc = main(["measure", eps_state_file, "--measures", measures])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "E_USAGE\nqcoherence measure: argument --measures: names no value\n"
+        )
+
     def test_maximally_mixed_gives_zeros(self, tmp_path, basis_files, capsys):
         path = tmp_path / "mm.txt"
         write_matrix(path, np.eye(2, dtype=complex) / 2)

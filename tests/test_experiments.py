@@ -44,7 +44,7 @@ from qcoherence.experiments import (
     random_density_matrix,
     random_hermitian,
 )
-from qcoherence.haar import _ginibre, _hermitian, as_generator
+from qcoherence.haar import _ginibre, _hermitian, as_generator, sample_haar_unitaries
 from qcoherence.linalg import checked_eigh
 from qcoherence.measures import MEASURES, adversarial_subspaces, worst_deviations
 
@@ -81,16 +81,16 @@ def test_prop31_suite_passes():
     assert all(row["min_rel_slack"] >= -1e-9 for row in report.rows)
 
 
-@pytest.mark.parametrize("n, rank, match", [
-    pytest.param(3, 0, "rank must be at least 1", id="0"),
-    pytest.param(3, -1, "rank must be at least 1", id="-1"),
-    pytest.param(0, None, "n must be at least 1", id="n0"),
-    pytest.param(-1, 1, "n must be at least 1", id="n-1"),
+@pytest.mark.parametrize("n, rank, error, match", [
+    pytest.param(3, 0, ValueError, "rank must be at least 1", id="0"),
+    pytest.param(3, -1, ValueError, "rank must be at least 1", id="-1"),
+    pytest.param(0, None, DimensionMismatchError, "dimension must be >= 1", id="n0"),
+    pytest.param(-1, 1, DimensionMismatchError, "dimension must be >= 1", id="n-1"),
 ])
-def test_random_density_matrix_rejects_rank_below_one(n, rank, match):
+def test_random_density_matrix_rejects_rank_below_one(n, rank, error, match):
     # rank 0 gave an all-NaN state, -1 numpy's "negative dimensions", and
     # n = 0 a 0 x 0 "state"
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(error, match=match):
         random_density_matrix(n, np.random.default_rng(0), rank=rank)
 
 
@@ -376,6 +376,26 @@ def test_runners_reject_negative_trials_before_any_draw(monkeypatch, run):
     monkeypatch.setattr(SeededGenerator, "substream", substream)
     with pytest.raises(ValueError, match=r"^trials must be nonnegative, got -5$"):
         run(n_list=(2,), trials=-5, seed=9)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: run_srel_demo(seed=1.5), "seed", 1.5),
+    (lambda: run_theorem42_suite(n_list=(2,), trials=2.5), "trials", 2.5),
+    (lambda: run_theorem42_suite(n_list=(2,), trials=2, seed=1.5), "seed", 1.5),
+    (lambda: run_purity_sweep(n_list=(4,), samples=10.5), "samples", 10.5),
+    (lambda: run_proposition31_suite(n_list=(2,), trials=2.5), "trials", 2.5),
+    (lambda: sample_haar_unitaries(2, 1.5, 0), "samples", 1.5),
+    (lambda: SeededGenerator(1.5), "seed", 1.5),
+], ids=["srel-seed", "theorem42-trials", "theorem42-seed", "purity-samples", "prop31-trials",
+        "sampler-count", "generator-seed"])
+def test_a_count_that_is_not_an_integer_is_rejected_before_any_draw(monkeypatch, call, name,
+                                                                    value):
+    # srel wrote "# seed = 1.5"; the others raised an untyped TypeError,
+    # from range() or from numpy's SeedSequence
+    monkeypatch.setattr(SeededGenerator, "substream", _never)
+    monkeypatch.setattr(experiments, "srel_counterexample", _never)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+        call()
 
 
 def _scalar_min_slacks(n, trials, root, block):

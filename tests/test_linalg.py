@@ -25,8 +25,22 @@ from qcoherence import (
     sample_haar_unitary,
     validate_density,
 )
+from qcoherence.distance import (
+    basis_distance,
+    commutator_upper_bound,
+    is_mutually_unbiased,
+    overlap_matrix,
+)
+from qcoherence.experiments import check_subspace_bound, random_density_matrix, random_hermitian
+from qcoherence.haar import (
+    SeededGenerator,
+    exact_expected_eta2_sq,
+    monomial_moment,
+    overlap_moment_check,
+    sample_haar_unitaries,
+)
 from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, entropies, orthonormality_defect
-from qcoherence.measures import worst_deviations
+from qcoherence.measures import check_axiom1, tpf_deviation, worst_deviations
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -324,3 +338,54 @@ class TestBasesAndSubspaces:
     def test_single_vector_frame(self):
         f = Subspace.from_vectors(np.array([1.0, 1.0]) / np.sqrt(2))
         assert f.dim == 1 and f.ambient_dim == 2
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("call", [
+    lambda n: sample_haar_unitaries(n, 1, 0),
+    lambda n: monomial_moment([1], n),
+    lambda n: check_subspace_bound(n, range(1), SeededGenerator(0), 0),
+    lambda n: random_density_matrix(n, 0),
+    lambda n: random_hermitian(n, 0),
+    lambda n: overlap_moment_check(n, 0, 0, 0, 2, 0),
+    DensityMatrix.maximally_mixed,
+    OrthonormalBasis.standard,
+    fourier_basis,
+], ids=["sample_haar_unitaries", "monomial_moment", "check_subspace_bound",
+        "random_density_matrix", "random_hermitian", "overlap_moment_check", "maximally_mixed",
+        "standard", "fourier_basis"])
+def test_every_dimension_entry_point_rejects_n_below_one_or_not_an_integer(call, n):
+    # maximally_mixed, standard and fourier_basis built 0 x 0 objects,
+    # random_density_matrix raised an untyped ValueError, and a float n
+    # reached numpy's TypeError
+    with pytest.raises(DimensionMismatchError, match=f"^dimension must be >= 1, got {n}$"):
+        call(n)
+
+
+def test_no_zero_dimensional_state_or_basis_reaches_a_formula():
+    # the first returned -1.0, the second raised ZeroDivisionError
+    with pytest.raises(DimensionMismatchError):
+        exact_expected_eta2_sq(DensityMatrix.maximally_mixed(0))
+    with pytest.raises(DimensionMismatchError):
+        is_mutually_unbiased(fourier_basis(0), OrthonormalBasis.standard(0))
+
+
+def _standard_state(n):
+    return rewrite_in_basis(DensityMatrix.maximally_mixed(n), OrthonormalBasis.standard(n))
+
+
+@pytest.mark.parametrize("call, sizes", [
+    (lambda: overlap_matrix(OrthonormalBasis.standard(2), OrthonormalBasis.standard(3)), "2 vs 3"),
+    (lambda: basis_distance(OrthonormalBasis.standard(3), OrthonormalBasis.standard(2)), "3 vs 2"),
+    (lambda: commutator_upper_bound(np.eye(2), np.eye(3)), "2 vs 3"),
+    (lambda: rewrite_in_basis(DensityMatrix.maximally_mixed(2), OrthonormalBasis.standard(3)),
+     "2 vs 3"),
+    (lambda: tpf_deviation(_standard_state(2), Subspace(np.eye(3)[:, :1])), "3 vs 2"),
+    (lambda: check_axiom1(DensityMatrix.maximally_mixed(2), ["eta1"],
+                          [OrthonormalBasis.standard(2), OrthonormalBasis.standard(3)]), "3 vs 2"),
+    (lambda: monomial_moment([1, 1, 1], 2), "(3,) vs (2,)"),
+], ids=["overlap_matrix", "basis_distance", "commutator_bounds", "rewrite_in_basis",
+        "tpf_deviation", "check_axiom1", "monomial_moment"])
+def test_every_size_match_names_both_sizes(call, sizes):
+    with pytest.raises(DimensionMismatchError, match=re.escape(f": {sizes}")):
+        call()

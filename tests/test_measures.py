@@ -40,7 +40,7 @@ from qcoherence import (
     tpf_deviation,
     validate_density,
 )
-from qcoherence.cli import DEFAULT_MEASURES
+from qcoherence.cli import build_parser
 from qcoherence.distance import overlap_tables
 from qcoherence.experiments import (
     THEOREM42_MEASURES,
@@ -643,7 +643,8 @@ class TestMeasureId:
     def test_labels(self):
         # reports and the CLI default name the four proven measures by name
         assert THEOREM42_MEASURES == (ETA1, ETA2, ETA_INF, DELTA)
-        assert DEFAULT_MEASURES == "eta1,eta2,eta_inf,delta"
+        args = build_parser().parse_args(["measure", "x"])
+        assert args.measures == ["eta1", "eta2", "eta_inf", "delta"]
         report = run_theorem42_suite(n_list=(2,), trials=1, seed=0)
         assert report.parameters["measures"] == ["eta1", "eta2", "eta_inf", "delta"]
 
