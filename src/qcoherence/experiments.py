@@ -79,7 +79,7 @@ class ExperimentReport:
 
     @classmethod
     def from_rows(cls, experiment_id, parameters, rows, seed) -> "ExperimentReport":
-        return cls(experiment_id, parameters, rows, bool(rows) and all(r["ok"] for r in rows), seed)
+        return cls(experiment_id, parameters, rows, bool(rows) and all(r["ok"] == 1.0 for r in rows), seed)
 
     @property
     def columns(self) -> list[str]:
@@ -133,12 +133,10 @@ def random_hermitian(n: int, rng) -> HermitianObservable:
 
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
     """Normalized Wishart state G G^H / tr with controllable rank (default full)."""
-    rng = as_generator(rng)
     _check_dim(n)
-    if rank is not None and rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
-    rank = n if rank is None else min(rank, n)
-    g = _ginibre(rng, (n, rank))
+    if rank is not None:
+        _check_count("rank", rank, 1)
+    g = _ginibre(as_generator(rng), (n, n if rank is None else min(rank, n)))
     w = g @ g.conj().T
     return DensityMatrix(w / np.trace(w).real)
 
@@ -263,8 +261,8 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
     Every n must be at least 2: at n = 1 the decay path is constant 0, so
     it cannot decrease.
     """
-    if any(n < 2 for n in n_list):
-        raise ValueError(f"theorem42 needs every n >= 2, got {list(n_list)}")
+    for n in n_list:
+        _check_count("n", n, 2)
     _check_count("trials", trials)
     root = SeededGenerator(seed)
     rows = []
@@ -334,8 +332,8 @@ def run_proposition31_suite(
     writes no lower row).  Each family is one commutator_terms stack.
     Every n must be at least 2, the smallest dimension with a spectral gap.
     """
-    if any(n < 2 for n in n_list):
-        raise ValueError(f"prop31 needs every n >= 2, got {list(n_list)}")
+    for n in n_list:
+        _check_count("n", n, 2)
     _check_count("trials", trials)
     root = SeededGenerator(seed)
     rows = []
@@ -377,11 +375,10 @@ def run_purity_sweep(
     """
     if any(a >= b for a, b in zip((0, *n_list), n_list)):
         raise ValueError(f"purity needs a strictly increasing list of n >= 1, got {list(n_list)}")
-    _check_count("samples", samples)
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
+    for n in n_list:
+        _check_count("n", n, 1)
+    _check_count("samples", samples, 2)
+    _check_count("rank", rank, 1)
     root = SeededGenerator(seed)
     rows = []
     last_dev: dict[str, float] = {}

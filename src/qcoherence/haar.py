@@ -49,11 +49,11 @@ Z_ATOL = 1e-12  # |mean - expected| that MonteCarloEstimate.z_score scores as 0
 Z_MAX = 4.0  # largest |z| a Monte Carlo check accepts
 
 
-def _check_count(name: str, count: int) -> None:
-    if not isinstance(count, (int, np.integer)):  # every seed, sampler and suite, before any draw
+def _check_count(name: str, count: int, least: int = 0) -> None:
+    if not isinstance(count, (int, np.integer)):  # the one rule for every whole number, before any draw
         raise ValueError(f"{name} must be an integer, got {count!r}")
-    if count < 0:
-        raise ValueError(f"{name} must be nonnegative, got {count}")
+    if count < least:
+        raise ValueError(f"{name} must be {f'at least {least}' if least else 'nonnegative'}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ class MonteCarloEstimate:
     @classmethod
     def from_samples(cls, xs) -> "MonteCarloEstimate":
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.size < 2:
-            raise ValueError(f"need at least 2 samples, got {xs.size}")
+        _check_count("samples", xs.size, 2)
         return cls(float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(xs.size)), int(xs.size))
 
     def z_score(self, expected: float) -> float:

@@ -232,8 +232,9 @@ def check_axiom2(s: StateInBasis, measures) -> dict:
     return {m: BoundReport.check(worst, MEASURES[m](s)) for m in measures}
 
 
-def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
-    """Bases exp(t K) applied to `target` for a fixed random anti-Hermitian K.
+def approach_path(target: OrthonormalBasis, ts, rng) -> np.ndarray:
+    """The (T, n, n) stack of bases exp(t K) target, one per t in `ts`, for a
+    fixed random anti-Hermitian K; no t gives an empty (0, n, n) stack.
 
     The generator K = iH with H a normalized random Hermitian matrix; as
     t -> 0 the path converges to `target` in basis distance.
@@ -242,25 +243,22 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> list[OrthonormalBasis]:
     h = _hermitian(_ginibre(as_generator(rng), (n, n)))
     h /= np.linalg.norm(h, 2)
     w, v = np.linalg.eigh(h)
-    out = []
-    for t in ts:
-        flow = (v * np.exp(1j * t * w)) @ v.conj().T
-        out.append(OrthonormalBasis(flow @ target.vectors))
-    return out
+    phases = np.exp(1j * np.outer(ts, w))
+    return (v * phases[:, None, :]) @ v.conj().T @ target.vectors
 
 
 def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
 
-    `measures` are names in MEASURES; rho goes through as_density.
-    The path is one StateBatch: rho's eigensystem broadcast over the stacked
-    path bases.  The caller asserts the continuity claims: values tend to 0
-    with d, and for eta2 the pointwise bound eta2 <= d.
+    `measures` are names in MEASURES; rho goes through as_density.  `path`
+    is a (T, n, n) stack of basis matrices, as approach_path returns it, and
+    is one StateBatch: rho's eigensystem broadcast over it.
+    The caller asserts the continuity claims: values tend to 0 with d, and
+    for eta2 the pointwise bound eta2 <= d.
     """
     rho = as_density(rho)
-    for b in path:
-        _check_same_dim(b.dim, rho.dim, "path basis dim vs state dim")
-    bases = np.array([b.vectors for b in path], dtype=np.complex128).reshape(-1, rho.dim, rho.dim)
+    bases = np.asarray(path, dtype=np.complex128)
+    _check_same_dim(bases.shape[-2:], (rho.dim, rho.dim), "path basis shape vs state shape")
     w, v = rho.eigensystem()
     eigen = np.broadcast_to(w, bases.shape[:-1]), overlap_tables(v.vectors, bases)
     b = StateBatch(_rewrite(rho.matrix, bases), eigen)

@@ -320,14 +320,14 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("args, message", [
         (["theorem42", "--n", "2", "--trials", "-5"], "trials must be nonnegative, got -5"),
         (["prop31", "--trials", "-1"], "trials must be nonnegative, got -1"),
-        (["purity", "--samples", "-3"], "samples must be nonnegative, got -3"),
+        (["purity", "--samples", "-3"], "samples must be at least 2, got -3"),
         (["purity", "--n", "0"], "purity needs a strictly increasing list of n >= 1, got [0]"),
-        (["theorem42", "--n", "2,-4"], "theorem42 needs every n >= 2, got [2, -4]"),
+        (["theorem42", "--n", "2,-4"], "n must be at least 2, got -4"),
         (["purity", "--rank", "0"], "rank must be at least 1, got 0"),
         (["srel", "--seed", "-5"], "seed must be nonnegative, got -5"),
         (["theorem42", "--seed", "-1"], "seed must be nonnegative, got -1"),
-        (["purity", "--samples", "1"], "need at least 2 samples, got 1"),
-        (["purity", "--samples", "0"], "need at least 2 samples, got 0"),
+        (["purity", "--samples", "1"], "samples must be at least 2, got 1"),
+        (["purity", "--samples", "0"], "samples must be at least 2, got 0"),
     ], ids=["negative-trials", "negative-prop31-trials", "negative-samples",
             "zero-n", "negative-n", "zero-rank", "negative-srel-seed", "negative-theorem42-seed",
             "one-sample", "zero-samples"])
@@ -428,7 +428,7 @@ class TestExperimentCommand:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "E_USAGE"
-        assert "n >= 2" in err[1]
+        assert err[1] == "n must be at least 2, got 1"
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("n", ["8,4", "4,4"], ids=["decreasing", "repeated"])

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from qcoherence import experiments
+from qcoherence import experiments, haar
 from qcoherence import (
     DELTA,
     ETA1,
@@ -199,6 +199,16 @@ def test_load_report_recomputes_the_verdict(tmp_path, text):
         load_report(path)
 
 
+@pytest.mark.parametrize("ok", ["nan", "0.5", "-1"])
+def test_a_row_passes_only_when_ok_is_one(tmp_path, ok):
+    # ok was read as truthy: each of these rows passed, and so did the file
+    assert not ExperimentReport.from_rows("demo", {}, [{"ok": float(ok)}], seed=0).verdict
+    path = tmp_path / "report.csv"
+    path.write_text(f"a,ok\n1,{ok}\n# experiment = demo\n# verdict = pass\n")
+    with pytest.raises(ValueError, match="the rows fail, but the verdict line reads 'pass'"):
+        load_report(path)
+
+
 def test_load_report_reads_a_failing_report(tmp_path):
     path = tmp_path / "report.csv"
     path.write_text("a,ok\n1,1\n2,0\n# experiment = demo\n# verdict = fail\n")
@@ -231,7 +241,7 @@ def test_purity_sweep_rejects_a_list_that_does_not_increase(monkeypatch, n_list)
 
 
 @pytest.mark.parametrize("samples, message", [
-    (-1, "samples must be nonnegative, got -1"), (1, "need at least 2 samples, got 1"),
+    (-1, "samples must be at least 2, got -1"), (1, "samples must be at least 2, got 1"),
 ])
 def test_purity_sweep_rejects_samples_before_any_draw(monkeypatch, samples, message):
     monkeypatch.setattr(experiments, "random_density_matrix", _never)
@@ -330,13 +340,13 @@ def test_theorem42_fails_when_only_trial_zero_fails(monkeypatch):
 
 def test_theorem42_rejects_dimension_one():
     # at n = 1 the decay path is constant 0 and cannot decrease
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
         run_theorem42_suite(n_list=(2, 1), trials=1, seed=0)
 
 
 def test_prop31_rejects_dimension_one():
     # n = 1 has no spectral gap, so the near-degenerate family cannot be built
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError, match="^n must be at least 2, got 1$"):
         run_proposition31_suite(n_list=(2, 1), trials=3, seed=0)
 
 
@@ -386,13 +396,24 @@ def test_runners_reject_negative_trials_before_any_draw(monkeypatch, run):
     (lambda: run_proposition31_suite(n_list=(2,), trials=2.5), "trials", 2.5),
     (lambda: sample_haar_unitaries(2, 1.5, 0), "samples", 1.5),
     (lambda: SeededGenerator(1.5), "seed", 1.5),
+    (lambda: run_proposition31_suite(n_list=(2.5,)), "n", 2.5),
+    (lambda: run_proposition31_suite(n_list=(4, 2.5)), "n", 2.5),
+    (lambda: run_theorem42_suite(n_list=(4, 2.5)), "n", 2.5),
+    (lambda: run_purity_sweep(n_list=(4, 8.5), samples=10), "n", 8.5),
+    (lambda: run_purity_sweep(n_list=(4,), samples=10, rank=2.5), "rank", 2.5),
+    (lambda: random_density_matrix(4, 0, rank=2.5), "rank", 2.5),
+    (lambda: random_density_matrix(3, 0, rank=5.5), "rank", 5.5),
 ], ids=["srel-seed", "theorem42-trials", "theorem42-seed", "purity-samples", "prop31-trials",
-        "sampler-count", "generator-seed"])
+        "sampler-count", "generator-seed", "prop31-n", "prop31-second-n", "theorem42-second-n",
+        "purity-second-n", "purity-rank", "state-rank", "state-rank-above-n"])
 def test_a_count_that_is_not_an_integer_is_rejected_before_any_draw(monkeypatch, call, name,
                                                                     value):
-    # srel wrote "# seed = 1.5"; the others raised an untyped TypeError,
-    # from range() or from numpy's SeedSequence
+    # srel wrote "# seed = 1.5"; the others raised an untyped TypeError, from
+    # range() or from numpy, a DimensionMismatchError after a whole block was
+    # drawn, or (rank 5.5 at n = 3) nothing, as rank 3
     monkeypatch.setattr(SeededGenerator, "substream", _never)
+    monkeypatch.setattr(experiments, "_ginibre", _never)
+    monkeypatch.setattr(haar, "_ginibre", _never)
     monkeypatch.setattr(experiments, "srel_counterexample", _never)
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
         call()

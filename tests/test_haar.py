@@ -384,7 +384,7 @@ class TestIsometryEstimator:
         if samples < 2:
             for estimate in (lambda: estimate_diag_square_sum(rho, samples, 3),
                              lambda: overlap_moment_check(4, 0, 0, 1, samples, 3)):
-                with pytest.raises(ValueError, match=f"need at least 2 samples, got {samples}"):
+                with pytest.raises(ValueError, match=f"^samples must be at least 2, got {samples}$"):
                     estimate()
         else:
             assert estimate_diag_square_sum(rho, samples, 3).samples == 2

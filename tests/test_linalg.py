@@ -381,8 +381,8 @@ def _standard_state(n):
     (lambda: rewrite_in_basis(DensityMatrix.maximally_mixed(2), OrthonormalBasis.standard(3)),
      "2 vs 3"),
     (lambda: tpf_deviation(_standard_state(2), Subspace(np.eye(3)[:, :1])), "3 vs 2"),
-    (lambda: check_axiom1(DensityMatrix.maximally_mixed(2), ["eta1"],
-                          [OrthonormalBasis.standard(2), OrthonormalBasis.standard(3)]), "3 vs 2"),
+    (lambda: check_axiom1(DensityMatrix.maximally_mixed(2), ["eta1"], np.zeros((2, 3, 3))),
+     "(3, 3) vs (2, 2)"),
     (lambda: monomial_moment([1, 1, 1], 2), "(3,) vs (2,)"),
 ], ids=["overlap_matrix", "basis_distance", "commutator_bounds", "rewrite_in_basis",
         "tpf_deviation", "check_axiom1", "monomial_moment"])

@@ -323,15 +323,17 @@ class TestAxiomHarness:
     def test_axiom1_empty_and_one_point_paths(self):
         measures = (ETA1, ETA2, ETA_INF, DELTA, "s_rel")
         rho = random_density_matrix(3, np.random.default_rng(5))
-        ds, values = check_axiom1(rho, measures, [])
+        empty = approach_path(rho.eigensystem()[1], [], 6)
+        assert empty.shape == (0, 3, 3)
+        ds, values = check_axiom1(rho, measures, empty)
         assert ds.shape == (0,) and all(values[m].shape == (0,) for m in measures)
         b = random_basis(3, 6)
-        ds, values = check_axiom1(rho, measures, [b])
+        ds, values = check_axiom1(rho, measures, b.vectors[None])
         assert ds.tolist() == [basis_distance(rho.eigensystem()[1], b)]
         for m in measures:
             assert values[m].tolist() == [evaluate_measure(rewrite_in_basis(rho, b), m)]
         with pytest.raises(DimensionMismatchError):
-            check_axiom1(rho, measures, [b, random_basis(2, 7)])
+            check_axiom1(rho, measures, np.zeros((2, 2, 2)))
 
     def test_axiom1_rejects_a_nan_path_basis(self):
         # the NaN overlap table passed the doubly-stochastic check, so ds and
@@ -371,9 +373,10 @@ class TestAxiomHarness:
             path = approach_path(rho.eigensystem()[1], ts, rng)
             ds, values = check_axiom1(rho, measures, path)
             eigenbasis = rho.eigensystem()[1]
-            assert ds.tolist() == [basis_distance(eigenbasis, b) for b in path]
+            bases = [OrthonormalBasis(u) for u in path]
+            assert ds.tolist() == [basis_distance(eigenbasis, b) for b in bases]
             for m in measures:
-                want = [evaluate_measure(rewrite_in_basis(rho, b), m) for b in path]
+                want = [evaluate_measure(rewrite_in_basis(rho, b), m) for b in bases]
                 assert values[m].tolist() == want
 
     def test_axiom1_diagonalises_rho_once(self, monkeypatch):
@@ -529,7 +532,7 @@ def test_no_subspace_deviates_beyond_the_ky_fan_sum(n, kind, seed):
             assert dev <= ky_fan[k - 1] + 1e-12 and dev <= k * worst + 1e-12
     line = adversarial_subspaces(s)
     for u in approach_path(OrthonormalBasis.standard(n), [1e-2, 1e-5], rng):
-        assert tpf_deviation(s, Subspace(u.vectors @ line.frame)) <= worst + 1e-12
+        assert tpf_deviation(s, Subspace(u @ line.frame)) <= worst + 1e-12
 
 
 def _entropy_reference(m):
