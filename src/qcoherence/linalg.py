@@ -2,8 +2,8 @@
 
 Validated domain types (density matrices, orthonormal bases, Hermitian
 observables, subspaces) and the spectral quantities built on them: Hermitian
-eigendecomposition, entropies of spectra, purity.  A state argument enters
-the package through as_density alone.
+eigendecomposition and purity.  A state argument enters the package through
+as_density alone.
 
 All wrapped arrays are complex128, marked read-only after construction, and
 every operation here is a pure function, so values can be shared freely
@@ -301,16 +301,6 @@ def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"spectral reconstruction error {err.flat[worst]:.3e} exceeds {tol.flat[worst]:.1e}"
         )
     return w, v
-
-
-def entropies(p: np.ndarray) -> np.ndarray:
-    """-sum(p ln p) over the last axis of stacked spectra, with 0 ln 0 = 0.
-
-    Values are clamped to [0, 1] before the log; solver jitter within the
-    PSD tolerance otherwise produces NaNs at the boundary.
-    """
-    p = np.clip(p, 0.0, 1.0)
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def purity(rho) -> float:

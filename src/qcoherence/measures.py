@@ -8,7 +8,9 @@ The candidate measures quantify Q:
     eta2    = (sum_{i != j} |rep_ij|^2)^(1/2)
     eta_inf = n * max_{i != j} |rep_ij|
     delta   = distance between an eigenbasis of rho and B
-    s_rel   = c * [S(D) - S(rho)]   (relative entropy of coherence)
+    s_rel   = c * [S(D) - S(rho)] = c * sum_ki o_ki d_i phi(lam_k / d_i - 1)
+(the relative entropy of coherence; lam_k is rho's spectrum, d_i = rep_ii,
+o_ki = |<v_k|b_i>|^2, phi(u) = (1 + u) ln(1 + u) - u and 0 ln 0 = 0).
 
 A genuine measure must (1) vanish continuously as B approaches an eigenbasis
 of rho and (2) bound the deviation from classical total-probability
@@ -45,7 +47,6 @@ from .linalg import (
     _freeze,
     _square_complex,
     as_density,
-    entropies,
 )
 
 
@@ -87,7 +88,7 @@ class StateInBasis(StateBatch):
     leading axis, and the one state whose `eigen` is deferred, to its first
     read, from rho's cached eigensystem.  The change of basis is unitary, so
     rep inherits hermiticity, unit trace and positivity from rho;
-    diagonal_part(s) + s.offdiag == rep exactly.
+    np.diag(np.diag(s.rep)) + s.offdiag == rep exactly.
     """
 
     def __init__(self, rho: DensityMatrix, basis: OrthonormalBasis, rep: np.ndarray):
@@ -106,11 +107,6 @@ def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
     _square_complex(basis.vectors, "basis")
     _check_same_dim(rho.dim, basis.dim, "state dim vs basis dim")
     return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))
-
-
-def diagonal_part(s: StateInBasis) -> DensityMatrix:
-    """The diagonal of rep as a density matrix (expressed in the same basis)."""
-    return DensityMatrix(np.diag(np.diag(s.rep)))
 
 
 # Evaluators: StateBatch -> one value per state, in its leading shape.
@@ -135,12 +131,26 @@ def _delta(b: StateBatch) -> np.ndarray:
     return overlap_distances(b.eigen[1])
 
 
+_PHI_SERIES = 1.0 / np.arange(25.0, 2.0, -2.0)  # 1 / (2j + 3), j = 11..0: S below, for np.polyval
+
+
 def _s_rel(b: StateBatch) -> np.ndarray:
-    """S(D) - S(rho), s_rel at c = 1; s_rel(s, c) scales it by c."""
-    # The dephased state is diagonal, so its spectrum is rep's diagonal.
-    dephased = entropies(np.diagonal(b.rep, axis1=-2, axis2=-1).real)
-    # Dephasing cannot lower entropy; clip the roundoff-negative case.
-    return np.maximum(dephased - entropies(b.eigen[0]), 0.0)
+    """s_rel at c = 1 from the spectra lam_k, overlaps o_ki and diagonals d_i = rep_ii.
+
+    d_i = sum_k o_ki lam_k and o sums to 1 over k and over i, so S(D) - S(rho)
+    = sum_ki o_ki d_i phi(lam_k / d_i - 1), a sum of nonnegative terms: nothing
+    cancels near incoherence.  Where |t| < 1/4, t = u / (2 + u), phi(u) = u t [1 +
+    (1 + t) t S(t^2)], S(x) = sum_j x^j / (2j + 3) cut after j = 11 (error < 1e-16).
+    """
+    # Solver jitter within the PSD tolerance is clamped; lam <= 1 keeps r finite.
+    lam = np.maximum(b.eigen[0], 0.0)[..., :, None]
+    d = np.maximum(np.diagonal(b.rep, axis1=-2, axis2=-1).real, 0.0)[..., None, :]
+    r = lam / np.maximum(d, np.finfo(float).tiny)
+    far = lam * np.log(np.where(r > 0.0, r, 1.0)) - lam + d  # 0 ln 0 = 0
+    u = r - 1.0
+    t = u / (1.0 + r)
+    near = d * u * t * (1.0 + (1.0 + t) * t * np.polyval(_PHI_SERIES, t * t))
+    return (b.eigen[1] * np.where(np.abs(t) < 0.25, near, far)).sum(axis=(-2, -1))
 
 
 MEASURES = {"eta1": _eta1, "eta2": _eta2, "eta_inf": _eta_inf, "delta": _delta, "s_rel": _s_rel}
@@ -186,7 +196,7 @@ def delta(s: StateInBasis) -> float:
 
 
 def s_rel(s: StateInBasis, c: float) -> float:
-    """Relative entropy of coherence c * [S(diagonal part) - S(rho)], in nats."""
+    """Relative entropy of coherence c * sum_ki o_ki d_i phi(lam_k / d_i - 1), in nats."""
     _check_srel_constant(c)
     return c * evaluate_measure(s, "s_rel")
 
@@ -284,17 +294,6 @@ def srel_family_state(epsilon: float) -> DensityMatrix:
     return DensityMatrix(np.array([[0.5, 0.5 * epsilon], [0.5 * epsilon, 0.5]]))
 
 
-def _family_srel(epsilon: float, c: float) -> float:
-    """c * [S(D) - S(rho)] for the family state, evaluated without cancellation.
-
-    Equal to c * [ln 2 + sum_pm (1 +- eps)/2 ln((1 +- eps)/2)], rewritten as
-    (c/2) [(1+eps) ln(1+eps) + (1-eps) ln(1-eps)]; the naive form loses all
-    precision below eps ~ 1e-8, which would fake counterexamples at large c.
-    """
-    lo = 0.0 if epsilon >= 1.0 else (1.0 - epsilon) * np.log1p(-epsilon)
-    return c * 0.5 * ((1.0 + epsilon) * np.log1p(epsilon) + lo)
-
-
 def srel_counterexample(c: float) -> SrelCounterexample:
     """Find eps in (0, 1] where the total-probability deviation beats c * s_rel.
 
@@ -311,7 +310,7 @@ def srel_counterexample(c: float) -> SrelCounterexample:
     for _ in range(SREL_MAX_HALVINGS):
         s = rewrite_in_basis(srel_family_state(eps), basis)
         deviation = tpf_deviation(s, f)
-        bound = _family_srel(eps, c)
+        bound = s_rel(s, c)
         margin = deviation - bound
         if margin > SREL_MARGIN_TOL:
             return SrelCounterexample(eps, deviation, bound, margin)

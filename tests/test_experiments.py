@@ -666,7 +666,7 @@ GOLDEN = {
     ("purity", "--n", "4,8", "--samples", "300"):
         "e7528b2508f378c65a763490c71c280bb0640c6dac7f209d221869b3d193b904",
     ("srel",):
-        "12ce540ec1cc9fdaf00aff72fb7bb8e0326f600af65e98db50c074e4d60f6a7a",
+        "294b7875475bbff4740aaa298ac260a670982a4c0854e10e62ca2b3c20c4bd57",
     # several chunks at both n
     ("theorem42", "--n", "16,32", "--trials", "100"):
         "0662845574e1afa5dd33666b4d7f6998d6156a3609b85667c83f1c0f2d148fef",

@@ -22,6 +22,7 @@ from qcoherence import (
     purity,
     random_basis,
     rewrite_in_basis,
+    s_rel,
     sample_haar_unitary,
     validate_density,
 )
@@ -39,7 +40,7 @@ from qcoherence.haar import (
     overlap_moment_check,
     sample_haar_unitaries,
 )
-from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, entropies, orthonormality_defect
+from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, orthonormality_defect
 from qcoherence.measures import check_axiom1, tpf_deviation, worst_deviations
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -254,27 +255,31 @@ class TestOperatorNorm:
             assert abs(_q_norm(rho, relabelled) - base) < 1e-10
 
 
-def _entropy(rho) -> float:
-    """The von Neumann entropy in nats, on the spectrum path s_rel takes."""
-    return float(entropies(rho.eigensystem()[0]))
+def _fourier_srel(p) -> float:
+    """s_rel of diag(p) in the Fourier basis, which dephases it to the
+    maximally mixed state: ln n - S(diag(p)), so entropies are checked through s_rel."""
+    p = np.asarray(p, dtype=np.float64)
+    return s_rel(rewrite_in_basis(validate_density(np.diag(p)), fourier_basis(p.size)), 1.0)
 
 
 class TestEntropyAndPurity:
-    def test_pure_state(self):
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_pure_state(self, n):
+        # S = 0
+        assert abs(_fourier_srel(np.eye(n)[0]) - np.log(n)) < 1e-12
         rho = DensityMatrix.pure(np.array([1.0, 1.0j]) / np.sqrt(2))
-        assert _entropy(rho) < 1e-12
         assert abs(purity(rho) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_maximally_mixed(self, n):
+        # S = ln n
+        assert 0.0 <= _fourier_srel(np.full(n, 1.0 / n)) < 1e-12
         rho = DensityMatrix.maximally_mixed(n)
-        assert abs(_entropy(rho) - np.log(n)) < 1e-12
         assert abs(purity(rho) - 1.0 / n) < 1e-12
 
     def test_binary_entropy_value(self):
-        # -0.55 ln 0.55 - 0.45 ln 0.45, evaluated directly
-        rho = validate_density(np.diag([0.55, 0.45]))
-        assert abs(_entropy(rho) - 0.6881388137135884) < 1e-12
+        # S = -0.55 ln 0.55 - 0.45 ln 0.45, evaluated directly
+        assert abs(_fourier_srel([0.55, 0.45]) - (np.log(2.0) - 0.6881388137135884)) < 1e-12
 
     def test_purity_by_hand(self):
         assert abs(purity(validate_density(np.diag([0.7, 0.3]))) - 0.58) < 1e-14
@@ -285,7 +290,7 @@ class TestEntropyAndPurity:
             n = int(rng.integers(2, 17))
             rho = validate_density(_random_state(n, rng))
             p = purity(rho)
-            s = _entropy(rho)
+            s = np.log(n) - _fourier_srel(rho.eigensystem()[0])  # S(rho), from its spectrum
             assert 1.0 / n - 1e-12 <= p <= 1.0 + 1e-12
             assert -1e-12 <= s <= np.log(n) + 1e-12
 

@@ -24,7 +24,6 @@ from qcoherence import (
     check_axiom1,
     check_axiom2,
     delta,
-    diagonal_part,
     eta1,
     eta2,
     eta_inf,
@@ -52,6 +51,7 @@ from qcoherence.linalg import checked_eigh
 from qcoherence.measures import (
     MEASURE_CODES,
     MEASURES,
+    SREL_MARGIN_TOL,
     StateBatch,
     adversarial_subspaces,
     worst_deviations,
@@ -69,14 +69,18 @@ def _plus_projector_subspace():
     return Subspace.from_vectors(np.array([1.0, 1.0]) / np.sqrt(2))
 
 
-# closed form for the counterexample family, evaluated independently:
-# ln 2 + (1+e)/2 ln((1+e)/2) + (1-e)/2 ln((1-e)/2), with 0 ln 0 = 0
 def _srel_closed_form(eps, c=1.0):
-    total = np.log(2.0)
-    for p in ((1 + eps) / 2, (1 - eps) / 2):
-        if p > 0:
-            total += p * np.log(p)
-    return c * total
+    """c * s_rel of the counterexample family, evaluated independently.
+
+    s_rel = (1/2) sum_pm (1 +- eps) ln(1 +- eps) = eps atanh(eps) + ln(1 - eps^2) / 2:
+    the +-eps ln terms are paired by hand, so only a factor 2 cancels and the
+    value is good to a few ulp for every eps; the log1p form cancels like
+    1/eps (2.3e-10 relative at eps = 2^-20), and ln 2 + sum p ln p loses
+    every digit by eps = 1e-8.
+    """
+    if eps == 1.0:
+        return c * np.log(2.0)
+    return c * (eps * np.arctanh(eps) + 0.5 * np.log1p(-eps * eps))
 
 
 class TestRewrite:
@@ -134,7 +138,7 @@ class TestParts:
     def test_plus_state_in_z_basis(self):
         rho = DensityMatrix.pure(np.array([1.0, 1.0]) / np.sqrt(2))
         s = rewrite_in_basis(rho, STANDARD2)
-        assert_allclose(diagonal_part(s).matrix, np.eye(2) / 2, atol=1e-14)
+        assert_allclose(np.diag(np.diag(s.rep)), np.eye(2) / 2, atol=1e-14)
         assert_allclose(s.offdiag, np.array([[0, 0.5], [0.5, 0]]), atol=1e-14)
 
     def test_maximally_mixed_has_no_offdiagonal(self):
@@ -147,10 +151,10 @@ class TestParts:
             s = rewrite_in_basis(
                 random_density_matrix(n, np.random.default_rng(seed)), random_basis(n, seed)
             )
-            d = diagonal_part(s)
+            d = np.diag(np.diag(s.rep))
             q = s.offdiag
-            assert (d.matrix + q == s.rep).all()
-            assert abs(np.trace(d.matrix) - 1.0) < 1e-12
+            assert (d + q == s.rep).all()
+            assert abs(np.trace(d) - 1.0) < 1e-12
             assert np.abs(np.diag(q)).max() == 0.0
 
     def test_parts_are_read_only(self):
@@ -283,7 +287,7 @@ class TestTpfDeviation:
             f = Subspace.from_vectors(random_basis(n, rng).vectors[:, :k])
             p = f.frame @ f.frame.conj().T
             u = b.vectors
-            d_op = u @ diagonal_part(s).matrix @ u.conj().T
+            d_op = u @ np.diag(np.diag(s.rep)) @ u.conj().T
             direct = abs(np.trace(rho.matrix @ p) - np.trace(d_op @ p))
             assert abs(tpf_deviation(s, f) - direct) < 1e-12
 
@@ -604,6 +608,79 @@ class TestSrelCounterexample:
     def test_rejects_non_finite_c(self, c):
         with pytest.raises(ValueError, match="finite"):
             srel_counterexample(c)
+
+    @pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
+    def test_large_c_finds_the_closed_form_scan_epsilon(self, c):
+        # the scan scores s_rel through MEASURES, as `qcoherence measure` does
+        eps = 1.0
+        while eps / 2 - _srel_closed_form(eps, c) <= SREL_MARGIN_TOL:
+            eps /= 2
+        found = srel_counterexample(c)
+        assert found.epsilon == eps
+        assert abs(found.bound - _srel_closed_form(eps, c)) <= 1e-12 * found.bound
+        assert all(type(field) is float for field in found)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_srel_is_accurate_on_the_family(eps):
+    # S(D) - S(rho) as a difference of entropies erred 1.3e-4 relative at
+    # eps = 1e-6 and gave 0 from eps = 1e-8.  What is left is eigh rounding
+    # lam = (1 +- eps)/2: measured at most 2.2e-16 / eps relative.
+    want = _srel_closed_form(eps)
+    assert abs(s_rel(_eps_state(eps), 1.0) - want) <= 1e-15 / eps * want
+
+
+def _srel_second_order(rep):
+    """(1/2) sum_{i != j} |Q_ij|^2 (ln d_i - ln d_j) / (d_i - d_j), with 1/d_i
+    where d_i = d_j: s_rel to second order in the off-diagonal part Q."""
+    d = np.diag(rep).real
+    gap = d[:, None] - d[None, :]
+    same = gap == 0.0
+    logs = np.log(d)
+    weight = np.where(same, 1.0 / d[:, None], (logs[:, None] - logs[None, :]) / np.where(same, 1.0, gap))
+    q = np.abs(rep) ** 2
+    np.fill_diagonal(q, 0.0)
+    return 0.5 * float((q * weight).sum())
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_srel_near_the_eigenbasis_matches_second_order(n):
+    # the entropy difference was off by 0.13 relative at n = 8, t = 1e-7
+    rng = np.random.default_rng(n)
+    rho = random_density_matrix(n, rng)
+    path = approach_path(rho.eigensystem()[1], [1e-5, 1e-7], rng)
+    _, values = check_axiom1(rho, ("s_rel",), path)
+    for u, got in zip(path, values["s_rel"]):
+        want = _srel_second_order(u.conj().T @ rho.matrix @ u)
+        assert abs(got - want) <= 1e-5 * want
+
+
+class TestSrelEdgeCases:
+    """0 ln 0 = 0 wherever lam_k or d_i is 0, with no NaN and no warning."""
+
+    @pytest.mark.parametrize("basis", [OrthonormalBasis.standard(1), random_basis(1, 3)],
+                             ids=["standard", "haar"])
+    def test_one_level_is_exactly_zero(self, basis):
+        assert s_rel(rewrite_in_basis(DensityMatrix.maximally_mixed(1), basis), 1.0) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_pure_state_in_the_standard_basis(self, n):
+        s = rewrite_in_basis(DensityMatrix.pure(np.eye(n)[0]), OrthonormalBasis.standard(n))
+        assert 0.0 <= s_rel(s, 1.0) < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_maximally_mixed_in_a_haar_basis(self, n):
+        s = rewrite_in_basis(DensityMatrix.maximally_mixed(n), random_basis(n, n))
+        assert 0.0 <= s_rel(s, 1.0) < 1e-15
+
+    @pytest.mark.parametrize("basis", [OrthonormalBasis.standard(3), random_basis(3, 7)],
+                             ids=["standard", "haar"])
+    def test_eigenvalue_below_zero_within_tolerance(self, basis):
+        jitter = qcoherence.linalg.TOL_PSD / 2
+        rho = validate_density(np.diag([0.5 + jitter, 0.5, -jitter]))
+        assert rho.eigensystem()[0][0] < 0.0
+        value = s_rel(rewrite_in_basis(rho, basis), 1.0)
+        assert np.isfinite(value) and value >= 0.0
 
 
 class TestMeasureId:
