@@ -212,27 +212,25 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     (worst_deviations), exact for every subspace.  The min slack is over
     the Wishart trials (inf if none), as trial 0's Q is roundoff; ok needs
     checks and every slack, trial 0's too, to be at least -AXIOM_SLACK_TOL.
-    Each chunk, clipped to `trials`, is one stack drawn and checked into its
-    own slacks on up to one thread per CPU (_threads), reduced after all of
-    them, so thread count and order change nothing; an empty range draws nothing.
+    Each chunk, clipped to `trials`, is drawn and checked on up to one thread
+    per CPU (_threads) and returns its slacks, reduced in chunk order after
+    all of them, so thread count and order change nothing; an empty range draws nothing.
     """
     _check_dim(n)
     if trials.step != 1 or trials.start < 0:
         raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
     from concurrent.futures import ThreadPoolExecutor  # not at module load: it imports logging
-    slacks = np.empty((len(THEOREM42_MEASURES), len(trials)))
     step = _chunk_trials(n)
 
-    def check(start: int) -> None:
+    def check(start: int) -> list[np.ndarray]:
         chunk = range(max(start, trials.start), min(start + step, trials.stop))
         batch = _draw_chunk(n, chunk, root, block)[2]
         worst = worst_deviations(batch)
-        local = slice(chunk.start - trials.start, chunk.stop - trials.start)
-        slacks[:, local] = [MEASURES[m](batch) - worst for m in THEOREM42_MEASURES]
+        return [MEASURES[m](batch) - worst for m in THEOREM42_MEASURES]
 
     starts = range(trials.start // step * step, trials.stop, step) if trials else range(0)
     with ThreadPoolExecutor(_threads(len(starts))) as pool:
-        list(pool.map(check, starts))  # reading every result raises a chunk's error
+        slacks = np.concatenate([np.empty((len(THEOREM42_MEASURES), 0)), *pool.map(check, starts)], axis=1)
     wishart = slacks[:, 1:] if trials.start == 0 else slacks  # trial 0's Q is roundoff
     return {m: (float(w.min(initial=np.inf)), *reduce_checks(row, AXIOM_SLACK_TOL)[1:])
             for m, row, w in zip(THEOREM42_MEASURES, slacks, wishart)}

@@ -50,7 +50,7 @@ Z_MAX = 4.0  # largest |z| a Monte Carlo check accepts
 
 
 def _check_count(name: str, count: int, least: int = 0) -> None:
-    if not isinstance(count, (int, np.integer)):  # the one rule for every whole number, before any draw
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):  # one rule, before any draw
         raise ValueError(f"{name} must be an integer, got {count!r}")
     if count < least:
         raise ValueError(f"{name} must be {f'at least {least}' if least else 'nonnegative'}, got {count}")
@@ -87,7 +87,7 @@ def as_generator(g) -> np.random.Generator:
     if isinstance(g, SeededGenerator):
         return g.generator()
     if isinstance(g, (int, np.integer)):
-        return SeededGenerator(int(g)).generator()
+        return SeededGenerator(g).generator()
     raise TypeError(f"cannot interpret {type(g).__name__} as a random generator")
 
 

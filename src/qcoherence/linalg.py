@@ -49,7 +49,7 @@ def _check_finite(a: np.ndarray, name: str) -> None:
 
 
 def _check_dim(n) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DimensionMismatchError(f"dimension must be >= 1, got {n}")
 
 
@@ -279,7 +279,7 @@ def hermitian_eigendecomposition(a):
     """Ascending spectrum and one orthonormal eigenbasis of a Hermitian matrix.
 
     A degenerate spectrum makes the eigenbasis non-unique; whichever basis the
-    solver produces is returned, and downstream statements hold for any choice.
+    solver produces is returned, and measures.delta reads it (see there).
     A matrix goes through HermitianObservable.from_matrix and its checks.
     """
     obs = as_observable(a)

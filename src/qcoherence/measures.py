@@ -43,10 +43,12 @@ from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
     Subspace,
+    _check_finite,
     _check_same_dim,
     _freeze,
     _square_complex,
     as_density,
+    checked_eigh,
 )
 
 
@@ -85,24 +87,20 @@ class StateBatch:
 
 class StateInBasis(StateBatch):
     """rho in a basis, rep_ij = <e_i|rho|e_j> read-only: the batch with no
-    leading axis, and the one state whose `eigen` is deferred, to its first
-    read, from rho's cached eigensystem.  The change of basis is unitary, so
-    rep inherits hermiticity, unit trace and positivity from rho;
-    np.diag(np.diag(s.rep)) + s.offdiag == rep exactly.
+    leading axis, its `eigen` built from rho's cached eigensystem.  The
+    change of basis is unitary, so rep inherits hermiticity, unit trace and
+    positivity from rho; np.diag(np.diag(s.rep)) + s.offdiag == rep exactly.
     """
 
     def __init__(self, rho: DensityMatrix, basis: OrthonormalBasis, rep: np.ndarray):
-        self.rho, self.basis, self.rep = rho, basis, _freeze(rep)
-
-    @cached_property
-    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = self.rho.eigensystem()
-        return w, overlap_tables(v.vectors, self.basis.vectors)
+        self.rho, self.basis = rho, basis
+        w, v = rho.eigensystem()
+        super().__init__(_freeze(rep), (w, overlap_tables(v.vectors, basis.vectors)))
 
 
 def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
-    """Express rho in the given basis; rho goes through as_density.
-    A NaN or infinite basis entry raises NotFiniteError."""
+    """Express rho in the given basis, with rho's eigensystem; rho goes
+    through as_density.  A NaN or infinite basis entry raises NotFiniteError."""
     rho = as_density(rho)
     _square_complex(basis.vectors, "basis")
     _check_same_dim(rho.dim, basis.dim, "state dim vs basis dim")
@@ -187,10 +185,9 @@ def eta_inf(s: StateInBasis) -> float:
 
 
 def delta(s: StateInBasis) -> float:
-    """Distance from an eigenbasis of rho to the basis of interest.
-
-    With a degenerate rho the eigenbasis is not unique; the value at the
-    solver's returned eigenbasis is used.
+    """Distance from the eigenbasis of rho that the solver returns to the
+    basis of interest: for a degenerate rho it can exceed 1 even when the
+    basis is another eigenbasis of rho, where eta1 is 0.
     """
     return evaluate_measure(s, DELTA)
 
@@ -227,7 +224,7 @@ def worst_deviations(b: StateBatch) -> np.ndarray:
 def adversarial_subspaces(s: StateInBasis) -> Subspace:
     """The line attaining worst_deviations: the eigenvector of Q whose
     eigenvalue is largest in magnitude, mapped to ambient coordinates."""
-    w, v = np.linalg.eigh(s.offdiag)
+    w, v = checked_eigh(s.offdiag)
     top = -1 if w[-1] >= -w[0] else 0
     return Subspace(s.basis.vectors @ v[:, [top]])
 
@@ -252,7 +249,7 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> np.ndarray:
     n = target.dim
     h = _hermitian(_ginibre(as_generator(rng), (n, n)))
     h /= np.linalg.norm(h, 2)
-    w, v = np.linalg.eigh(h)
+    w, v = checked_eigh(h)
     phases = np.exp(1j * np.outer(ts, w))
     return (v * phases[:, None, :]) @ v.conj().T @ target.vectors
 
@@ -268,6 +265,7 @@ def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     """
     rho = as_density(rho)
     bases = np.asarray(path, dtype=np.complex128)
+    _check_finite(bases, "path")
     _check_same_dim(bases.shape[-2:], (rho.dim, rho.dim), "path basis shape vs state shape")
     w, v = rho.eigensystem()
     eigen = np.broadcast_to(w, bases.shape[:-1]), overlap_tables(v.vectors, bases)

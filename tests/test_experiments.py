@@ -1,8 +1,11 @@
 import hashlib
+import math
 import os
 import sys
 import threading
 import time
+from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,14 +406,20 @@ def test_runners_reject_negative_trials_before_any_draw(monkeypatch, run):
     (lambda: run_purity_sweep(n_list=(4,), samples=10, rank=2.5), "rank", 2.5),
     (lambda: random_density_matrix(4, 0, rank=2.5), "rank", 2.5),
     (lambda: random_density_matrix(3, 0, rank=5.5), "rank", 5.5),
+    (lambda: run_srel_demo(seed=True), "seed", True),
+    (lambda: run_theorem42_suite(n_list=(2,), trials=True), "trials", True),
+    (lambda: sample_haar_unitaries(2, True, 0), "samples", True),
+    (lambda: random_density_matrix(3, 0, rank=True), "rank", True),
 ], ids=["srel-seed", "theorem42-trials", "theorem42-seed", "purity-samples", "prop31-trials",
         "sampler-count", "generator-seed", "prop31-n", "prop31-second-n", "theorem42-second-n",
-        "purity-second-n", "purity-rank", "state-rank", "state-rank-above-n"])
+        "purity-second-n", "purity-rank", "state-rank", "state-rank-above-n", "srel-seed-bool",
+        "theorem42-trials-bool", "sampler-count-bool", "state-rank-bool"])
 def test_a_count_that_is_not_an_integer_is_rejected_before_any_draw(monkeypatch, call, name,
                                                                     value):
     # srel wrote "# seed = 1.5"; the others raised an untyped TypeError, from
     # range() or from numpy, a DimensionMismatchError after a whole block was
-    # drawn, or (rank 5.5 at n = 3) nothing, as rank 3
+    # drawn, or (rank 5.5 at n = 3) nothing, as rank 3.  True passed as 1:
+    # srel wrote "# seed = True", which load_report could not read back
     monkeypatch.setattr(SeededGenerator, "substream", _never)
     monkeypatch.setattr(experiments, "_ginibre", _never)
     monkeypatch.setattr(haar, "_ginibre", _never)
@@ -657,7 +666,9 @@ def test_basis_frame_draws_match_the_wishart_path(n):
 
 
 # sha256 of small seeded reports; a change here must be deliberate and
-# explained in CHANGES.md.
+# explained in CHANGES.md.  Each report is also stored in GOLDEN_DIR under
+# its _golden_id, so a re-pin shows its changed cells in the diff.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
         "253a5b6d08e476d04657cb687f2f05a04c24d91d7f8a0d632a81a237447daede",
@@ -692,8 +703,52 @@ def _golden_id(args):
     return f"{args[0]}-n{args[args.index('--n') + 1]}" if "--n" in args else f"{args[0]}-default"
 
 
+def _ulps(a: float, b: float) -> float:
+    """Doubles between a and b, each counted once; inf unless both are finite."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    # Sign-magnitude bit patterns onto one ordered integer line; -0.0 == 0.0.
+    a, b = (i if i >= 0 else -(i & (2**63 - 1)) for i in np.array([a, b]).view(np.int64).tolist())
+    return abs(a - b)
+
+
+def _cell_drift(stored: str, new: str) -> str:
+    """Each cell where the report text `new` differs from `stored`: its row
+    (1 = first data row), column, both values and their distance in ulps.
+    A header, metadata or missing line that differs is shown whole."""
+    header = stored.splitlines()[0].split(",")
+    drift = []
+    for i, (a, b) in enumerate(zip_longest(stored.splitlines(), new.splitlines(), fillvalue="")):
+        if a == b:
+            continue
+        cells = a.split(","), b.split(",")
+        ragged = not len(cells[0]) == len(cells[1]) == len(header)
+        if i == 0 or a.startswith("#") or b.startswith("#") or ragged:
+            drift.append(f"line {i + 1}: {a!r} -> {b!r}")
+            continue
+        drift += [f"row {i}, {col}: {x} -> {y} ({_ulps(float(x), float(y)):g} ulp)"
+                  for col, x, y in zip(header, *cells) if x != y]
+    return "\n".join(drift)
+
+
+def test_cell_drift_names_each_changed_cell():
+    stored = "n,bound,ok\n2,0.5,1\n4,-0,1\n# verdict = pass\n"
+    new = "n,bound,ok\n2,0.50000000000000011,1\n4,5e-324,nan\n# verdict = fail\n"
+    assert _cell_drift(stored, new).splitlines() == [
+        "row 1, bound: 0.5 -> 0.50000000000000011 (1 ulp)",
+        "row 2, bound: -0 -> 5e-324 (1 ulp)",
+        "row 2, ok: 1 -> nan (inf ulp)",
+        "line 4: '# verdict = pass' -> '# verdict = fail'",
+    ]
+    assert _cell_drift(stored, stored.replace("4,-0,1\n", "")).splitlines() == [
+        "line 3: '4,-0,1' -> '# verdict = pass'", "line 4: '# verdict = pass' -> ''"]
+
+
 @pytest.mark.parametrize("args", list(GOLDEN), ids=_golden_id)
 def test_golden_report_hashes(tmp_path, args):
+    stored = (GOLDEN_DIR / f"{_golden_id(args)}.csv").read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == GOLDEN[args], "the stored report is not the pinned one"
     assert cli_main(["experiment", *args, "--seed", "42", "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / f"{args[0]}.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN[args]
+    new = (tmp_path / f"{args[0]}.csv").read_bytes()
+    digest = hashlib.sha256(new).hexdigest()
+    assert digest == GOLDEN[args], _cell_drift(stored.decode(), new.decode())

@@ -142,6 +142,12 @@ class TestSampling:
         assert ks_2samp(t1.imag, t2.imag).pvalue > 0.05
 
 
+def test_as_generator_rejects_a_bool():
+    # True seeded 1
+    with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+        haar_mod.as_generator(True)
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package must import without it
     env = {**os.environ, "PYTHONPATH": str(Path(haar_mod.__file__).parents[1])}

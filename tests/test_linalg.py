@@ -345,7 +345,7 @@ class TestBasesAndSubspaces:
         assert f.dim == 1 and f.ambient_dim == 2
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
 @pytest.mark.parametrize("call", [
     lambda n: sample_haar_unitaries(n, 1, 0),
     lambda n: monomial_moment([1], n),
@@ -361,8 +361,8 @@ class TestBasesAndSubspaces:
         "standard", "fourier_basis"])
 def test_every_dimension_entry_point_rejects_n_below_one_or_not_an_integer(call, n):
     # maximally_mixed, standard and fourier_basis built 0 x 0 objects,
-    # random_density_matrix raised an untyped ValueError, and a float n
-    # reached numpy's TypeError
+    # random_density_matrix raised an untyped ValueError, a float n reached
+    # numpy's TypeError, and True passed as 1 or reached that TypeError
     with pytest.raises(DimensionMismatchError, match=f"^dimension must be >= 1, got {n}$"):
         call(n)
 

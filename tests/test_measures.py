@@ -10,6 +10,7 @@ from qcoherence import (
     ETA1,
     ETA2,
     ETA_INF,
+    ConvergenceFailureError,
     CounterexampleNotFoundError,
     DensityMatrix,
     DimensionMismatchError,
@@ -340,11 +341,11 @@ class TestAxiomHarness:
             check_axiom1(rho, measures, np.zeros((2, 2, 2)))
 
     def test_axiom1_rejects_a_nan_path_basis(self):
-        # the NaN overlap table passed the doubly-stochastic check, so ds and
-        # every value came out NaN
+        # named as rewrite_in_basis names a non-finite basis, not as the
+        # overlap table's "not doubly stochastic" defect it leads to
         rho = random_density_matrix(2, np.random.default_rng(5))
         path = approach_path(OrthonormalBasis.standard(2), [np.nan, 1e-3], 0)
-        with pytest.raises(NotOrthonormalError, match="doubly stochastic"):
+        with pytest.raises(NotFiniteError, match="path has 4 NaN"):
             check_axiom1(rho, (ETA2, DELTA), path)
 
     def test_axiom1_eta2_below_distance(self):
@@ -397,6 +398,24 @@ class TestAxiomHarness:
         path = approach_path(OrthonormalBasis.standard(4), np.geomspace(0.1, 1e-9, 9), 3)
         check_axiom1(rho, (ETA1, ETA2, ETA_INF, DELTA), path)
         assert len(calls) == 1
+
+    def test_path_and_adversarial_line_check_their_eigh(self, monkeypatch):
+        # both called numpy's eigh unchecked, so a wrong spectrum went into
+        # the path or the line
+        s = rewrite_in_basis(random_density_matrix(4, np.random.default_rng(2)),
+                             OrthonormalBasis.standard(4))
+        eigh = qcoherence.linalg._eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            w[0] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(qcoherence.linalg, "_eigh", perturbed)
+        with pytest.raises(ConvergenceFailureError, match="reconstruction error"):
+            approach_path(OrthonormalBasis.standard(4), [1e-3], 0)
+        with pytest.raises(ConvergenceFailureError, match="reconstruction error"):
+            adversarial_subspaces(s)
 
     def test_axiom2_accepts_dimension_one(self):
         s = rewrite_in_basis(DensityMatrix.maximally_mixed(1), OrthonormalBasis.standard(1))
