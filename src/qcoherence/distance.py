@@ -225,8 +225,8 @@ def jensen_gap_bound(weights, points, epsilon: float) -> BoundReport:
         )
     for name, v in (("weights", w), ("points", x), ("epsilon", np.float64(epsilon))):
         _check_finite(v, name)
-    if w.min() < 0.0:
-        raise WeightsNotNormalizedError(f"weight {w.min():.3e} is negative")
+    if (least := w.min(initial=0.0)) < 0.0:  # an empty vector sums to 0: the sum check rejects it
+        raise WeightsNotNormalizedError(f"weight {least:.3e} is negative")
     norm_defect = abs(w.sum() - 1.0)
     if norm_defect > WEIGHT_SUM_TOL:
         raise WeightsNotNormalizedError(

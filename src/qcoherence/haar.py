@@ -298,7 +298,8 @@ def overlap_moment_check(n: int, i: int, k: int, l: int, samples: int, g) -> Mom
     """Compare the MC mean of |u_ik|^2 |u_il|^2 with (delta_kl + 1)/(n(n+1))."""
     _check_dim(n)
     for name, idx in (("i", i), ("k", k), ("l", l)):
-        if not 0 <= idx < n:
+        _check_count(name, idx)
+        if idx >= n:
             raise DimensionMismatchError(f"index {name}={idx} out of range for dimension {n}")
     exact = (2.0 if k == l else 1.0) / (n * (n + 1.0))
     xs = _haar_samples(lambda u: np.abs(u[:, i, k]) ** 2 * np.abs(u[:, i, l]) ** 2,

@@ -115,14 +115,16 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def eigensystem(self) -> tuple[np.ndarray, "OrthonormalBasis"]:
-        """Ascending eigenvalues and one orthonormal eigenbasis.
+        """Ascending eigenvalues and one orthonormal eigenbasis, from checked_eigh,
+        whose reconstruction check refuses a matrix not Hermitian or not finite.
 
-        Computed on the first call and kept: both parts are read-only, so
-        every caller can share them.
+        Computed on the first call (validate_density's) and kept: both parts
+        are read-only, so every caller can share them.
         """
         cached = self.__dict__.get("_eigensystem")
         if cached is None:
-            cached = hermitian_eigendecomposition(self.matrix)
+            w, v = checked_eigh(self.matrix)
+            cached = _freeze(w), OrthonormalBasis(v)
             object.__setattr__(self, "_eigensystem", cached)
         return cached
 
@@ -243,19 +245,16 @@ def validate_density(m) -> DensityMatrix:
     """Check the three density-matrix invariants and wrap the input.
 
     Raises NotHermitianError, TraceNotOneError or NotPSDError, each naming
-    the offending magnitude.
+    the offending magnitude; the PSD check reads the spectrum the state keeps.
     """
     m = _checked_hermitian(m, "state", "M")
     trace_defect = abs(complex(np.trace(m)) - 1.0)
     if trace_defect > TOL_TRACE:
         raise TraceNotOneError(f"|tr M - 1| = {trace_defect:.3e} exceeds {TOL_TRACE:.1e}")
-    try:
-        smallest = float(np.linalg.eigvalsh(m).min())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"eigvalsh failed: {exc}") from exc
-    if smallest < -TOL_PSD:
+    rho = DensityMatrix(m)
+    if (smallest := float(rho.eigensystem()[0][0])) < -TOL_PSD:
         raise NotPSDError(f"smallest eigenvalue {smallest:.3e} below -{TOL_PSD:.1e}")
-    return DensityMatrix(m)
+    return rho
 
 
 def as_density(rho) -> DensityMatrix:
@@ -280,7 +279,7 @@ def hermitian_eigendecomposition(a):
 
     A degenerate spectrum makes the eigenbasis non-unique; whichever basis the
     solver produces is returned, and measures.delta reads it (see there).
-    A matrix goes through HermitianObservable.from_matrix and its checks.
+    Goes through HermitianObservable.from_matrix; DensityMatrix.eigensystem does not.
     """
     obs = as_observable(a)
     return obs.spectrum, obs.eigenbasis
@@ -295,7 +294,7 @@ def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     err = np.abs(recon - m).max(axis=(-2, -1), initial=0.0)
     tol = RECON_SCALE * m.shape[-1] * _entry_scale(m)
     excess = err / tol
-    if (excess > 1.0).any():
+    if not (excess <= 1.0).all():  # a NaN excess, from a non-finite input, fails too
         worst = excess.argmax()
         raise ConvergenceFailureError(
             f"spectral reconstruction error {err.flat[worst]:.3e} exceeds {tol.flat[worst]:.1e}"

@@ -46,7 +46,6 @@ from .linalg import (
     _check_finite,
     _check_same_dim,
     _freeze,
-    _square_complex,
     as_density,
     checked_eigh,
 )
@@ -85,26 +84,34 @@ class StateBatch:
         return _freeze(q)
 
 
+def _in_bases(rho, bases, name: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(rep, eigen) of rho, through as_density, in each basis of a (..., n, n)
+    stack: the one builder of a state in bases.  The errors for a NaN or
+    infinite entry and for any other shape name the stack `name`."""
+    rho = as_density(rho)
+    bases = np.asarray(bases, dtype=np.complex128)
+    _check_finite(bases, name)
+    _check_same_dim(bases.shape[-2:], (rho.dim, rho.dim), f"{name} shape vs state shape")
+    w, v = rho.eigensystem()
+    eigen = np.broadcast_to(w, bases.shape[:-1]), overlap_tables(v.vectors, bases)
+    return _freeze(_rewrite(rho.matrix, bases)), eigen
+
+
 class StateInBasis(StateBatch):
     """rho in a basis, rep_ij = <e_i|rho|e_j> read-only: the batch with no
-    leading axis, its `eigen` built from rho's cached eigensystem.  The
-    change of basis is unitary, so rep inherits hermiticity, unit trace and
-    positivity from rho; np.diag(np.diag(s.rep)) + s.offdiag == rep exactly.
+    leading axis, built by _in_bases.  The change of basis is unitary, so
+    rep inherits hermiticity, unit trace and positivity from rho;
+    np.diag(np.diag(s.rep)) + s.offdiag == rep exactly.
     """
 
-    def __init__(self, rho: DensityMatrix, basis: OrthonormalBasis, rep: np.ndarray):
-        self.rho, self.basis = rho, basis
-        w, v = rho.eigensystem()
-        super().__init__(_freeze(rep), (w, overlap_tables(v.vectors, basis.vectors)))
+    def __init__(self, rho, basis: OrthonormalBasis):
+        self.basis = basis
+        super().__init__(*_in_bases(rho, basis.vectors, "basis"))
 
 
 def rewrite_in_basis(rho, basis: OrthonormalBasis) -> StateInBasis:
-    """Express rho in the given basis, with rho's eigensystem; rho goes
-    through as_density.  A NaN or infinite basis entry raises NotFiniteError."""
-    rho = as_density(rho)
-    _square_complex(basis.vectors, "basis")
-    _check_same_dim(rho.dim, basis.dim, "state dim vs basis dim")
-    return StateInBasis(rho, basis, _rewrite(rho.matrix, basis.vectors))
+    """Express rho in the given basis, with rho's eigensystem: StateInBasis."""
+    return StateInBasis(rho, basis)
 
 
 # Evaluators: StateBatch -> one value per state, in its leading shape.
@@ -164,9 +171,16 @@ def _check_srel_constant(c) -> None:
         raise ValueError(f"s_rel requires a positive finite constant c, got {c}")
 
 
+def _evaluator(name: str):
+    """MEASURES[name], the one lookup of a measure name: ValueError if unknown."""
+    if name not in MEASURES:
+        raise ValueError(f"unknown measure {name!r}")
+    return MEASURES[name]
+
+
 def evaluate_measure(s: StateInBasis, measure: str) -> float:
     """MEASURES[measure] of s; s_rel at c = 1."""
-    return float(MEASURES[measure](s))
+    return float(_evaluator(measure)(s))
 
 
 def eta1(s: StateInBasis) -> float:
@@ -235,8 +249,9 @@ def check_axiom2(s: StateInBasis, measures) -> dict:
     The check is exact and one per measure name: deviation ||Q||_op against
     the measure (worst_deviations).  Returns {measure: BoundReport}.
     """
+    evaluators = {m: _evaluator(m) for m in measures}
     worst = worst_deviations(s)
-    return {m: BoundReport.check(worst, MEASURES[m](s)) for m in measures}
+    return {m: BoundReport.check(worst, f(s)) for m, f in evaluators.items()}
 
 
 def approach_path(target: OrthonormalBasis, ts, rng) -> np.ndarray:
@@ -257,21 +272,15 @@ def approach_path(target: OrthonormalBasis, ts, rng) -> np.ndarray:
 def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
     """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
 
-    `measures` are names in MEASURES; rho goes through as_density.  `path`
-    is a (T, n, n) stack of basis matrices, as approach_path returns it, and
-    is one StateBatch: rho's eigensystem broadcast over it.
+    `measures` are names in MEASURES.  `path` is a (T, n, n) stack of basis
+    matrices, as approach_path returns it; rho in it is one _in_bases batch.
     The caller asserts the continuity claims: values tend to 0 with d, and
     for eta2 the pointwise bound eta2 <= d.
     """
-    rho = as_density(rho)
-    bases = np.asarray(path, dtype=np.complex128)
-    _check_finite(bases, "path")
-    _check_same_dim(bases.shape[-2:], (rho.dim, rho.dim), "path basis shape vs state shape")
-    w, v = rho.eigensystem()
-    eigen = np.broadcast_to(w, bases.shape[:-1]), overlap_tables(v.vectors, bases)
-    b = StateBatch(_rewrite(rho.matrix, bases), eigen)
+    evaluators = {m: _evaluator(m) for m in measures}
+    b = StateBatch(*_in_bases(rho, path, "path"))
     ds = _delta(b)  # delta's values, computed once
-    return ds, {m: ds if m == DELTA else MEASURES[m](b) for m in measures}
+    return ds, {m: ds if m == DELTA else f(b) for m, f in evaluators.items()}
 
 
 SREL_MAX_HALVINGS = 80  # srel_counterexample scans eps = 1, 1/2, ..., 2^-79

@@ -192,9 +192,9 @@ class TestMeasureCommand:
         assert captured.err.splitlines()[0] == "E_USAGE"
 
     def test_unknown_measure_exit_2(self, eps_state_file, capsys):
-        rc = main(["measure", eps_state_file, "--measures", "eta7"])
+        rc = main(["measure", eps_state_file, "--measures", "eta1,eta7"])
         assert rc == 2
-        assert capsys.readouterr().err.splitlines()[0] == "E_USAGE"
+        assert capsys.readouterr() == ("", "E_USAGE\nunknown measure 'eta7'\n")
 
 
 class TestDistanceCommand:

@@ -294,6 +294,8 @@ class TestJensenGapBound:
             jensen_gap_bound([0.5, 0.6], [0.0, 1.0], 0.1)
         with pytest.raises(WeightsNotNormalizedError):
             jensen_gap_bound([1.5, -0.5], [0.0, 1.0], 0.1)
+        with pytest.raises(WeightsNotNormalizedError, match="sum"):  # was numpy's zero-size ValueError
+            jensen_gap_bound([], [], 0.1)
 
     def test_coincident_points(self):
         with pytest.raises(PointsNotDistinctError):

@@ -318,6 +318,18 @@ class TestOverlapMomentCheck:
         with pytest.raises(DimensionMismatchError):
             overlap_moment_check(3, 3, 0, 0, 10, 1)
 
+    @pytest.mark.parametrize("idx, message", [
+        (True, "must be an integer, got True"),
+        (0.5, "must be an integer, got 0.5"),
+        (-1, "must be nonnegative, got -1"),
+    ])
+    def test_index_must_be_a_nonnegative_integer(self, monkeypatch, idx, message):
+        # True was taken as 1, and 0.5 failed with numpy's IndexError after every draw
+        monkeypatch.setattr(haar_mod, "_haar_samples", None)  # no draw is made
+        for args in ((idx, 0, 0), (0, idx, 0), (0, 0, idx)):
+            with pytest.raises(ValueError, match=message):
+                overlap_moment_check(3, *args, 10, 1)
+
 
 def _direct_diag_square_sums(rho, us):
     """sum_i diag(U^H rho U)_i^2 for each full unitary in the stack: the

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import qcoherence.linalg
 from qcoherence import (
+    CoherenceError,
     ConvergenceFailureError,
     DensityMatrix,
     DimensionMismatchError,
@@ -147,6 +148,14 @@ class TestEigendecomposition:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             HermitianObservable.from_matrix([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("m", [[[0.5, 0.5], [0.0, 0.5]], [[np.nan, 0.0], [0.0, 1.0]]],
+                             ids=["not-hermitian", "nan"])
+    def test_trusted_state_eigensystem_rejects_an_invalid_matrix(self, m):
+        # the constructor trusts its input; the eigensystem's reconstruction
+        # check still refuses a matrix that is not Hermitian or not finite
+        with pytest.raises(CoherenceError):
+            DensityMatrix(np.array(m)).eigensystem()
 
     @pytest.mark.parametrize("scale", [1e8, 1e12])
     def test_checks_scale_with_the_largest_entry(self, scale):
@@ -384,7 +393,7 @@ def _standard_state(n):
     (lambda: basis_distance(OrthonormalBasis.standard(3), OrthonormalBasis.standard(2)), "3 vs 2"),
     (lambda: commutator_upper_bound(np.eye(2), np.eye(3)), "2 vs 3"),
     (lambda: rewrite_in_basis(DensityMatrix.maximally_mixed(2), OrthonormalBasis.standard(3)),
-     "2 vs 3"),
+     "(3, 3) vs (2, 2)"),
     (lambda: tpf_deviation(_standard_state(2), Subspace(np.eye(3)[:, :1])), "3 vs 2"),
     (lambda: check_axiom1(DensityMatrix.maximally_mixed(2), ["eta1"], np.zeros((2, 3, 3))),
      "(3, 3) vs (2, 2)"),

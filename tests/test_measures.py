@@ -387,17 +387,35 @@ class TestAxiomHarness:
     def test_axiom1_diagonalises_rho_once(self, monkeypatch):
         # delta at every path point reuses the state's cached eigensystem
         calls = []
-        real = qcoherence.linalg.hermitian_eigendecomposition
+        real = qcoherence.linalg.checked_eigh
 
         def counting(a, *args, **kwargs):
             calls.append(a)
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(qcoherence.linalg, "hermitian_eigendecomposition", counting)
+        monkeypatch.setattr(qcoherence.linalg, "checked_eigh", counting)
         rho = random_density_matrix(4, np.random.default_rng(2))
         path = approach_path(OrthonormalBasis.standard(4), np.geomspace(0.1, 1e-9, 9), 3)
         check_axiom1(rho, (ETA1, ETA2, ETA_INF, DELTA), path)
         assert len(calls) == 1
+
+    def test_a_read_state_is_diagonalised_once(self, monkeypatch):
+        # validate_density took its PSD verdict from an eigvalsh of its own,
+        # and the eigensystem made a second decomposition
+        calls = []
+
+        def counting(real):
+            def spy(a, *args, **kwargs):
+                calls.append(a)
+                return real(a, *args, **kwargs)
+            return spy
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        rho = validate_density(random_density_matrix(4, np.random.default_rng(3)).matrix.copy())
+        s = rewrite_in_basis(rho, random_basis(4, 5))
+        values = [evaluate_measure(s, m) for m in MEASURES]
+        assert len(calls) == 1 and all(np.isfinite(values))
 
     def test_path_and_adversarial_line_check_their_eigh(self, monkeypatch):
         # both called numpy's eigh unchecked, so a wrong spectrum went into
@@ -725,11 +743,16 @@ class TestMeasureId:
             assert s_rel(s, c) == c * one
 
     def test_unknown_name(self):
+        # one lookup, before any evaluation; a bare KeyError escaped all
+        # three, check_axiom1's only after it had built the batch
         s = _eps_state()
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^unknown measure 'eta3'$"):
             evaluate_measure(s, "eta3")
-        with pytest.raises(KeyError):
-            check_axiom2(s, ("eta3",))
+        with pytest.raises(ValueError, match="^unknown measure 'eta3'$"):
+            check_axiom2(s, (ETA1, "eta3"))
+        nan_path = np.full((1, 2, 2), np.nan)  # building the batch would raise NotFiniteError
+        with pytest.raises(ValueError, match="^unknown measure 'eta3'$"):
+            check_axiom1(DensityMatrix.maximally_mixed(2), (ETA1, "eta3"), nan_path)
 
     def test_registry_drives_names_and_codes(self):
         assert list(MEASURES) == ["eta1", "eta2", "eta_inf", "delta", "s_rel"]
