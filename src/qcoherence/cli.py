@@ -28,8 +28,8 @@ from pathlib import Path
 from . import experiments
 from .distance import basis_distance, is_mutually_unbiased
 from .errors import CoherenceError, CounterexampleNotFoundError, MatrixParseError
-from .io import read_basis, read_density
-from .linalg import OrthonormalBasis
+from .io import read_matrix
+from .linalg import OrthonormalBasis, validate_density
 from .measures import MEASURES, _check_srel_constant, evaluate_measure, rewrite_in_basis, s_rel
 
 DEFAULT_SEED = 42
@@ -101,8 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_measure(args) -> int:
     _check_srel_constant(args.c)  # even when s_rel is not requested
-    rho = read_density(args.state)
-    basis = read_basis(args.basis) if args.basis else OrthonormalBasis.standard(rho.dim)
+    rho = validate_density(read_matrix(args.state))
+    basis = OrthonormalBasis.standard(rho.dim)
+    if args.basis:
+        basis = OrthonormalBasis.from_columns(read_matrix(args.basis))
     state = rewrite_in_basis(rho, basis)
     values = {}
     for name in args.measures:
@@ -119,8 +121,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    a = read_basis(args.basis_a)
-    b = read_basis(args.basis_b)
+    a = OrthonormalBasis.from_columns(read_matrix(args.basis_a))
+    b = OrthonormalBasis.from_columns(read_matrix(args.basis_b))
     unbiased = is_mutually_unbiased(a, b)
     print(f"distance = {basis_distance(a, b):.12g}")
     print(f"mutually_unbiased = {str(unbiased).lower()}")

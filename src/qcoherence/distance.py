@@ -29,7 +29,7 @@ from .errors import (
     PointsNotDistinctError,
     WeightsNotNormalizedError,
 )
-from .linalg import TOL_ORTHO, OrthonormalBasis, _check_finite, _check_same_dim, as_observable
+from .linalg import TOL_ORTHO, OrthonormalBasis, _check_finite, _check_same_dim, _freeze, as_observable
 
 # Degenerate-spectrum detection threshold, relative to the spectral spread:
 # separates true degeneracy from eigen-solver jitter at double precision.
@@ -94,9 +94,7 @@ def overlap_matrix(b1: OrthonormalBasis, b2: OrthonormalBasis) -> np.ndarray:
     """Read-only table o_ij = |<e_i|f_j>|^2 of two bases of equal dimension, clipped
     to [0, 1]; checked doubly stochastic, as unitarity makes it, within tol_ortho * n."""
     _check_same_dim(b1.dim, b2.dim)
-    o = _doubly_stochastic(overlap_tables(b1.vectors, b2.vectors))
-    o.setflags(write=False)
-    return o
+    return _freeze(_doubly_stochastic(overlap_tables(b1.vectors, b2.vectors)))
 
 
 def overlap_tables(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -45,12 +45,11 @@ from .measures import (
     ETA2,
     ETA_INF,
     MEASURE_CODES,
-    MEASURES,
     StateBatch,
     approach_path,
     check_axiom1,
+    check_axiom2,
     srel_counterexample,
-    worst_deviations,
 )
 
 DEFAULT_N_LIST = (2, 4, 8, 16, 32)
@@ -207,14 +206,14 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
 
     `trials` is a range of consecutive trial indices of block `block` of
     the stream `root`: trial 0 is the maximally mixed state, every other
-    trial a Wishart state, each in a Haar-random basis.  Each trial is one
-    check per measure of THEOREM42_MEASURES, measure >= ||Q||_op
-    (worst_deviations), exact for every subspace.  The min slack is over
-    the Wishart trials (inf if none), as trial 0's Q is roundoff; ok needs
-    checks and every slack, trial 0's too, to be at least -AXIOM_SLACK_TOL.
-    Each chunk, clipped to `trials`, is drawn and checked on up to one thread
-    per CPU (_threads) and returns its slacks, reduced in chunk order after
-    all of them, so thread count and order change nothing; an empty range draws nothing.
+    trial a Wishart state, each in a Haar-random basis.  Each chunk, clipped
+    to `trials`, is drawn and gets its slacks from check_axiom2 for
+    THEOREM42_MEASURES, one exact check per trial and measure, on up to one
+    thread per CPU (_threads); the slacks are reduced in chunk order after
+    all of them, so thread count and order change nothing, and an empty
+    range draws nothing.  The min slack is over the Wishart trials (inf if
+    none), as trial 0's Q is roundoff; ok needs checks and every slack,
+    trial 0's too, to be at least -AXIOM_SLACK_TOL.
     """
     _check_dim(n)
     if trials.step != 1 or trials.start < 0:
@@ -224,9 +223,7 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
 
     def check(start: int) -> list[np.ndarray]:
         chunk = range(max(start, trials.start), min(start + step, trials.stop))
-        batch = _draw_chunk(n, chunk, root, block)[2]
-        worst = worst_deviations(batch)
-        return [MEASURES[m](batch) - worst for m in THEOREM42_MEASURES]
+        return list(check_axiom2(_draw_chunk(n, chunk, root, block)[2], THEOREM42_MEASURES).values())
 
     starts = range(trials.start // step * step, trials.stop, step) if trials else range(0)
     with ThreadPoolExecutor(_threads(len(starts))) as pool:

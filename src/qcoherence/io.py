@@ -7,8 +7,8 @@ First line: the dimension n.  Then n lines of n complex entries written as
     0.5+0j 0.05+0j
     0.05+0j 0.5+0j
 
-A state file holds a density matrix and a basis file the unitary whose
-columns are the basis vectors.
+The module holds the format alone, for text (parse_matrix, format_matrix)
+and files (read_matrix, write_matrix); callers validate what a file holds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixParseError
-from .linalg import DensityMatrix, OrthonormalBasis, validate_density
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -68,12 +67,4 @@ def read_matrix(path) -> np.ndarray:
 def write_matrix(path, m) -> None:
     with open(path, "w") as fh:
         fh.write(format_matrix(np.asarray(m, dtype=np.complex128)))
-
-
-def read_density(path) -> DensityMatrix:
-    return validate_density(read_matrix(path))
-
-
-def read_basis(path) -> OrthonormalBasis:
-    return OrthonormalBasis.from_columns(read_matrix(path))
 

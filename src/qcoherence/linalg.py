@@ -5,9 +5,9 @@ observables, subspaces) and the spectral quantities built on them: Hermitian
 eigendecomposition and purity.  A state argument enters the package through
 as_density alone.
 
-All wrapped arrays are complex128, marked read-only after construction, and
-every operation here is a pure function, so values can be shared freely
-across threads.
+All wrapped arrays are complex128 copies of the caller's, marked read-only
+after construction, and every operation here is a pure function, so values
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, dtype=np.complex128)))
+        object.__setattr__(self, "matrix", _freeze(np.array(self.matrix, dtype=np.complex128)))
 
     @property
     def dim(self) -> int:
@@ -155,7 +155,7 @@ class OrthonormalBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _freeze(np.asarray(self.vectors, dtype=np.complex128)))
+        object.__setattr__(self, "vectors", _freeze(np.array(self.vectors, dtype=np.complex128)))
 
     @property
     def dim(self) -> int:
@@ -194,8 +194,8 @@ class HermitianObservable:
     eigenbasis: OrthonormalBasis
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix, dtype=np.complex128)))
-        object.__setattr__(self, "spectrum", _freeze(np.asarray(self.spectrum, dtype=np.float64)))
+        object.__setattr__(self, "matrix", _freeze(np.array(self.matrix, dtype=np.complex128)))
+        object.__setattr__(self, "spectrum", _freeze(np.array(self.spectrum, dtype=np.float64)))
 
     @property
     def dim(self) -> int:
@@ -218,7 +218,7 @@ class Subspace:
     frame: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frame, dtype=np.complex128)
+        f = np.array(self.frame, dtype=np.complex128)
         object.__setattr__(self, "frame", _freeze(f.reshape(-1, 1) if f.ndim == 1 else f))
 
     @property
@@ -278,8 +278,8 @@ def hermitian_eigendecomposition(a):
     """Ascending spectrum and one orthonormal eigenbasis of a Hermitian matrix.
 
     A degenerate spectrum makes the eigenbasis non-unique; whichever basis the
-    solver produces is returned, and measures.delta reads it (see there).
-    Goes through HermitianObservable.from_matrix; DensityMatrix.eigensystem does not.
+    solver produces is returned.  Goes through HermitianObservable.from_matrix;
+    measures.delta reads DensityMatrix.eigensystem instead (via _in_bases).
     """
     obs = as_observable(a)
     return obs.spectrum, obs.eigenbasis

@@ -301,6 +301,10 @@ class TestJensenGapBound:
         with pytest.raises(PointsNotDistinctError):
             jensen_gap_bound([0.5, 0.25, 0.25], [0.0, 1.0, 1.0], 0.1)
 
+    def test_unequal_lengths(self):
+        with pytest.raises(DimensionMismatchError, match=r"equal-length vectors, got \(2,\) and \(3,\)"):
+            jensen_gap_bound([0.5, 0.5], [0.0, 1.0, 2.0], 0.1)
+
     @pytest.mark.parametrize("weights, points, epsilon", [
         ([0.5, 0.5], [0.0, np.nan], 0.1),
         ([0.5, 0.5], [0.0, 1.0], np.nan),

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcoherence import experiments, haar
+from qcoherence import experiments, haar, measures
 from qcoherence import (
     DELTA,
     ETA1,
@@ -316,8 +316,9 @@ SEED42_N2_MIN_SLACK = {ETA1: 0.10598253352378599, ETA2: 0.04389940276021338,
 
 def test_theorem42_fails_when_only_trial_zero_fails(monkeypatch):
     # a fake deviation on trial 0 alone fails every bound row, and the min
-    # slack, over the Wishart trials, does not move (one chunk per n here)
-    real = experiments.worst_deviations
+    # slack, over the Wishart trials, does not move (one chunk per n here);
+    # the suite reaches worst_deviations through measures.check_axiom2
+    real = measures.worst_deviations
 
     def bumped(batch):
         worst = real(batch)
@@ -328,7 +329,7 @@ def test_theorem42_fails_when_only_trial_zero_fails(monkeypatch):
         return {(r["n"], r["measure"]): r for r in report.rows if r["kind"] == 1.0}
 
     clean = bound_rows(run_theorem42_suite(n_list=(2, 4), trials=20, seed=42))
-    monkeypatch.setattr(experiments, "worst_deviations", bumped)
+    monkeypatch.setattr(measures, "worst_deviations", bumped)
     report = run_theorem42_suite(n_list=(2, 4), trials=20, seed=42)
     assert not report.verdict
     failed = bound_rows(report)

@@ -148,6 +148,11 @@ def test_as_generator_rejects_a_bool():
         haar_mod.as_generator(True)
 
 
+def test_as_generator_rejects_a_float():
+    with pytest.raises(TypeError, match="^cannot interpret float as a random generator$"):
+        haar_mod.as_generator(1.5)
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package must import without it
     env = {**os.environ, "PYTHONPATH": str(Path(haar_mod.__file__).parents[1])}

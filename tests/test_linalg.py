@@ -27,6 +27,7 @@ from qcoherence import (
     sample_haar_unitary,
     validate_density,
 )
+from qcoherence.cli import main
 from qcoherence.distance import (
     basis_distance,
     commutator_upper_bound,
@@ -41,6 +42,7 @@ from qcoherence.haar import (
     overlap_moment_check,
     sample_haar_unitaries,
 )
+from qcoherence.io import write_matrix
 from qcoherence.linalg import RECON_SCALE, TOL_HERM, checked_eigh, orthonormality_defect
 from qcoherence.measures import check_axiom1, tpf_deviation, worst_deviations
 
@@ -204,6 +206,21 @@ class TestEigendecomposition:
         with pytest.raises(ConvergenceFailureError, match="spectral reconstruction error"):
             rho.eigensystem()
 
+    def test_solver_failure_is_a_convergence_failure(self, monkeypatch, tmp_path, capsys):
+        # numpy's LinAlgError becomes ConvergenceFailureError, a validation
+        # error: the CLI's E_VALIDATION, exit 3
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        path = tmp_path / "state.txt"
+        write_matrix(path, np.eye(2) / 2)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        message = "eigh failed to converge: Eigenvalues did not converge"
+        with pytest.raises(ConvergenceFailureError, match=f"^{message}$"):
+            validate_density(np.eye(2) / 2)
+        assert main(["measure", str(path)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["E_VALIDATION", message]
+
 
 def _power_iteration_norm(m, rng, starts=10_000, iters=500):
     """Independent largest-singular-value oracle: best of `starts` random unit
@@ -352,6 +369,30 @@ class TestBasesAndSubspaces:
     def test_single_vector_frame(self):
         f = Subspace.from_vectors(np.array([1.0, 1.0]) / np.sqrt(2))
         assert f.dim == 1 and f.ambient_dim == 2
+
+
+@pytest.mark.parametrize("wrap, read, given", [
+    (validate_density, lambda r: r.matrix, lambda: np.eye(2, dtype=complex) / 2),
+    (DensityMatrix, lambda r: r.matrix, lambda: np.eye(2, dtype=complex) / 2),
+    (OrthonormalBasis.from_columns, lambda b: b.vectors, lambda: np.eye(2, dtype=complex)),
+    (OrthonormalBasis, lambda b: b.vectors, lambda: np.eye(2, dtype=complex)),
+    (HermitianObservable.from_matrix, lambda a: a.matrix, PAULI_X.copy),
+    (lambda w: HermitianObservable(PAULI_X, w, OrthonormalBasis.standard(2)),
+     lambda a: a.spectrum, lambda: np.array([-1.0, 1.0])),
+    (Subspace.from_vectors, lambda f: f.frame, lambda: np.array([[1.0], [0.0]], dtype=complex)),
+    (Subspace, lambda f: f.frame, lambda: np.array([[1.0], [0.0]], dtype=complex)),
+], ids=["validate_density", "DensityMatrix", "from_columns", "OrthonormalBasis", "from_matrix",
+        "spectrum", "from_vectors", "Subspace"])
+def test_domain_types_copy_the_callers_array(wrap, read, given):
+    # a complex128 C-contiguous input was wrapped as it was, so wrapping
+    # froze the caller's array: m[0, 0] = 1 raised "assignment destination
+    # is read-only" after validate_density(m)
+    a = given()
+    wrapped = read(wrap(a))
+    want = wrapped.copy()
+    assert a.flags.writeable and not wrapped.flags.writeable
+    a[...] = 7.0
+    assert (wrapped == want).all()
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5, True])
