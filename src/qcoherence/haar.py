@@ -4,7 +4,7 @@ Sampling uses the standard exact construction: a complex Ginibre matrix
 (i.i.d. standard complex Gaussians) is QR-factored and column j of Q is
 multiplied by conj(r_jj)/|r_jj|.  Without that phase correction Q is not
 Haar-distributed, which the invariance tests detect immediately.  Every
-stack of complex Gaussians in the package is one _ginibre draw: a
+complex array of Gaussians in the package is one _ginibre draw: a
 (2, *shape) standard-normal block, all real parts then all imaginary parts;
 _hermitian takes the Hermitian part of such a stack.  Batched samplers map
 a statistic over _haar_samples, at most _CHUNK_ENTRIES complex entries a
@@ -25,12 +25,12 @@ linalg.as_density, so a raw array is validated as a density matrix.
 
 The Monte Carlo estimates of sum_i rho_ii^2 use unitary invariance: the
 statistic depends on the basis only through the r rows of V^H U that belong
-to eigenvalues above the lowest, so each sample draws just the n x r Haar
-isometry (Mezzadri, Notices AMS 2007) instead of a full unitary, and uses
-only its moduli.  For r <= 2 those come in closed form from the same
-normals (Gram-Schmidt in real arithmetic, no complex array and no QR); for
-r >= 3 they come from the stacked QR, which beats a numpy Gram-Schmidt loop
-at full rank (r = n - 1).
+to eigenvalues above the lowest, so each sample draws just the moduli of
+the n x r Haar isometry (Mezzadri, Notices AMS 2007).  For r = 1 they are
+Dirichlet(1, ..., 1), standard exponentials over their sum (Bengtsson and
+Zyczkowski, Geometry of Quantum States, ch. 7); for r = 2 they come from
+Gram-Schmidt on a real normal block; for r >= 3 from the stacked QR, which
+beats a numpy Gram-Schmidt loop at full rank (r = n - 1).
 """
 
 from __future__ import annotations
@@ -224,22 +224,26 @@ def _qr_moduli(rng: np.random.Generator, shape) -> np.ndarray:
     return np.abs(_haar_chunk(rng, shape)) ** 2
 
 
-def _gram_schmidt_moduli(rng: np.random.Generator, shape) -> np.ndarray:
-    """_qr_moduli for at most two columns, from the same normals, in real
-    arithmetic.  Gram-Schmidt of one or two columns gives the QR factor with
-    a positive R diagonal, which is what the phase fix makes: normalise
-    column 1, take column 1's projection off column 2, normalise that."""
-    # (real | imaginary, column, sample, row), contiguous per column
-    re, im = np.ascontiguousarray(np.moveaxis(rng.standard_normal((2, *shape)), -1, 1))
-    p = re**2 + im**2
-    if shape[-1] == 2:
-        (ar, br), (ai, bi) = re, im
-        # column 2 minus c times column 1, c = a^H b / |a|^2
-        s = p[0].sum(axis=-1, keepdims=True)
+def _closed_form_moduli(rng: np.random.Generator, shape) -> np.ndarray:
+    """_qr_moduli for at most two columns, without a QR.  One column's moduli
+    are Dirichlet(1, ..., 1): n standard exponentials over their sum.  Two
+    come from Gram-Schmidt on a (real | imaginary, column, sample, row)
+    normal block, which gives the phase-fixed QR factor (positive R diagonal)."""
+    m, n, cols = shape
+    if cols == 1:
+        p = rng.standard_exponential((1, m, n))
+    else:
+        z = rng.standard_normal((2, 2, m, n))
+        (ar, br), (ai, bi) = z
+        # column 2 minus c times column 1, c = a^H b / |a|^2, in place
+        s = (ar * ar + ai * ai).sum(axis=-1, keepdims=True)
         cr = (ar * br + ai * bi).sum(axis=-1, keepdims=True) / s
         ci = (ar * bi - ai * br).sum(axis=-1, keepdims=True) / s
-        p[1] = (br - ar * cr + ai * ci) ** 2 + (bi - ar * ci - ai * cr) ** 2
-    return np.moveaxis(p / p.sum(axis=-1, keepdims=True), 0, -1)
+        br -= ar * cr - ai * ci
+        bi -= ar * ci + ai * cr
+        p = np.square(z, out=z).sum(axis=0)
+    p /= p.sum(axis=-1, keepdims=True)
+    return np.moveaxis(p, 0, -1)
 
 
 def _diag_square_sums(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -257,15 +261,15 @@ def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     With rho = V diag(lam) V^H, lam ascending, and U the basis,
     (U^H rho U)_ii = lam_0 + sum_k (lam_k - lam_0) |(V^H U)_ki|^2.  V^H U
     and its transpose are Haar, so the r rows with lam_k > lam_0 have the
-    law of the first r columns of a Haar unitary: only that n x r isometry
-    is drawn, as its moduli.  r = 0 (rho a multiple of the identity) needs
-    no draw.
+    law of the first r columns of a Haar unitary: only that n x r isometry's
+    moduli are drawn, in closed form for r <= 2 and by QR above.  r = 0 (rho
+    a multiple of the identity) needs no draw.
     """
     lam, r = _excited_levels(rho)
     if r == 0:
         _check_count("samples", samples)
         return np.full(samples, lam.size * lam[0] ** 2)
-    moduli = _gram_schmidt_moduli if r <= 2 else _qr_moduli
+    moduli = _closed_form_moduli if r <= 2 else _qr_moduli
     return _haar_samples(lambda p: _diag_square_sums(lam, p), moduli, lam.size, r, samples, g)
 
 

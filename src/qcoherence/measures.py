@@ -151,11 +151,13 @@ def _s_rel(b: StateBatch) -> np.ndarray:
     lam = np.maximum(b.eigen[0], 0.0)[..., :, None]
     d = np.maximum(np.diagonal(b.rep, axis1=-2, axis2=-1).real, 0.0)[..., None, :]
     r = lam / np.maximum(d, np.finfo(float).tiny)
-    far = lam * np.log(np.where(r > 0.0, r, 1.0)) - lam + d  # 0 ln 0 = 0
+    terms = lam * np.log(np.where(r > 0.0, r, 1.0)) - lam + d  # 0 ln 0 = 0
     u = r - 1.0
     t = u / (1.0 + r)
-    near = d * u * t * (1.0 + (1.0 + t) * t * np.polyval(_PHI_SERIES, t * t))
-    return (b.eigen[1] * np.where(np.abs(t) < 0.25, near, far)).sum(axis=(-2, -1))
+    near = np.flatnonzero(np.abs(t) < 0.25)  # the series only there, put over the far form
+    du, t = (d * u).take(near), t.take(near)
+    np.put(terms, near, du * t * (1.0 + (1.0 + t) * t * np.polyval(_PHI_SERIES, t * t)))
+    return (b.eigen[1] * terms).sum(axis=(-2, -1))
 
 
 MEASURES = {"eta1": _eta1, "eta2": _eta2, "eta_inf": _eta_inf, "delta": _delta, "s_rel": _s_rel}

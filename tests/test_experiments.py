@@ -676,7 +676,7 @@ GOLDEN = {
     ("prop31", "--n", "2,4", "--trials", "30"):
         "f3a7fdc4b6ccb2d8a4c76d9b764fff4c6d9c3068aa5dd669b0b1bb382a68f418",
     ("purity", "--n", "4,8", "--samples", "300"):
-        "e7528b2508f378c65a763490c71c280bb0640c6dac7f209d221869b3d193b904",
+        "1a360fe2acbf912a4d1f98e1b789fd14f3e01063d449bf3cfc60fcc577902821",
     ("srel",):
         "294b7875475bbff4740aaa298ac260a670982a4c0854e10e62ca2b3c20c4bd57",
     # several chunks at both n
@@ -684,14 +684,14 @@ GOLDEN = {
         "0662845574e1afa5dd33666b4d7f6998d6156a3609b85667c83f1c0f2d148fef",
     # r = 3 levels above the lowest: the QR moduli path
     ("purity", "--n", "4,8", "--samples", "300", "--rank", "3"):
-        "6adc7c0f258e9906db9b18c33eae8a814e700c3e91494f19a3d5062117bfde19",
+        "fd5ab7d3b0b3d85c1f3bb66219b19afe0b5e59d2aab88338b1c25f42e05f114e",
     # the default runs
     ("theorem42",):
         "fcb698af5ed4f152edb9ea6fcf02eae30a2fa084e714fb28ac217f377064431b",
     ("prop31",):
         "c963be963f2ed147eaff48c9480687e6b08fe06fb434867ca9bebacd4ee99131",
     ("purity",):
-        "8369031db69132c75bc745c83fb58c7d738455425b1f9d3bc94c2ac7ec13b632",
+        "bb452e728b963cbb33b18f7ec0b303805528994bd0320b64bb128b8d007eeb60",
 }
 
 

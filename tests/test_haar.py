@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 import qcoherence.haar as haar_mod
 from qcoherence import (
@@ -79,8 +79,8 @@ class TestSampling:
     @pytest.mark.parametrize("entries", [9 * 7, 2_000_000], ids=["chunked", "one-chunk"])
     def test_stream_layout_across_chunks(self, monkeypatch, entries):
         # per chunk: all real parts, then all imaginary parts, then QR with
-        # the phase fix; every sampler consumes the stream this way, and
-        # the estimator's closed form for r <= 2 reads the same normals
+        # the phase fix; every unitary sampler consumes the stream this way,
+        # while the estimator's closed form for r <= 2 draws its own chunks
         monkeypatch.setattr(haar_mod, "_CHUNK_ENTRIES", entries)
 
         def reference(seed, n, cols, count):
@@ -94,16 +94,31 @@ class TestSampling:
                 out.append(q * (d.conj() / np.abs(d))[..., None, :])
             return np.concatenate(out)
 
+        def moduli_reference(seed, n, cols, count):
+            # the closed form's chunks: one column is n standard exponentials
+            # over their sum; two are a (real | imag, column, sample, row)
+            # normal block, whose moduli the QR gives up to rounding
+            rng, step = SeededGenerator(seed).generator(), max(1, entries // (n * cols))
+            out = []
+            for start in range(0, count, step):
+                m = min(step, count - start)
+                if cols == 1:
+                    e = rng.standard_exponential((m, n))
+                    out.append((e / e.sum(axis=1, keepdims=True))[..., None])
+                else:
+                    re, im = rng.standard_normal((2, 2, m, n))
+                    out.append(np.abs(np.linalg.qr(np.stack(list(re + 1j * im), axis=-1))[0]) ** 2)
+            return np.concatenate(out)
+
         assert (sample_haar_unitaries(3, 50, SeededGenerator(5)) == reference(5, 3, 3, 50)).all()
-        # r levels above the lowest: each sample draws the n x r isometry of
-        # the top levels; for r <= 2 its moduli come from Gram-Schmidt on the
-        # same normals, equal to the QR's up to rounding
+        # r levels above the lowest: each sample draws the moduli of the
+        # n x r isometry of the top levels
         for r, top, ns in ((1, [0.75], (2, 3, 8, 32, 64)), (2, [0.3, 0.5], (3, 8, 32, 64))):
             for n in ns:
                 lam0 = (1.0 - sum(top)) / (n - r)
                 rho = DensityMatrix(np.diag([lam0] * (n - r) + top).astype(complex))
-                w = reference(6, n, r, 40)
-                want = ((lam0 + np.abs(w) ** 2 @ (np.array(top) - lam0)) ** 2).sum(axis=-1)
+                p = moduli_reference(6, n, r, 40)
+                want = ((lam0 + p @ (np.array(top) - lam0)) ** 2).sum(axis=-1)
                 got = haar_mod._diag_square_sum_samples(rho, 40, SeededGenerator(6))
                 assert np.abs(got - want).max() <= 1e-14 * want.min(), (r, n)
         u = reference(7, 3, 3, 40)
@@ -411,6 +426,38 @@ class TestIsometryEstimator:
                     estimate()
         else:
             assert estimate_diag_square_sum(rho, samples, 3).samples == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 32])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_closed_form_moduli_moments(self, r, n):
+        # E p_ik = 1/n and E p_ik p_il = (delta_kl + 1) / (n (n + 1)), the
+        # oracle of overlap_moment_check, for each column and pair in row 0
+        p = haar_mod._closed_form_moduli(SeededGenerator(60 + n).generator(), (20_000, n, r))
+        for k in range(r):
+            mean = MonteCarloEstimate.from_samples(p[:, 0, k])
+            assert abs(mean.z_score(1.0 / n)) <= haar_mod.Z_MAX, (k, mean)
+            for l in range(k, r):
+                pair = MonteCarloEstimate.from_samples(p[:, 0, k] * p[:, 0, l])
+                exact = (2.0 if k == l else 1.0) / (n * (n + 1.0))
+                assert abs(pair.z_score(exact)) <= haar_mod.Z_MAX, (k, l, pair)
+
+    def test_one_column_of_two_is_uniform(self):
+        # n = 2: |u_11|^2 of a Haar unitary is Uniform(0, 1)
+        p = haar_mod._closed_form_moduli(SeededGenerator(62).generator(), (5000, 2, 1))
+        assert kstest(p[:, 0, 0], "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_closed_form_moduli_are_an_isometry(self, n):
+        # columns are unit vectors and rows of orthonormal columns have norm
+        # at most 1 (exactly 1 at n = 2): a broken projection fails these
+        for r in (1, 2):
+            p = haar_mod._closed_form_moduli(SeededGenerator(63).generator(), (500, n, r))
+            assert p.shape == (500, n, r) and (p >= 0).all()
+            assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
+        rows = p.sum(axis=2)  # of the two-column draw
+        assert rows.max() <= 1.0 + 1e-12
+        if n == 2:
+            assert np.abs(rows - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("kind", ["pure", "rank2", "full"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qcoherence.linalg
+import qcoherence.measures as measures_mod
 from qcoherence import (
     DELTA,
     ETA1,
@@ -686,6 +687,31 @@ def test_srel_is_accurate_on_the_family(eps):
     # lam = (1 +- eps)/2: measured at most 2.2e-16 / eps relative.
     want = _srel_closed_form(eps)
     assert abs(s_rel(_eps_state(eps), 1.0) - want) <= 1e-15 / eps * want
+
+
+def _srel_all_pairs(b):
+    """measures._s_rel with its series evaluated on every pair and selected
+    where |t| < 1/4: the form whose values the gathered series must keep."""
+    lam = np.maximum(b.eigen[0], 0.0)[..., :, None]
+    d = np.maximum(np.diagonal(b.rep, axis1=-2, axis2=-1).real, 0.0)[..., None, :]
+    r = lam / np.maximum(d, np.finfo(float).tiny)
+    far = lam * np.log(np.where(r > 0.0, r, 1.0)) - lam + d
+    u = r - 1.0
+    t = u / (1.0 + r)
+    near = d * u * t * (1.0 + (1.0 + t) * t * np.polyval(measures_mod._PHI_SERIES, t * t))
+    return (b.eigen[1] * np.where(np.abs(t) < 0.25, near, far)).sum(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_srel_series_on_near_pairs_only_is_bitwise_the_all_pairs_form(n):
+    # cli and srel reports read these values, so gathering must move no bit
+    rng = np.random.default_rng(80 + n)
+    kinds = ["wishart", "pure", "degenerate", "mixed"]
+    states = [_state_of_kind(kind, n, rng) for kind in kinds]
+    batch = _checked_batch(states, [random_basis(n, rng) for _ in kinds])
+    chunk = _draw_chunk(n, range(0, 4), SeededGenerator(n), 1)[2]
+    for b in (batch, chunk, *(_eps_state(eps) for eps in (1.0, 0.5, 1e-3, 1e-8))):
+        assert np.array_equal(MEASURES["s_rel"](b), _srel_all_pairs(b))
 
 
 def _srel_second_order(rep):
