@@ -118,6 +118,27 @@ def overlap_distances(o: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(o * one_minus, axis=(-2, -1)))
 
 
+def eigenspace_distances(w: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Distances from the eigenspace decompositions of ascending spectra w
+    (..., n) to bases, given the overlaps o (..., n, n) of eigenvectors
+    (rows) with basis vectors; the result has the leading shape.
+
+    Neighbouring eigenvalues within GAP_SCALE * scale (_spectral_scales)
+    share an eigenspace E.  With p_Ej = sum_{k in E} o_kj, d^2 = sum_Ej p_Ej
+    (1 - p_Ej), each 1 - p_Ej summed from the other eigenspaces.  It does not
+    depend on the eigenbasis behind o, and a spectrum with no degenerate gap
+    gets overlap_distances(o) bit for bit.
+    """
+    d = np.array(overlap_distances(o))
+    same = np.diff(w, axis=-1) <= GAP_SCALE * _spectral_scales(w)[2][..., None]
+    if (deg := same.any(axis=-1)).any():
+        n = w.shape[-1]
+        space = np.cumsum(np.insert(~same[deg], 0, True, axis=-1), axis=-1)  # eigenspace labels, from 1
+        p = (space[:, None, :] == np.arange(1, n + 1)[:, None]) @ np.clip(o[deg], 0.0, 1.0)
+        d[deg] = np.sqrt((p * ((1.0 - np.eye(n)) @ p)).sum(axis=(-2, -1)))
+    return d
+
+
 def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """Distances between stacked bases: u1 and u2 of shape (..., n, n) hold
     basis vectors as columns; the result has the leading shape."""

@@ -131,13 +131,12 @@ def random_hermitian(n: int, rng) -> HermitianObservable:
 
 
 def random_density_matrix(n: int, rng, rank: int | None = None) -> DensityMatrix:
-    """Normalized Wishart state G G^H / tr with controllable rank (default full)."""
+    """A normalized Wishart state of rank min(rank, n), default n, that keeps
+    the spectrum and eigenbasis _wishart drew as its eigensystem."""
     _check_dim(n)
     if rank is not None:
         _check_count("rank", rank, 1)
-    g = _ginibre(as_generator(rng), (n, n if rank is None else min(rank, n)))
-    w = g @ g.conj().T
-    return DensityMatrix(w / np.trace(w).real)
+    return DensityMatrix.from_eigensystem(*_wishart(as_generator(rng), n, min(rank or n, n), 1, 0))
 
 
 def _chunk_trials(n: int) -> int:
@@ -145,24 +144,27 @@ def _chunk_trials(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n))
 
 
-def _laguerre_spectra(chi: np.ndarray) -> np.ndarray:
-    """Ascending spectra of normalized full-rank n x n Wishart states.
-
-    chi (..., 2n - 1) holds the lower bidiagonal B of the beta = 2 Laguerre
-    model (Dumitriu & Edelman, J. Math. Phys. 43, 2002): its diagonal
-    chi_{2n}, chi_{2n-2}, ..., chi_2, then its subdiagonal chi_{2(n-1)},
-    ..., chi_2.  The tridiagonal B B^T has the spectrum of G G^H for an
-    n x n complex Ginibre G.
+def _wishart(rng: np.random.Generator, n: int, r: int, count: int, keep):
+    """(lam, w) of the states `keep` indexes (an int: one, unbatched) among
+    `count` normalized rank-r Wishart states G G^H / tr, G an n x r complex
+    Ginibre matrix (the induced measure; Zyczkowski & Sommers, J. Phys. A
+    34, 7111, 2001): lam (..., n) ascending with its n - r zeros exact and
+    first, w (..., n, n) a Haar eigenbasis, independent of lam.  All `count`
+    draw, in order: the chi variates of the r x r lower bidiagonal B of the
+    beta = 2 Laguerre model (Dumitriu & Edelman, J. Math. Phys. 43, 2002),
+    diagonal chi_{2n}, ..., chi_{2(n-r+1)}, subdiagonal chi_{2(r-1)}, ...,
+    chi_2, whose B B^T has the nonzero spectrum of G G^H; then the frames.
     """
-    n = (chi.shape[-1] + 1) // 2
-    d, e = chi[..., :n], chi[..., n:]
-    i = np.arange(n)
-    t = np.zeros(chi.shape[:-1] + (n, n))
+    df = np.concatenate([np.arange(2 * n, 2 * (n - r), -2), np.arange(2 * r - 2, 0, -2)])
+    chi = np.sqrt(rng.chisquare(df, size=(count, 2 * r - 1))[keep])
+    d, e = chi[..., :r], chi[..., r:]
+    i = np.arange(r)
+    t = np.zeros(chi.shape[:-1] + (r, r))
     t[..., i, i] = d**2
     t[..., i[1:], i[1:]] += e**2
     t[..., i[1:], i[:-1]] = t[..., i[:-1], i[1:]] = d[..., :-1] * e
-    lam = np.linalg.eigvalsh(t)
-    return lam / lam.sum(axis=-1, keepdims=True)
+    lam = np.concatenate([np.zeros(chi.shape[:-1] + (n - r,)), np.linalg.eigvalsh(t)], axis=-1)
+    return lam / lam.sum(axis=-1, keepdims=True), _haar_from_ginibre(_ginibre(rng, (count, n, n))[keep])
 
 
 def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
@@ -170,27 +172,21 @@ def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
     the spectra (T, n), the bases (T, n, n) and their StateBatch; trial 0 is
     the maximally mixed state.
 
-    A Wishart state's eigenvectors are Haar and independent of its spectrum
-    lam, so (rho, B) is drawn in rho's eigenframe: rho = diag(lam), the
-    basis W Haar, rep = W^H diag(lam) W, and the batch's eigensystem is lam
-    with the eigenbasis overlaps |W|^2.
-    Chunk c covers trials [c * step, (c + 1) * step) and draws all of them
-    from root.substream((block, c)), whatever part is asked for, so it
-    replays alone: chi variates, then the (re, im) Gaussians of W.  A range
-    that is empty or crosses a chunk edge raises ValueError.
+    (rho, B) is drawn in rho's eigenframe: _wishart's Haar frame W is the
+    basis, rho = diag(lam), rep = W^H diag(lam) W, and the batch's
+    eigensystem is lam with the eigenbasis overlaps |W|^2.  Chunk c covers
+    trials [c * step, (c + 1) * step) and draws all of them from
+    root.substream((block, c)), whatever part is asked for, so it replays
+    alone.  A range that is empty or crosses a chunk edge raises ValueError.
     """
     step = _chunk_trials(n)
     c = trials.start // step
     if not trials or trials.step != 1 or trials.start < 0 or trials[-1] // step != c:
         raise ValueError(f"trials {trials} are not a nonempty run within one chunk of {step}")
-    rng = root.substream((block, c))
-    df = np.concatenate([np.arange(2 * n, 0, -2), np.arange(2 * n - 2, 0, -2)])
-    chi = rng.chisquare(df, size=(step, 2 * n - 1))
     local = slice(trials.start - c * step, trials.stop - c * step)
-    lam = _laguerre_spectra(np.sqrt(chi[local]))
+    lam, w = _wishart(root.substream((block, c)), n, n, step, local)
     if trials.start == 0:
         lam[0] = 1.0 / n
-    w = _haar_from_ginibre(_ginibre(rng, (step, n, n))[local])
     rep = (np.swapaxes(w.conj(), -1, -2) * lam[:, None, :]) @ w
     return lam, w, StateBatch(rep, (lam, np.abs(w) ** 2))
 
@@ -273,9 +269,9 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
             ds, values = check_axiom1(rho, THEOREM42_MEASURES, path)
             for m in THEOREM42_MEASURES:
                 vals = values[m]
-                # Pointwise envelopes from the continuity argument:
-                # eta2 <= d, delta = d, and eta1, eta_inf <= n * eta2.
-                bound = ds if m in (ETA2, DELTA) else n * values[ETA2]
+                # Pointwise envelopes: eta2 <= d / sqrt(2) (proved at
+                # measures.delta), delta = d, and eta1, eta_inf <= n * eta2.
+                bound = {ETA2: ds / np.sqrt(2.0), DELTA: ds}.get(m, n * values[ETA2])
                 slack, count, ok = reduce_checks(bound - vals, AXIOM_SLACK_TOL)
                 monotone = bool((np.diff(vals) < 0).all())
                 ok = ok and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6

@@ -23,7 +23,8 @@ for the diagonal of a state rewritten in a Haar-random basis, and hence
 E eta2^2 = (n tr(rho^2) - 1) / (n + 1).  A state argument enters through
 linalg.as_density, so a raw array is validated as a density matrix.
 
-The Monte Carlo estimates of sum_i rho_ii^2 use unitary invariance: the
+The Monte Carlo estimates of sum_i rho_ii^2 read the spectrum the state
+keeps (a drawn state carries it: no eigh) and use unitary invariance: the
 statistic depends on the basis only through the r rows of V^H U that belong
 to eigenvalues above the lowest, so each sample draws just the moduli of
 the n x r Haar isometry (Mezzadri, Notices AMS 2007).  For r = 1 they are
@@ -209,12 +210,12 @@ def exact_expected_eta2_sq(rho) -> float:
 
 
 def _excited_levels(rho) -> tuple[np.ndarray, int]:
-    """Ascending spectrum of rho and the number r of its levels above the
-    lowest by more than eigh's own error, n * eps * max |lam|.
-
-    The eigenvectors are not needed: the sampled law depends on lam alone.
+    """The ascending spectrum rho keeps (its eigensystem) and the number r of
+    its levels above the lowest by more than eigh's own error, n * eps * max
+    |lam|.  The eigenvectors are not needed: the sampled law depends on lam
+    alone.
     """
-    lam = np.linalg.eigvalsh(as_density(rho).matrix)
+    lam = as_density(rho).eigensystem()[0]
     tol = lam.size * np.finfo(np.float64).eps * np.abs(lam).max()
     return lam, int((lam - lam[0] > tol).sum())
 

@@ -118,8 +118,8 @@ class DensityMatrix:
         """Ascending eigenvalues and one orthonormal eigenbasis, from checked_eigh,
         whose reconstruction check refuses a matrix not Hermitian or not finite.
 
-        Computed on the first call (validate_density's) and kept: both parts
-        are read-only, so every caller can share them.
+        Computed on the first call (validate_density's) unless from_eigensystem
+        gave it, and kept: both parts are read-only, so every caller shares them.
         """
         cached = self.__dict__.get("_eigensystem")
         if cached is None:
@@ -129,9 +129,16 @@ class DensityMatrix:
         return cached
 
     @classmethod
+    def from_eigensystem(cls, lam, v) -> "DensityMatrix":
+        """V diag(lam) V^H, keeping (lam, V) as its eigensystem; trusts both."""
+        rho = cls((v * lam) @ v.conj().T)
+        object.__setattr__(rho, "_eigensystem", (_freeze(np.array(lam, dtype=float)), OrthonormalBasis(v)))
+        return rho
+
+    @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
         _check_dim(n)
-        return cls(np.eye(n, dtype=np.complex128) / n)
+        return cls.from_eigensystem(np.full(n, 1.0 / n), np.eye(n))
 
     @classmethod
     def pure(cls, vector) -> "DensityMatrix":

@@ -7,7 +7,7 @@ The candidate measures quantify Q:
     eta1    = sum_{i != j} |rep_ij|
     eta2    = (sum_{i != j} |rep_ij|^2)^(1/2)
     eta_inf = n * max_{i != j} |rep_ij|
-    delta   = distance between an eigenbasis of rho and B
+    delta   = distance between rho's eigenspace decomposition and B
     s_rel   = c * [S(D) - S(rho)] = c * sum_ki o_ki d_i phi(lam_k / d_i - 1)
 (the relative entropy of coherence; lam_k is rho's spectrum, d_i = rep_ii,
 o_ki = |<v_k|b_i>|^2, phi(u) = (1 + u) ln(1 + u) - u and 0 ln 0 = 0).
@@ -36,9 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distance import overlap_distances, overlap_tables
+from .distance import eigenspace_distances, overlap_tables
 from .errors import CounterexampleNotFoundError
-from .haar import _ginibre, _hermitian, as_generator
+from .haar import _haar_chunk, as_generator
 from .linalg import (
     DensityMatrix,
     OrthonormalBasis,
@@ -133,7 +133,7 @@ def _eta_inf(b: StateBatch) -> np.ndarray:
 
 
 def _delta(b: StateBatch) -> np.ndarray:
-    return overlap_distances(b.eigen[1])
+    return eigenspace_distances(*b.eigen)
 
 
 _PHI_SERIES = 1.0 / np.arange(25.0, 2.0, -2.0)  # 1 / (2j + 3), j = 11..0: S below, for np.polyval
@@ -201,9 +201,17 @@ def eta_inf(s: StateInBasis) -> float:
 
 
 def delta(s: StateInBasis) -> float:
-    """Distance from the eigenbasis of rho that the solver returns to the
-    basis of interest: for a degenerate rho it can exceed 1 even when the
-    basis is another eigenbasis of rho, where eta1 is 0.
+    """Distance from rho's eigenspace decomposition to the basis
+    (distance.eigenspace_distances): 0 exactly when each basis vector lies in
+    an eigenspace, whichever eigenbasis rho keeps.  Its degeneracy rule makes
+    it jump in rho at the GAP_SCALE threshold; axiom 1 holds rho fixed.
+
+    eta2 <= delta / sqrt(2), with equality for pure states: with p_Ej from
+    eigenspace_distances, K = diag(dim E) and lam_E the distinct eigenvalues,
+    eta2^2 = lam^T (K - p p^T) lam, PSD by Jensen over each column of p, so
+    convex on the simplex sum_E dim(E) lam_E = 1.  It peaks at a vertex
+    lam = e_E / dim(E), at sum_j p_Ej (1 - p_Ej) / dim(E)^2 <= delta^2 / 2,
+    as p_Ej <= 1 - p_Fj for F != E.
     """
     return evaluate_measure(s, DELTA)
 
@@ -257,27 +265,27 @@ def check_axiom2(b: StateBatch, measures) -> dict:
 
 
 def approach_path(target: OrthonormalBasis, ts, rng) -> np.ndarray:
-    """The (T, n, n) stack of bases exp(t K) target, one per t in `ts`, for a
-    fixed random anti-Hermitian K; no t gives an empty (0, n, n) stack.
-
-    The generator K = iH with H a normalized random Hermitian matrix; as
-    t -> 0 the path converges to `target` in basis distance.
+    """The (T, n, n) stack of bases exp(i t H) target, one per t in `ts`, for
+    a fixed random H = W diag(h) W^H: W Haar, h uniform on [-1, 1] scaled to
+    max |h| = ||H||_op = 1; no t gives an empty (0, n, n) stack.  As t -> 0
+    the path converges to `target` in basis distance, and exp(i t H) = W
+    diag(e^{i t h}) W^H runs no eigh.
     """
-    n = target.dim
-    h = _hermitian(_ginibre(as_generator(rng), (n, n)))
-    h /= np.linalg.norm(h, 2)
-    w, v = checked_eigh(h)
-    phases = np.exp(1j * np.outer(ts, w))
-    return (v * phases[:, None, :]) @ v.conj().T @ target.vectors
+    rng = as_generator(rng)
+    w = _haar_chunk(rng, (target.dim, target.dim))
+    h = rng.uniform(-1.0, 1.0, target.dim)
+    phases = np.exp(1j * np.outer(ts, h / np.abs(h).max()))
+    return (w * phases[:, None, :]) @ w.conj().T @ target.vectors
 
 
 def check_axiom1(rho, measures, path) -> tuple[np.ndarray, dict]:
-    """(ds, {measure: values}): d(B_rho, B_t) and measure(rho, B_t) along a path.
+    """(ds, {measure: values}): delta(rho, B_t), the distance d from rho's
+    eigenspaces, and measure(rho, B_t) along a path.
 
     `measures` are names in MEASURES.  `path` is a (T, n, n) stack of basis
     matrices, as approach_path returns it; rho in it is one _in_bases batch.
     The caller asserts the continuity claims: values tend to 0 with d, and
-    for eta2 the pointwise bound eta2 <= d.
+    for eta2 the pointwise bound eta2 <= d / sqrt(2) (proved at delta).
     """
     evaluators = {m: _evaluator(m) for m in measures}
     b = StateBatch(*_in_bases(rho, path, "path"))

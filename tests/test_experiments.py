@@ -623,12 +623,17 @@ def test_trial_zero_is_the_maximally_mixed_state():
 
 
 def test_eigenframe_overlaps_equal_the_identity_overlaps():
-    # rho is diagonal, so its eigenbasis overlaps with W are |W|^2 bit for bit
+    # rho is diagonal, so its eigenbasis overlaps with W are |W|^2 bit for bit;
+    # delta is the distance from the identity on the non-degenerate Wishart
+    # trials, and 0 at the maximally mixed trial 0, whose one eigenspace
+    # holds every basis
     lam, w, batch = _draw_chunk(8, range(0, 40), SeededGenerator(5), 2)
     eye = np.broadcast_to(np.eye(8, dtype=np.complex128), w.shape)
     assert batch.eigen[0] is lam
     assert (batch.eigen[1] == overlap_tables(eye, w)).all()
-    assert (MEASURES[DELTA](batch) == basis_distances(eye, w)).all()
+    delta = MEASURES[DELTA](batch)
+    assert (delta[1:] == basis_distances(eye[1:], w[1:])).all()
+    assert delta[0] == 0.0
 
 
 def _wishart_chunks(n, count, root):
@@ -647,6 +652,68 @@ def test_laguerre_purity_anchor(n):
     assert (np.diff(lam, axis=-1) >= 0).all() and lam.min() > -1e-15
     est = MonteCarloEstimate.from_samples((lam**2).sum(axis=-1))
     assert abs(est.z_score(2.0 * n / (n * n + 1.0))) <= 4.0
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_wishart_purity_law_at_every_rank(n):
+    # E tr(rho^2) = (n + r) / (n r + 1) for G G^H / tr with G an n x r
+    # Ginibre matrix, and the n - r smallest eigenvalues are exact zeros
+    for r in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+        lam, w = experiments._wishart(SeededGenerator(n).substream(r), n, r, 2000, slice(None))
+        assert lam.shape == (2000, n) and w.shape == (2000, n, n)
+        assert (lam[:, :n - r] == 0.0).all() and (lam[:, n - r:] > 0.0).all()
+        assert (np.diff(lam, axis=-1) >= 0.0).all() and np.abs(lam.sum(axis=-1) - 1.0).max() < 1e-14
+        est = MonteCarloEstimate.from_samples((lam**2).sum(axis=-1))
+        assert abs(est.z_score((n + r) / (n * r + 1.0))) <= haar.Z_MAX
+
+
+@pytest.mark.parametrize("n, r", [(8, 3), (8, 8), (16, 5), (6, 2)])
+def test_wishart_spectrum_edges_match_dense_draws(n, r):
+    # two-sample KS of the top and the smallest nonzero eigenvalue against
+    # G G^H / tr built densely from an n x r Ginibre G
+    from scipy.stats import ks_2samp
+
+    count = 4000
+    lam = experiments._wishart(SeededGenerator(90 + n).generator(), n, r, count, slice(None))[0]
+    g = _ginibre(SeededGenerator(95 + n + r).generator(), (count, n, r))
+    dense = np.linalg.eigvalsh(g @ np.swapaxes(g.conj(), -1, -2))
+    dense /= dense.sum(axis=-1, keepdims=True)
+    for k in (n - r, n - 1):
+        assert ks_2samp(lam[:, k], dense[:, k]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("rank", [1, 2, None])
+def test_a_random_state_keeps_its_drawn_eigensystem(monkeypatch, rank):
+    n = 5
+    lam, w = experiments._wishart(SeededGenerator(3).generator(), n, rank or n, 1, 0)
+    monkeypatch.setattr(np.linalg, "eigh", None)  # neither the draw nor the read may run one
+    rho = random_density_matrix(n, SeededGenerator(3).generator(), rank)
+    got, basis = rho.eigensystem()
+    assert (got == lam).all() and (basis.vectors == w).all()
+    assert (rho.matrix == (w * lam) @ w.conj().T).all()
+    assert np.abs(np.linalg.eigvalsh(rho.matrix) - lam).max() < 1e-15
+
+
+def test_a_default_theorem42_run_calls_no_eigh_and_no_svd(monkeypatch):
+    # the decay stage reads each drawn state's eigensystem and builds its
+    # path as W diag(e^{i t h}) W^H; the bound trials run only real eigvalsh
+    calls = []
+    numpy_linalg = np.linalg.norm.__wrapped__.__globals__  # where norm finds its svd
+
+    def spy(name, real):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counting
+
+    for name in ("eigh", "svd"):
+        counting = spy(name, getattr(np.linalg, name))
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setitem(numpy_linalg, name, counting)
+    assert run_theorem42_suite(seed=42).verdict
+    assert calls == []
+    np.linalg.norm(np.eye(2), 2)  # the spies see the svd behind a matrix 2-norm
+    assert calls == ["svd"]
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -672,26 +739,26 @@ def test_basis_frame_draws_match_the_wishart_path(n):
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "253a5b6d08e476d04657cb687f2f05a04c24d91d7f8a0d632a81a237447daede",
+        "48e10cccf88bd4eea6646e02aff617301d8cc912ca9d58c7784305bd3b87a15a",
     ("prop31", "--n", "2,4", "--trials", "30"):
         "f3a7fdc4b6ccb2d8a4c76d9b764fff4c6d9c3068aa5dd669b0b1bb382a68f418",
     ("purity", "--n", "4,8", "--samples", "300"):
-        "1a360fe2acbf912a4d1f98e1b789fd14f3e01063d449bf3cfc60fcc577902821",
+        "867dec2bcb3a3a1e95cddd7c349b8a5d2ce88dba5b156899172e3182bf529236",
     ("srel",):
         "294b7875475bbff4740aaa298ac260a670982a4c0854e10e62ca2b3c20c4bd57",
     # several chunks at both n
     ("theorem42", "--n", "16,32", "--trials", "100"):
-        "0662845574e1afa5dd33666b4d7f6998d6156a3609b85667c83f1c0f2d148fef",
+        "178cf0a8acad1cbdc947a8685d6177b9761a92d38bf23a23d26c77a551fd5f4d",
     # r = 3 levels above the lowest: the QR moduli path
     ("purity", "--n", "4,8", "--samples", "300", "--rank", "3"):
-        "fd5ab7d3b0b3d85c1f3bb66219b19afe0b5e59d2aab88338b1c25f42e05f114e",
+        "27c70c3e46bd41ee978c8f345f495e4627a50babaa83af90340f22cadefbc7dd",
     # the default runs
     ("theorem42",):
-        "fcb698af5ed4f152edb9ea6fcf02eae30a2fa084e714fb28ac217f377064431b",
+        "65f47ca0cc9ab65b7e18de13939fb58fbe4c3d582361b77275968bba4d1d3dac",
     ("prop31",):
         "c963be963f2ed147eaff48c9480687e6b08fe06fb434867ca9bebacd4ee99131",
     ("purity",):
-        "bb452e728b963cbb33b18f7ec0b303805528994bd0320b64bb128b8d007eeb60",
+        "2a69cb20f3ca24b0b11e69bd92d56e672ffe658fd8cfc01114c83a9dc78ad059",
 }
 
 

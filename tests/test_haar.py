@@ -427,6 +427,25 @@ class TestIsometryEstimator:
         else:
             assert estimate_diag_square_sum(rho, samples, 3).samples == 2
 
+    def test_a_raw_state_is_diagonalised_once(self, monkeypatch):
+        # _excited_levels ran an eigvalsh of its own after validate_density's
+        # eigh; now it reads the kept spectrum, which a drawn state carries
+        rho = random_density_matrix(5, np.random.default_rng(4))
+        calls = []
+
+        def spy(name, real):
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counting
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+        estimate_diag_square_sum(rho, 50, 1)
+        assert calls == []
+        estimate_diag_square_sum(rho.matrix.copy(), 50, 1)
+        assert calls == ["eigh"]
+
     @pytest.mark.parametrize("n", [2, 3, 32])
     @pytest.mark.parametrize("r", [1, 2])
     def test_closed_form_moduli_moments(self, r, n):

@@ -302,6 +302,10 @@ class TestEntropyAndPurity:
         assert 0.0 <= _fourier_srel(np.full(n, 1.0 / n)) < 1e-12
         rho = DensityMatrix.maximally_mixed(n)
         assert abs(purity(rho) - 1.0 / n) < 1e-12
+        # built from its eigensystem (1/n, I), which it keeps: no eigh runs
+        assert (rho.matrix == np.eye(n) / n).all()
+        lam, basis = rho.eigensystem()
+        assert (lam == 1.0 / n).all() and (basis.vectors == np.eye(n)).all()
 
     def test_binary_entropy_value(self):
         # S = -0.55 ln 0.55 - 0.45 ln 0.45, evaluated directly
