@@ -29,7 +29,8 @@ from .errors import (
     PointsNotDistinctError,
     WeightsNotNormalizedError,
 )
-from .linalg import TOL_ORTHO, OrthonormalBasis, _check_finite, _check_same_dim, _freeze, as_observable
+from .linalg import (TOL_ORTHO, OrthonormalBasis, _check_finite, _check_same_dim, _freeze, as_observable,
+                     operator_norms)
 
 # Degenerate-spectrum detection threshold, relative to the spectral spread:
 # separates true degeneracy from eigen-solver jitter at double precision.
@@ -102,41 +103,24 @@ def overlap_tables(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.abs(np.swapaxes(u1.conj(), -1, -2) @ u2) ** 2
 
 
-def overlap_distances(o: np.ndarray) -> np.ndarray:
-    """Distances from stacked squared-overlap tables o (..., n, n); the
-    result has the leading shape."""
-    o = _doubly_stochastic(o)
-    one_minus = 1.0 - o
-    # An entry near 1 makes 1 - o cancel catastrophically, which floors the
-    # distance at ~sqrt(n)*1e-8 for nearby bases.  Row sums equal 1, so
-    # rewrite 1 - o_ij as the sum of the other (small, accurate) row entries.
-    # At most one entry per row exceeds 1/2; rows are grouped by its column.
-    big = o > 0.5
-    for j in np.flatnonzero(big.any(axis=tuple(range(o.ndim - 1)))):
-        rows = o[big[..., j]]
-        one_minus[..., j][big[..., j]] = rows[:, :j].sum(-1) + rows[:, j + 1:].sum(-1)
-    return np.sqrt(np.sum(o * one_minus, axis=(-2, -1)))
+def overlap_distances(o: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """d^2 = sum_Ej p_Ej (1 - p_Ej) from stacked squared-overlap tables o
+    (..., n, n) of rows with basis vectors; the result has the leading shape.
 
-
-def eigenspace_distances(w: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Distances from the eigenspace decompositions of ascending spectra w
-    (..., n) to bases, given the overlaps o (..., n, n) of eigenvectors
-    (rows) with basis vectors; the result has the leading shape.
-
-    Neighbouring eigenvalues within GAP_SCALE * scale (_spectral_scales)
-    share an eigenspace E.  With p_Ej = sum_{k in E} o_kj, d^2 = sum_Ej p_Ej
-    (1 - p_Ej), each 1 - p_Ej summed from the other eigenspaces.  It does not
-    depend on the eigenbasis behind o, and a spectrum with no degenerate gap
-    gets overlap_distances(o) bit for bit.
+    Without spectra each row is its own E and p = o: the distance between
+    two bases.  Given ascending spectra w (..., n) of the rows' eigenvectors,
+    eigenvalues within GAP_SCALE * scale (_spectral_scales) of a neighbour
+    share E, and p_Ej = sum_{k in E} o_kj: the distance from the eigenspace
+    decomposition, whichever eigenbasis o holds (no degenerate gap: p = o).
     """
-    d = np.array(overlap_distances(o))
-    same = np.diff(w, axis=-1) <= GAP_SCALE * _spectral_scales(w)[2][..., None]
-    if (deg := same.any(axis=-1)).any():
-        n = w.shape[-1]
-        space = np.cumsum(np.insert(~same[deg], 0, True, axis=-1), axis=-1)  # eigenspace labels, from 1
-        p = (space[:, None, :] == np.arange(1, n + 1)[:, None]) @ np.clip(o[deg], 0.0, 1.0)
-        d[deg] = np.sqrt((p * ((1.0 - np.eye(n)) @ p)).sum(axis=(-2, -1)))
-    return d
+    p = _doubly_stochastic(o)
+    same = False if w is None else np.diff(w, axis=-1) <= GAP_SCALE * _spectral_scales(w)[2][..., None]
+    if np.any(same):
+        space = np.cumsum(np.insert(~same, 0, True, axis=-1), axis=-1)  # eigenspace labels, from 1
+        p = (space[..., None, :] == np.arange(1, p.shape[-1] + 1)[:, None]) @ p
+    # 1 - p_Ej as the sum of the other rows of column j, which sums to 1:
+    # nothing cancels near a relabelling, so d has no ~sqrt(n) * 1e-8 floor.
+    return np.sqrt((p * ((1.0 - np.eye(p.shape[-1])) @ p)).sum(axis=(-2, -1)))
 
 
 def basis_distances(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -178,7 +162,7 @@ def commutator_terms(m: np.ndarray, w: np.ndarray, v: np.ndarray):
     """
     n = m.shape[-1]
     a, b = m[:, 0], m[:, 1]
-    norm = np.linalg.norm(a @ b - b @ a, 2, axis=(-2, -1))
+    norm = operator_norms(1j * (a @ b - b @ a))  # i[A,B] is Hermitian
     spread, gap, scale = _spectral_scales(w)
     d = basis_distances(v[:, 0], v[:, 1])
     upper = 0.5 * np.sqrt(n) * (spread[:, 0] * spread[:, 1]) * d
@@ -223,10 +207,29 @@ def commutator_lower_bound(a, b) -> BoundReport:
     return BoundReport.check(d, lower)
 
 
-def quadratic_jensen_gap(weights, points) -> float:
-    """sum(w x^2) - (sum(w x))^2, the gap in the quadratic Jensen inequality."""
+def _distribution(weights, points) -> tuple[np.ndarray, np.ndarray]:
+    """(w, x) as float vectors, checked: equal lengths, finite entries, and
+    weights nonnegative summing to 1 within WEIGHT_SUM_TOL."""
     w = np.asarray(weights, dtype=np.float64)
     x = np.asarray(points, dtype=np.float64)
+    if w.shape != x.shape or w.ndim != 1:
+        raise DimensionMismatchError(
+            f"weights and points must be equal-length vectors, got {w.shape} and {x.shape}"
+        )
+    _check_finite(w, "weights")
+    _check_finite(x, "points")
+    if (least := w.min(initial=0.0)) < 0.0:  # an empty vector sums to 0: the sum check rejects it
+        raise WeightsNotNormalizedError(f"weight {least:.3e} is negative")
+    if (norm_defect := abs(w.sum() - 1.0)) > WEIGHT_SUM_TOL:
+        raise WeightsNotNormalizedError(
+            f"|sum(weights) - 1| = {norm_defect:.3e} exceeds {WEIGHT_SUM_TOL:.1e}"
+        )
+    return w, x
+
+
+def quadratic_jensen_gap(weights, points) -> float:
+    """sum(w x^2) - (sum(w x))^2, the gap in the quadratic Jensen inequality."""
+    w, x = _distribution(weights, points)
     return float(np.sum(w * x**2) - np.sum(w * x) ** 2)
 
 
@@ -236,26 +239,11 @@ def jensen_gap_bound(weights, points, epsilon: float) -> BoundReport:
     Valid whenever eps bounds the quadratic Jensen gap of (weights, points)
     from above; the caller passes the actual gap or anything larger.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(points, dtype=np.float64)
-    if w.shape != x.shape or w.ndim != 1:
-        raise DimensionMismatchError(
-            f"weights and points must be equal-length vectors, got {w.shape} and {x.shape}"
-        )
-    for name, v in (("weights", w), ("points", x), ("epsilon", np.float64(epsilon))):
-        _check_finite(v, name)
-    if (least := w.min(initial=0.0)) < 0.0:  # an empty vector sums to 0: the sum check rejects it
-        raise WeightsNotNormalizedError(f"weight {least:.3e} is negative")
-    norm_defect = abs(w.sum() - 1.0)
-    if norm_defect > WEIGHT_SUM_TOL:
-        raise WeightsNotNormalizedError(
-            f"|sum(weights) - 1| = {norm_defect:.3e} exceeds {WEIGHT_SUM_TOL:.1e}"
-        )
+    w, x = _distribution(weights, points)
+    _check_finite(np.float64(epsilon), "epsilon")
     spread, gap, _ = map(float, _spectral_scales(np.sort(x)))
     if gap <= GAP_SCALE * spread:
-        raise PointsNotDistinctError(
-            f"two points are only {gap:.3e} apart (spread {spread:.3e})"
-        )
+        raise PointsNotDistinctError(f"two points are only {gap:.3e} apart (spread {spread:.3e})")
     lhs = float(np.sum(w * (1.0 - w)))
     rhs = 2.0 * epsilon / gap**2 if np.isfinite(gap) else 0.0
     return BoundReport.check(lhs, rhs)

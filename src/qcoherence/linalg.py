@@ -309,6 +309,11 @@ def checked_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def operator_norms(h: np.ndarray) -> np.ndarray:
+    """||H||_op per matrix of a Hermitian (..., n, n) stack, by one eigvalsh."""
+    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+
+
 def purity(rho) -> float:
     """tr(rho^2), in [1/n, 1] for a valid state."""
     m = as_density(rho).matrix

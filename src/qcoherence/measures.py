@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distance import eigenspace_distances, overlap_tables
+from .distance import overlap_distances, overlap_tables
 from .errors import CounterexampleNotFoundError
 from .haar import _haar_chunk, as_generator
 from .linalg import (
@@ -48,6 +48,7 @@ from .linalg import (
     _freeze,
     as_density,
     checked_eigh,
+    operator_norms,
 )
 
 
@@ -133,7 +134,8 @@ def _eta_inf(b: StateBatch) -> np.ndarray:
 
 
 def _delta(b: StateBatch) -> np.ndarray:
-    return eigenspace_distances(*b.eigen)
+    w, o = b.eigen
+    return overlap_distances(o, w)
 
 
 _PHI_SERIES = 1.0 / np.arange(25.0, 2.0, -2.0)  # 1 / (2j + 3), j = 11..0: S below, for np.polyval
@@ -202,12 +204,13 @@ def eta_inf(s: StateInBasis) -> float:
 
 def delta(s: StateInBasis) -> float:
     """Distance from rho's eigenspace decomposition to the basis
-    (distance.eigenspace_distances): 0 exactly when each basis vector lies in
-    an eigenspace, whichever eigenbasis rho keeps.  Its degeneracy rule makes
-    it jump in rho at the GAP_SCALE threshold; axiom 1 holds rho fixed.
+    (distance.overlap_distances with rho's spectrum): 0 exactly when each
+    basis vector lies in an eigenspace, whichever eigenbasis rho keeps.  Its
+    degeneracy rule makes it jump in rho at the GAP_SCALE threshold; axiom 1
+    holds rho fixed.
 
     eta2 <= delta / sqrt(2), with equality for pure states: with p_Ej from
-    eigenspace_distances, K = diag(dim E) and lam_E the distinct eigenvalues,
+    overlap_distances, K = diag(dim E) and lam_E the distinct eigenvalues,
     eta2^2 = lam^T (K - p p^T) lam, PSD by Jensen over each column of p, so
     convex on the simplex sum_E dim(E) lam_E = 1.  It peaks at a vertex
     lam = e_E / dim(E), at sum_j p_Ej (1 - p_Ej) / dim(E)^2 <= delta^2 / 2,
@@ -241,8 +244,7 @@ def worst_deviations(b: StateBatch) -> np.ndarray:
     extreme eigenvalues, so |tr(Q P_F)| <= dim(F) * ||Q||_op; a line through
     the eigenvector of the eigenvalue largest in magnitude attains it.
     """
-    w = np.linalg.eigvalsh(b.offdiag)
-    return np.maximum(w[..., -1], -w[..., 0])
+    return operator_norms(b.offdiag)
 
 
 def adversarial_subspaces(s: StateInBasis) -> Subspace:

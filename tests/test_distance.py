@@ -29,6 +29,8 @@ from qcoherence.distance import (
     _doubly_stochastic,
     basis_distances,
     commutator_terms,
+    overlap_distances,
+    overlap_tables,
     reduce_checks,
 )
 from qcoherence.haar import _ginibre, _hermitian, sample_haar_unitaries
@@ -131,14 +133,23 @@ class TestBasisDistance:
             assert abs(d - abs(np.sin(2 * t))) < 1e-6 * abs(np.sin(2 * t))
 
 
-def _per_entry_distances(u1, u2):
-    # reference: the rewrite of 1 - o_ij one overlap entry at a time
+def _per_entry_distances(u1, u2, w=None):
+    # reference: d^2 = sum_Ej p_Ej (1 - p_Ej) one entry at a time, each sum
+    # in row order: p_Ej sums the rows of eigenspace E (each row its own
+    # without spectra w), and 1 - p_Ej the other rows of column j
     o = _doubly_stochastic(np.abs(np.swapaxes(u1.conj(), -1, -2) @ u2) ** 2)
-    one_minus = 1.0 - o
-    for *t, i, j in zip(*np.nonzero(o > 0.5)):
-        row = o[(*t, i)]
-        one_minus[(*t, i, j)] = float(row[:j].sum() + row[j + 1:].sum())
-    return np.sqrt(np.sum(o * one_minus, axis=(-2, -1)))
+    n = o.shape[-1]
+    terms = np.zeros_like(o)  # the rows past the last eigenspace stay 0
+    for t in np.ndindex(o.shape[:-2]):
+        spaces = [[0]]
+        for k in range(1, n):
+            if w is None or w[t][k] - w[t][k - 1] > GAP_SCALE * max(w[t][-1] - w[t][0], abs(w[t]).max()):
+                spaces.append([])
+            spaces[-1].append(k)
+        p = [[sum(o[(*t, k, j)] for k in space) for j in range(n)] for space in spaces]
+        for e, j in np.ndindex(len(p), n):
+            terms[(*t, e, j)] = p[e][j] * sum(p[f][j] for f in range(len(p)) if f != e)
+    return np.sqrt(np.sum(terms, axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 16, 17, 32, 64])
@@ -153,9 +164,25 @@ def test_stacked_distances_equal_per_entry_rewrite_bit_for_bit(n):
     flows = (v * np.exp(1j * eps[:, None] * w)) @ v.conj().T
     pairs.append((u1, (u1 @ flows)[..., rng.permutation(n)]))
     pairs.append((u1[:1], pairs[-1][1][-1:]))
+    # ascending spectra of the rows: distinct ones, and degenerate ones in
+    # the first five (maximally mixed, pure, a repeated lowest pair, a
+    # repeated upper half, within GAP_SCALE of a double middle level)
+    distinct = np.sort(rng.standard_normal((7, n)), axis=-1)
+    grouped = distinct.copy()
+    grouped[0], grouped[1, :-1], grouped[1, -1] = 1.0 / n, 0.0, 1.0
+    grouped[2, 1] = grouped[2, 0]
+    grouped[3, n // 2:] = grouped[3, -1]
+    grouped[4, n // 2] = grouped[4, n // 2 - 1] + 0.1 * GAP_SCALE * np.abs(grouped[4]).max()
     for a, b in pairs:
+        o, ws, deg = overlap_tables(a, b), distinct[:len(a)], grouped[:len(a)]
         assert (basis_distances(a, b) == _per_entry_distances(a, b)).all()
         assert (basis_distances(a[0], b[0]) == _per_entry_distances(a[0], b[0])).all()
+        assert (overlap_distances(o, deg) == _per_entry_distances(a, b, deg)).all()
+        assert (overlap_distances(o[0], deg[0]) == _per_entry_distances(a[0], b[0], deg[0])).all()
+        # grouping is the identity on a spectrum with no degenerate gap,
+        # skipped alone (ws) or applied among degenerate ones (deg[5:])
+        assert (overlap_distances(o, ws) == basis_distances(a, b)).all()
+        assert (overlap_distances(o, deg)[5:] == basis_distances(a, b)[5:]).all()
 
 
 class TestMutuallyUnbiased:
@@ -304,16 +331,22 @@ class TestJensenGapBound:
     def test_unequal_lengths(self):
         with pytest.raises(DimensionMismatchError, match=r"equal-length vectors, got \(2,\) and \(3,\)"):
             jensen_gap_bound([0.5, 0.5], [0.0, 1.0, 2.0], 0.1)
+        with pytest.raises(DimensionMismatchError, match=r"equal-length vectors, got \(2,\) and \(1,\)"):
+            quadratic_jensen_gap([0.5, 0.5], [1.0])  # would broadcast to 0.0
 
     @pytest.mark.parametrize("weights, points, epsilon", [
         ([0.5, 0.5], [0.0, np.nan], 0.1),
         ([0.5, 0.5], [0.0, 1.0], np.nan),
         ([0.5, 0.5], [0.0, np.inf], 0.1),
         ([np.nan, 0.5], [0.0, 1.0], 0.1),
-    ], ids=["nan-point", "nan-epsilon", "inf-point", "nan-weight"])
+        ([np.nan], [1.0], 0.1),  # quadratic_jensen_gap returned nan
+    ], ids=["nan-point", "nan-epsilon", "inf-point", "nan-weight", "lone-nan-weight"])
     def test_non_finite_input(self, weights, points, epsilon):
         with pytest.raises(NotFiniteError):
             jensen_gap_bound(weights, points, epsilon)
+        if np.isfinite(epsilon):  # quadratic_jensen_gap takes no epsilon
+            with pytest.raises(NotFiniteError):
+                quadratic_jensen_gap(weights, points)
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,7 +405,8 @@ def _scalar_reference(a, b):
     """(upper lhs, upper rhs, lower (lhs, rhs) or None when degenerate): the
     per-pair Proposition 3.1 bounds written out on one pair of observables."""
     n = a.dim
-    norm = float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix, 2))
+    e = np.linalg.eigvalsh(1j * (a.matrix @ b.matrix - b.matrix @ a.matrix))  # i[A,B] is Hermitian
+    norm = float(max(e[-1], -e[0]))
     spreads, gaps = [], []
     for obs in (a, b):
         w = obs.spectrum
@@ -417,9 +451,17 @@ def _observable_stack(rng, trials, n, kinds):
 def test_commutator_kernel_equals_scalar_bounds_bit_for_bit(seed, n, trials, kinds):
     rng = np.random.default_rng(seed)
     m = _observable_stack(rng, trials, n, kinds)
-    norm, upper, d, lower, degenerate = commutator_terms(m, *checked_eigh(m))
+    w, v = checked_eigh(m)
+    norm, upper, d, lower, degenerate = commutator_terms(m, w, v)
     assert norm.shape == upper.shape == d.shape == lower.shape == (trials,)
     assert degenerate.shape == (trials, 2)
+    # the SVD 2-norm is the oracle of the eigvalsh norm, within 8 ulps of
+    # n ||A|| ||B|| (>= the norm): the roundoff of the computed [A,B], which
+    # keeps it from being exactly anti-Hermitian where eigvalsh reads one
+    # triangle, and dominates when A and B nearly commute
+    svd = np.linalg.norm(m[:, 0] @ m[:, 1] - m[:, 1] @ m[:, 0], 2, axis=(-2, -1))
+    scale = n * np.abs(w).max(axis=-1).prod(axis=-1)
+    assert (np.abs(norm - svd) <= 8 * np.finfo(float).eps * scale).all()
     for t in range(trials):
         a, b = (HermitianObservable.from_matrix(x) for x in m[t])
         ref_norm, ref_upper, ref_lower = _scalar_reference(a, b)

@@ -696,7 +696,9 @@ def test_a_random_state_keeps_its_drawn_eigensystem(monkeypatch, rank):
 
 def test_a_default_theorem42_run_calls_no_eigh_and_no_svd(monkeypatch):
     # the decay stage reads each drawn state's eigensystem and builds its
-    # path as W diag(e^{i t h}) W^H; the bound trials run only real eigvalsh
+    # path as W diag(e^{i t h}) W^H; the bound trials run only real eigvalsh.
+    # A default prop31 run needs eigh for its pairs' bases, and takes each
+    # ||[A,B]|| from eigvalsh, so it runs no svd either
     calls = []
     numpy_linalg = np.linalg.norm.__wrapped__.__globals__  # where norm finds its svd
 
@@ -712,6 +714,9 @@ def test_a_default_theorem42_run_calls_no_eigh_and_no_svd(monkeypatch):
         monkeypatch.setitem(numpy_linalg, name, counting)
     assert run_theorem42_suite(seed=42).verdict
     assert calls == []
+    assert run_proposition31_suite(seed=42).verdict
+    assert set(calls) == {"eigh"}
+    calls.clear()
     np.linalg.norm(np.eye(2), 2)  # the spies see the svd behind a matrix 2-norm
     assert calls == ["svd"]
 
@@ -739,24 +744,24 @@ def test_basis_frame_draws_match_the_wishart_path(n):
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = {
     ("theorem42", "--n", "2,4", "--trials", "20"):
-        "48e10cccf88bd4eea6646e02aff617301d8cc912ca9d58c7784305bd3b87a15a",
+        "9f56412997a2dd73900d8e5015a3ff2888b388b1644a61211f3c18f16e108455",
     ("prop31", "--n", "2,4", "--trials", "30"):
-        "f3a7fdc4b6ccb2d8a4c76d9b764fff4c6d9c3068aa5dd669b0b1bb382a68f418",
+        "225e369b24c14e7c9be8b60151e0fcf87177e995ef0c3f072657813282ca696a",
     ("purity", "--n", "4,8", "--samples", "300"):
         "867dec2bcb3a3a1e95cddd7c349b8a5d2ce88dba5b156899172e3182bf529236",
     ("srel",):
         "294b7875475bbff4740aaa298ac260a670982a4c0854e10e62ca2b3c20c4bd57",
     # several chunks at both n
     ("theorem42", "--n", "16,32", "--trials", "100"):
-        "178cf0a8acad1cbdc947a8685d6177b9761a92d38bf23a23d26c77a551fd5f4d",
+        "33ffe84abfa2a62b9b1de474e3d7ae08d9d7836d833f7b6e1c9abe3c08a14bcc",
     # r = 3 levels above the lowest: the QR moduli path
     ("purity", "--n", "4,8", "--samples", "300", "--rank", "3"):
         "27c70c3e46bd41ee978c8f345f495e4627a50babaa83af90340f22cadefbc7dd",
     # the default runs
     ("theorem42",):
-        "65f47ca0cc9ab65b7e18de13939fb58fbe4c3d582361b77275968bba4d1d3dac",
+        "1addad0e18c4e328ec9071f46a9fc4535a142d0b236fcf79823e4df6db0be2fc",
     ("prop31",):
-        "c963be963f2ed147eaff48c9480687e6b08fe06fb434867ca9bebacd4ee99131",
+        "0e6b67e32776684370153e63d4c18f727bb8b2f0707abcd3aa2d2f99e5c355b3",
     ("purity",):
         "2a69cb20f3ca24b0b11e69bd92d56e672ffe658fd8cfc01114c83a9dc78ad059",
 }
