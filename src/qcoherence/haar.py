@@ -27,11 +27,11 @@ The Monte Carlo estimates of sum_i rho_ii^2 read the spectrum the state
 keeps (a drawn state carries it: no eigh) and use unitary invariance: the
 statistic depends on the basis only through the r rows of V^H U that belong
 to eigenvalues above the lowest, so each sample draws just the moduli of
-the n x r Haar isometry (Mezzadri, Notices AMS 2007).  For r = 1 they are
-Dirichlet(1, ..., 1), standard exponentials over their sum (Bengtsson and
-Zyczkowski, Geometry of Quantum States, ch. 7); for r = 2 they come from
-Gram-Schmidt on a real normal block; for r >= 3 from the stacked QR, which
-beats a numpy Gram-Schmidt loop at full rank (r = n - 1).
+the n x r Haar isometry (Mezzadri, Notices AMS 2007), by _moduli for every
+r: Dirichlet(1, ..., 1) for r = 1, standard exponentials over their sum
+(Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 7); Gram-Schmidt
+on a real normal block for r = 2; the stacked QR for r >= 3, which beats a
+numpy Gram-Schmidt loop at full rank (r = n - 1).
 """
 
 from __future__ import annotations
@@ -220,17 +220,14 @@ def _excited_levels(rho) -> tuple[np.ndarray, int]:
     return lam, int((lam - lam[0] > tol).sum())
 
 
-def _qr_moduli(rng: np.random.Generator, shape) -> np.ndarray:
-    """|W|^2 for a `shape` stack of Haar isometries W from _haar_chunk."""
-    return np.abs(_haar_chunk(rng, shape)) ** 2
-
-
-def _closed_form_moduli(rng: np.random.Generator, shape) -> np.ndarray:
-    """_qr_moduli for at most two columns, without a QR.  One column's moduli
-    are Dirichlet(1, ..., 1): n standard exponentials over their sum.  Two
-    come from Gram-Schmidt on a (real | imaginary, column, sample, row)
-    normal block, which gives the phase-fixed QR factor (positive R diagonal)."""
+def _moduli(rng: np.random.Generator, shape) -> np.ndarray:
+    """|W|^2 for a `shape` stack of Haar isometries W.  One column's are
+    Dirichlet(1, ..., 1): n standard exponentials over their sum.  Two come
+    from Gram-Schmidt on a (real | imaginary, column, sample, row) normal
+    block (the phase-fixed QR factor); more from _haar_chunk's stacked QR."""
     m, n, cols = shape
+    if cols >= 3:
+        return np.abs(_haar_chunk(rng, shape)) ** 2
     if cols == 1:
         p = rng.standard_exponential((1, m, n))
     else:
@@ -263,15 +260,14 @@ def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     (U^H rho U)_ii = lam_0 + sum_k (lam_k - lam_0) |(V^H U)_ki|^2.  V^H U
     and its transpose are Haar, so the r rows with lam_k > lam_0 have the
     law of the first r columns of a Haar unitary: only that n x r isometry's
-    moduli are drawn, in closed form for r <= 2 and by QR above.  r = 0 (rho
-    a multiple of the identity) needs no draw.
+    moduli are drawn, by _moduli.  r = 0 (rho a multiple of the identity)
+    needs no draw.
     """
     lam, r = _excited_levels(rho)
     if r == 0:
         _check_count("samples", samples)
         return np.full(samples, lam.size * lam[0] ** 2)
-    moduli = _closed_form_moduli if r <= 2 else _qr_moduli
-    return _haar_samples(lambda p: _diag_square_sums(lam, p), moduli, lam.size, r, samples, g)
+    return _haar_samples(lambda p: _diag_square_sums(lam, p), _moduli, lam.size, r, samples, g)
 
 
 def estimate_diag_square_sum(rho, samples: int, g) -> MonteCarloEstimate:

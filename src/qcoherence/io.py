@@ -60,8 +60,16 @@ def format_matrix(m: np.ndarray) -> str:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return parse_matrix(fh.read())
+    """parse_matrix of the file's UTF-8 text; a byte that does not decode is
+    a MatrixParseError on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[:exc.start + 1].splitlines())  # the lines up to the bad byte
+        raise MatrixParseError(f"not UTF-8 text at byte {data[exc.start]:#04x} ({exc.reason})", line) from None
+    return parse_matrix(text)
 
 
 def write_matrix(path, m) -> None:

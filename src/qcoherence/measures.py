@@ -52,11 +52,6 @@ from .linalg import (
 )
 
 
-def _rewrite(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u^H rho u over any leading axes."""
-    return np.swapaxes(u.conj(), -1, -2) @ rho @ u
-
-
 class StateBatch:
     """States rewritten in bases, stacked on any leading axes; with no
     leading axis it is one state (StateInBasis).
@@ -86,16 +81,16 @@ class StateBatch:
 
 
 def _in_bases(rho, bases, name: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(rep, eigen) of rho, through as_density, in each basis of a (..., n, n)
-    stack: the one builder of a state in bases.  The errors for a NaN or
-    infinite entry and for any other shape name the stack `name`."""
+    """(rep, eigen) of rho, through as_density, in each basis B of a
+    (..., n, n) stack, rep = B^H rho B: the one builder of a state in bases.
+    Errors for a NaN or infinite entry or any other shape name the stack `name`."""
     rho = as_density(rho)
     bases = np.asarray(bases, dtype=np.complex128)
     _check_finite(bases, name)
     _check_same_dim(bases.shape[-2:], (rho.dim, rho.dim), f"{name} shape vs state shape")
     w, v = rho.eigensystem()
     eigen = np.broadcast_to(w, bases.shape[:-1]), overlap_tables(v.vectors, bases)
-    return _freeze(_rewrite(rho.matrix, bases)), eigen
+    return _freeze(np.swapaxes(bases.conj(), -1, -2) @ rho.matrix @ bases), eigen
 
 
 class StateInBasis(StateBatch):

@@ -179,26 +179,31 @@ def test_report_verdict_is_function_of_rows():
         ExperimentReport("theorem42", {})
 
 
-@pytest.mark.parametrize("row", ["1,2", "1,2,1,7"], ids=["short", "long"])
+@pytest.mark.parametrize("row", ["1,2", "1,2,1,7", "1,x,1"], ids=["short", "long", "not-a-number"])
 def test_load_report_rejects_a_row_that_does_not_fit_the_header(tmp_path, row):
-    # a short row loaded without its ok cell, a long one dropped its extra
+    # a short row loaded without its ok cell, a long one dropped its extra;
+    # a cell that is not a number raised float()'s error, with no place
     path = tmp_path / "report.csv"
     path.write_text(f"a,b,ok\n1,2,1\n{row}\n# experiment = demo\n# verdict = pass\n")
     with pytest.raises(ValueError, match="report.csv:3"):
         load_report(path)
 
 
-@pytest.mark.parametrize("text", [
-    "a,ok\n1,1\n2,0\n# experiment = demo\n# verdict = pass\n",
-    "a,ok\n# experiment = demo\n# verdict = pass\n",
-    "a,ok\n1,1\n# experiment = demo\n",
-    "a\n1\n# experiment = demo\n# verdict = pass\n",
-], ids=["failing-row", "no-rows", "no-verdict", "no-ok-column"])
-def test_load_report_recomputes_the_verdict(tmp_path, text):
-    # the first two loaded as a pass from the verdict line alone
+@pytest.mark.parametrize("text, where", [
+    ("a,ok\n1,1\n2,0\n# experiment = demo\n# verdict = pass\n", "report.csv: "),
+    ("a,ok\n# experiment = demo\n# verdict = pass\n", "report.csv: "),
+    ("a,ok\n1,1\n# experiment = demo\n", "report.csv: "),
+    ("a\n1\n# experiment = demo\n# verdict = pass\n", "report.csv: "),
+    ("a,ok\n1,1\n# seed = 1.5\n# verdict = pass\n", "report.csv:3: "),
+    ("a,ok\n1,1\n# parameters = {n: 2}\n# verdict = pass\n", "report.csv:3: "),
+], ids=["failing-row", "no-rows", "no-verdict", "no-ok-column", "bad-seed", "bad-parameters"])
+def test_load_report_recomputes_the_verdict(tmp_path, text, where):
+    # the first two loaded as a pass from the verdict line alone; a seed or
+    # parameters line it cannot read raised int()'s or json's error, with no
+    # path or line
     path = tmp_path / "report.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match="report.csv"):
+    with pytest.raises(ValueError, match=where):
         load_report(path)
 
 

@@ -446,12 +446,11 @@ class TestIsometryEstimator:
         estimate_diag_square_sum(rho.matrix.copy(), 50, 1)
         assert calls == ["eigh"]
 
-    @pytest.mark.parametrize("n", [2, 3, 32])
-    @pytest.mark.parametrize("r", [1, 2])
-    def test_closed_form_moduli_moments(self, r, n):
+    @pytest.mark.parametrize("r, n", [(r, n) for n in (2, 3, 32) for r in (1, 2, 3) if r <= n])
+    def test_moduli_moments(self, r, n):
         # E p_ik = 1/n and E p_ik p_il = (delta_kl + 1) / (n (n + 1)), the
         # oracle of overlap_moment_check, for each column and pair in row 0
-        p = haar_mod._closed_form_moduli(SeededGenerator(60 + n).generator(), (20_000, n, r))
+        p = haar_mod._moduli(SeededGenerator(60 + n).generator(), (20_000, n, r))
         for k in range(r):
             mean = MonteCarloEstimate.from_samples(p[:, 0, k])
             assert abs(mean.z_score(1.0 / n)) <= haar_mod.Z_MAX, (k, mean)
@@ -462,21 +461,22 @@ class TestIsometryEstimator:
 
     def test_one_column_of_two_is_uniform(self):
         # n = 2: |u_11|^2 of a Haar unitary is Uniform(0, 1)
-        p = haar_mod._closed_form_moduli(SeededGenerator(62).generator(), (5000, 2, 1))
+        p = haar_mod._moduli(SeededGenerator(62).generator(), (5000, 2, 1))
         assert kstest(p[:, 0, 0], "uniform").pvalue > 0.01
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
-    def test_closed_form_moduli_are_an_isometry(self, n):
+    def test_moduli_are_an_isometry(self, n):
         # columns are unit vectors and rows of orthonormal columns have norm
-        # at most 1 (exactly 1 at n = 2): a broken projection fails these
-        for r in (1, 2):
-            p = haar_mod._closed_form_moduli(SeededGenerator(63).generator(), (500, n, r))
+        # at most 1 (exactly 1 when there are n columns): a broken
+        # projection fails these
+        for r in (1, 2, 3)[:n]:
+            p = haar_mod._moduli(SeededGenerator(63).generator(), (500, n, r))
             assert p.shape == (500, n, r) and (p >= 0).all()
             assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
-        rows = p.sum(axis=2)  # of the two-column draw
-        assert rows.max() <= 1.0 + 1e-12
-        if n == 2:
-            assert np.abs(rows - 1.0).max() <= 1e-12
+            rows = p.sum(axis=2)
+            assert rows.max() <= 1.0 + 1e-12
+            if r == n:
+                assert np.abs(rows - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("kind", ["pure", "rank2", "full"])
