@@ -17,6 +17,7 @@ Row encodings (CSV cells are numbers only):
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -61,7 +62,9 @@ AXIOM_SLACK_TOL = 1e-10
 
 # Complex entries per chunk (4096 trials at n = 2, 16 at n = 32), the one
 # unit of the subspace-bound check: one substream draw and one stacked check,
-# so its size keys the stream and the reports, and bounds memory per thread.
+# so its size keys the stream and the reports.  A theorem42 run puts every
+# block's chunks and decay paths on one pool, so peak memory is still about
+# one chunk per thread, and reports do not depend on the thread count.
 _CHUNK_ENTRIES = 16384
 
 
@@ -192,10 +195,46 @@ def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):
     return lam, w, StateBatch(rep, (lam, np.abs(w) ** 2))
 
 
-def _threads(chunks: int) -> int:
-    """Threads for `chunks` chunks: one per usable CPU, at most one per chunk."""
+def _threads(tasks: int) -> int:
+    """Threads for `tasks` tasks: one per usable CPU, at most one per task."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, chunks))
+    return max(1, min(cpus or 1, tasks))
+
+
+def _run_tasks(tasks: list) -> list:
+    """The results of the zero-argument `tasks` in order, from one pool of
+    _threads(len(tasks)) threads that starts them in order.  A failed task
+    cancels every task not yet started, and the exception of the first
+    failed task in order reaches the caller unchanged."""
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait  # not at module load: it imports logging
+    with ThreadPoolExecutor(_threads(len(tasks))) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        for future in wait(futures, return_when=FIRST_EXCEPTION).not_done:
+            future.cancel()  # no-op on a running task
+        return [future.result() for future in futures if not future.cancelled()]
+
+
+def _bound_tasks(n: int, trials: range, root: SeededGenerator, block: int) -> list:
+    """check_subspace_bound's argument checks, then its chunks' tasks in order."""
+    _check_dim(n)
+    if trials.step != 1 or trials.start < 0:
+        raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
+    step = _chunk_trials(n)
+
+    def check(start: int) -> list[np.ndarray]:
+        chunk = range(max(start, trials.start), min(start + step, trials.stop))
+        return list(check_axiom2(_draw_chunk(n, chunk, root, block)[2], THEOREM42_MEASURES).values())
+
+    starts = range(trials.start // step * step, trials.stop, step) if trials else range(0)
+    return [functools.partial(check, start) for start in starts]
+
+
+def _reduce_bound(chunks: list, trials: range) -> dict:
+    """check_subspace_bound's result from its chunks' slacks in order."""
+    slacks = np.concatenate([np.empty((len(THEOREM42_MEASURES), 0)), *chunks], axis=1)
+    wishart = slacks[:, 1:] if trials.start == 0 else slacks  # trial 0's Q is roundoff
+    return {m: (float(w.min(initial=np.inf)), *reduce_checks(row, AXIOM_SLACK_TOL)[1:])
+            for m, row, w in zip(THEOREM42_MEASURES, slacks, wishart)}
 
 
 def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: int) -> dict:
@@ -205,29 +244,15 @@ def check_subspace_bound(n: int, trials: range, root: SeededGenerator, block: in
     the stream `root`: trial 0 is the maximally mixed state, every other
     trial a Wishart state, each in a Haar-random basis.  Each chunk, clipped
     to `trials`, is drawn and gets its slacks from check_axiom2 for
-    THEOREM42_MEASURES, one exact check per trial and measure, on up to one
-    thread per CPU (_threads); the slacks are reduced in chunk order after
-    all of them, so thread count and order change nothing, and an empty
-    range draws nothing.  The min slack is over the Wishart trials (inf if
-    none), as trial 0's Q is roundoff; ok needs checks and every slack,
-    trial 0's too, to be at least -AXIOM_SLACK_TOL.
+    THEOREM42_MEASURES, one exact check per trial and measure, on a pool of
+    up to one thread per CPU (_threads), so peak memory is about one chunk
+    per thread; the slacks are reduced in chunk order after all of them, so
+    the thread count and the order chunks finish change nothing, and an
+    empty range draws nothing.  The min slack is over the Wishart trials
+    (inf if none), as trial 0's Q is roundoff; ok needs checks and every
+    slack, trial 0's too, to be at least -AXIOM_SLACK_TOL.
     """
-    _check_dim(n)
-    if trials.step != 1 or trials.start < 0:
-        raise ValueError(f"trials {trials} are not a run of consecutive nonnegative indices")
-    from concurrent.futures import ThreadPoolExecutor  # not at module load: it imports logging
-    step = _chunk_trials(n)
-
-    def check(start: int) -> list[np.ndarray]:
-        chunk = range(max(start, trials.start), min(start + step, trials.stop))
-        return list(check_axiom2(_draw_chunk(n, chunk, root, block)[2], THEOREM42_MEASURES).values())
-
-    starts = range(trials.start // step * step, trials.stop, step) if trials else range(0)
-    with ThreadPoolExecutor(_threads(len(starts))) as pool:
-        slacks = np.concatenate([np.empty((len(THEOREM42_MEASURES), 0)), *pool.map(check, starts)], axis=1)
-    wishart = slacks[:, 1:] if trials.start == 0 else slacks  # trial 0's Q is roundoff
-    return {m: (float(w.min(initial=np.inf)), *reduce_checks(row, AXIOM_SLACK_TOL)[1:])
-            for m, row, w in zip(THEOREM42_MEASURES, slacks, wishart)}
+    return _reduce_bound(_run_tasks(_bound_tasks(n, trials, root, block)), trials)
 
 
 _THEOREM42_COLUMNS = "kind n measure count min_slack final_d final_value monotone ok".split()
@@ -240,6 +265,31 @@ def _theorem42_row(kind, n, m: str, **cells) -> dict:
     return {k: float(v) for k, v in row.items()}
 
 
+def _decay_rows(n: int, rng) -> list[dict]:
+    """One block's kind-2 rows: check_axiom1 along PATHS_PER_N paths from rng."""
+    rows = []
+    for _ in range(PATHS_PER_N):
+        rho = random_density_matrix(n, rng)
+        path = approach_path(rho.eigensystem()[1], DECAY_TS, rng)
+        ds, values = check_axiom1(rho, THEOREM42_MEASURES, path)
+        for m in THEOREM42_MEASURES:
+            vals = values[m]
+            # Pointwise envelopes.  Only eta2 <= d / sqrt(2) (proved at
+            # measures.delta) tests the path: delta = d and eta1, eta_inf
+            # <= n * eta2 are identities (ds are delta's own values;
+            # Cauchy-Schwarz), so those rows gate on decay and the final
+            # value (ROADMAP item 4).
+            bound = {ETA2: ds / np.sqrt(2.0), DELTA: ds}.get(m, n * values[ETA2])
+            slack, count, ok = reduce_checks(bound - vals, AXIOM_SLACK_TOL)
+            monotone = bool((np.diff(vals) < 0).all())
+            ok = ok and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6
+            rows.append(_theorem42_row(
+                2, n, m, count=count, min_slack=slack, final_d=ds[-1],
+                final_value=vals[-1], monotone=monotone, ok=ok,
+            ))
+    return rows
+
+
 def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0) -> ExperimentReport:
     """Subspace-bound and decay checks for THEOREM42_MEASURES.
 
@@ -248,41 +298,30 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
     a bound row counts trials + 1; then check_axiom1 along PATHS_PER_N
     random basis paths.  Block b (the b-th n) draws chunk c of its bound
     trials (chunk_trials per chunk) from spawn key (b, c) alone, and its
-    paths from root.substream(b).  A bound row with zero checks fails.
-    s_rel is not checked here: run_srel_demo reports its counterexample.
-    Every n must be at least 2: at n = 1 the decay path is constant 0, so
-    it cannot decrease.
+    paths from root.substream(b).  One pool serves the run: every block's
+    chunks and decay paths, largest n first, on up to one thread per CPU,
+    so peak memory is still about one chunk per thread.  Rows are built in
+    block order after every task, so the thread count and the order tasks
+    finish change nothing.  A bound row with zero checks fails.  s_rel is
+    not checked here: run_srel_demo reports its counterexample.  Every n
+    must be at least 2: at n = 1 the decay path is constant 0, so it
+    cannot decrease.
     """
     for n in n_list:
         _check_count("n", n, 2)
     _check_count("trials", trials)
     root = SeededGenerator(seed)
+    bound = range(trials + 1)  # trial 0 exercises the degenerate maximally mixed state
+    tasks = {b: [*_bound_tasks(n, bound, root, b), functools.partial(_decay_rows, n, root.substream(b))]
+             for b, n in sorted(enumerate(n_list), key=lambda bn: -bn[1])}  # largest n first
+    results = iter(_run_tasks([task for block in tasks.values() for task in block]))
+    done = {b: [next(results) for _ in block] for b, block in tasks.items()}
     rows = []
     for block, n in enumerate(n_list):
-        # Trial 0 exercises the degenerate maximally mixed state.
-        checked = check_subspace_bound(n, range(trials + 1), root, block)
-        for m, (slack, count, ok) in checked.items():
+        *chunks, decay = done[block]
+        for m, (slack, count, ok) in _reduce_bound(chunks, bound).items():
             rows.append(_theorem42_row(1, n, m, count=count, min_slack=slack, ok=ok))
-        rng = root.substream(block)
-        for _ in range(PATHS_PER_N):
-            rho = random_density_matrix(n, rng)
-            path = approach_path(rho.eigensystem()[1], DECAY_TS, rng)
-            ds, values = check_axiom1(rho, THEOREM42_MEASURES, path)
-            for m in THEOREM42_MEASURES:
-                vals = values[m]
-                # Pointwise envelopes.  Only eta2 <= d / sqrt(2) (proved at
-                # measures.delta) tests the path: delta = d and eta1, eta_inf
-                # <= n * eta2 are identities (ds are delta's own values;
-                # Cauchy-Schwarz), so those rows gate on decay and the final
-                # value (ROADMAP item 4).
-                bound = {ETA2: ds / np.sqrt(2.0), DELTA: ds}.get(m, n * values[ETA2])
-                slack, count, ok = reduce_checks(bound - vals, AXIOM_SLACK_TOL)
-                monotone = bool((np.diff(vals) < 0).all())
-                ok = ok and monotone and ds[-1] < 1e-6 and vals[-1] < 1e-6
-                rows.append(_theorem42_row(
-                    2, n, m, count=count, min_slack=slack, final_d=ds[-1],
-                    final_value=vals[-1], monotone=monotone, ok=ok,
-                ))
+        rows.extend(decay)
     parameters = {
         "n_list": list(n_list), "trials": trials, "paths_per_n": PATHS_PER_N,
         "measures": list(THEOREM42_MEASURES),

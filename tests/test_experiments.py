@@ -602,19 +602,64 @@ def test_threads_over_chunks_match_the_chunk_by_chunk_results(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_a_chunk_error_propagates_and_every_thread_ends(monkeypatch):
-    draw = experiments._draw_chunk
+def test_one_pool_per_theorem42_run_writes_the_same_bytes_at_any_thread_count(monkeypatch, tmp_path):
+    # one pool runs every block's chunks and decay paths, largest n first;
+    # the rows are built in block order after every task, so neither the
+    # thread count nor a switch every microsecond reaches a byte
+    draw, drawn, pools = experiments._draw_chunk, [], []
+    monkeypatch.setattr(experiments, "_draw_chunk", lambda n, *rest: drawn.append(n) or draw(n, *rest))
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(experiments, "_threads", lambda tasks, k=threads: pools.append(tasks) or k)
+            drawn.clear()
+            write_report(run_theorem42_suite(n_list=(2, 8, 16, 32), trials=100, seed=3), tmp_path / "t.csv")
+            reports.append((tmp_path / "t.csv").read_bytes())
+            if threads == 1:
+                assert drawn == sorted(drawn, reverse=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]
+    # 1 + 1 + 2 + 7 chunks and 4 decay tasks, all on one pool per run
+    assert pools == [15, 15, 15]
 
-    def failing(n, chunk, *rest):
-        if chunk.start // _chunk_trials(n) == 3:
+
+def _theorem42_run():
+    return run_theorem42_suite(n_list=(16, 32), trials=999, seed=1)
+
+
+@pytest.mark.parametrize("run, chunks, failing", [
+    (lambda: check_subspace_bound(32, range(5, 137), SeededGenerator(1), 0), 9, "chunk"),
+    (_theorem42_run, 63 + 16, "chunk"),
+    (_theorem42_run, 63 + 16, "decay"),
+], ids=["check_subspace_bound", "run_theorem42_suite", "run_theorem42_suite-decay"])
+def test_a_chunk_error_propagates_and_every_thread_ends(monkeypatch, run, chunks, failing):
+    # each draw holds its thread for 5 ms, so the tasks queued behind the
+    # failed one are still waiting when it fails, and must never start
+    draw, drawn = experiments._draw_chunk, []
+
+    def spy(n, chunk, *rest):
+        drawn.append(chunk)
+        if failing == "chunk" and n == 32 and chunk.start // _chunk_trials(n) == 3:
             raise RuntimeError(f"chunk {chunk} failed")
+        time.sleep(0.005)
         return draw(n, chunk, *rest)
 
+    def no_path(*args):
+        raise RuntimeError("the decay path failed")
+
     before = set(threading.enumerate())
-    monkeypatch.setattr(experiments, "_threads", lambda chunks: 4)
-    monkeypatch.setattr(experiments, "_draw_chunk", failing)
-    with pytest.raises(RuntimeError, match=r"^chunk range\(48, 64\) failed$"):
-        check_subspace_bound(32, range(5, 137), SeededGenerator(1), 0)
+    monkeypatch.setattr(experiments, "_threads", lambda tasks: 4)
+    monkeypatch.setattr(experiments, "_draw_chunk", spy)
+    if failing == "decay":
+        monkeypatch.setattr(experiments, "approach_path", no_path)
+    message = {"chunk": r"^chunk range\(48, 64\) failed$", "decay": r"^the decay path failed$"}[failing]
+    with pytest.raises(RuntimeError, match=message) as caught:
+        run()
+    assert caught.type is RuntimeError
+    assert len(drawn) < chunks
     for thread in set(threading.enumerate()) - before:
         thread.join(timeout=10)
         assert not thread.is_alive()
