@@ -153,11 +153,16 @@ def _wishart(rng: np.random.Generator, n: int, r: int, count: int, keep):
     `count` normalized rank-r Wishart states G G^H / tr, G an n x r complex
     Ginibre matrix (the induced measure; Zyczkowski & Sommers, J. Phys. A
     34, 7111, 2001): lam (..., n) ascending with its n - r zeros exact and
-    first, w (..., n, n) a Haar eigenbasis, independent of lam.  All `count`
+    first, w (..., n, n) an eigenbasis whose last r columns, those of the
+    nonzero levels, are a Haar isometry independent of lam.  All `count`
     draw, in order: the chi variates of the r x r lower bidiagonal B of the
     beta = 2 Laguerre model (Dumitriu & Edelman, J. Math. Phys. 43, 2002),
     diagonal chi_{2n}, ..., chi_{2(n-r+1)}, subdiagonal chi_{2(r-1)}, ...,
-    chi_2, whose B B^T has the nonzero spectrum of G G^H; then the frames.
+    chi_2, whose B B^T has the nonzero spectrum of G G^H; then the frames,
+    an (n, r) Ginibre block each.  The first r columns of its complete QR,
+    phase-fixed, are the reduced QR's up to rounding, so a Haar isometry;
+    they go last, and the other n - r complete the zero eigenspace, whose
+    basis no quantity reads.  At r = n the frame is a Haar unitary.
     """
     df = np.concatenate([np.arange(2 * n, 2 * (n - r), -2), np.arange(2 * r - 2, 0, -2)])
     chi = np.sqrt(rng.chisquare(df, size=(count, 2 * r - 1))[keep])
@@ -168,7 +173,8 @@ def _wishart(rng: np.random.Generator, n: int, r: int, count: int, keep):
     t[..., i[1:], i[1:]] += e**2
     t[..., i[1:], i[:-1]] = t[..., i[:-1], i[1:]] = d[..., :-1] * e
     lam = np.concatenate([np.zeros(chi.shape[:-1] + (n - r,)), np.linalg.eigvalsh(t)], axis=-1)
-    return lam / lam.sum(axis=-1, keepdims=True), _haar_from_ginibre(_ginibre(rng, (count, n, n))[keep])
+    w = _haar_from_ginibre(_ginibre(rng, (count, n, r))[keep], "complete")
+    return lam / lam.sum(axis=-1, keepdims=True), np.roll(w, -r, axis=-1) if r < n else w
 
 
 def _draw_chunk(n: int, trials: range, root: SeededGenerator, block: int):

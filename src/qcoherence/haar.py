@@ -29,9 +29,10 @@ statistic depends on the basis only through the r rows of V^H U that belong
 to eigenvalues above the lowest, so each sample draws just the moduli of
 the n x r Haar isometry (Mezzadri, Notices AMS 2007), by _moduli for every
 r: Dirichlet(1, ..., 1) for r = 1, standard exponentials over their sum
-(Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 7); Gram-Schmidt
-on a real normal block for r = 2; the stacked QR for r >= 3, which beats a
-numpy Gram-Schmidt loop at full rank (r = n - 1).
+(Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 7); for r = 2
+a second column from 2n real normals projected off the square root of the
+first, n exponentials and 2n normals in all; the stacked QR for r >= 3,
+which beats a numpy Gram-Schmidt loop at full rank (r = n - 1).
 """
 
 from __future__ import annotations
@@ -135,13 +136,14 @@ def _hermitian(z: np.ndarray) -> np.ndarray:
     return (z + np.swapaxes(z.conj(), -1, -2)) / 2.0
 
 
-def _haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+def _haar_from_ginibre(z: np.ndarray, mode: str = "reduced") -> np.ndarray:
     """The first k columns of Haar unitaries from a (..., n, k) _ginibre
-    stack, which is overwritten: one stacked QR, then the phase fix."""
+    stack, which is overwritten: one stacked QR, then the phase fix.  mode
+    "complete" returns the whole n x n factor, its first k columns fixed."""
     z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.einsum("...ii->...i", r)
-    q *= (d.conj() / np.abs(d))[..., None, :]
+    q, r = np.linalg.qr(z, mode=mode)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q[..., :d.shape[-1]] *= (d.conj() / np.abs(d))[..., None, :]
     return q
 
 
@@ -221,36 +223,44 @@ def _excited_levels(rho) -> tuple[np.ndarray, int]:
 
 
 def _moduli(rng: np.random.Generator, shape) -> np.ndarray:
-    """|W|^2 for a `shape` stack of Haar isometries W.  One column's are
-    Dirichlet(1, ..., 1): n standard exponentials over their sum.  Two come
-    from Gram-Schmidt on a (real | imaginary, column, sample, row) normal
-    block (the phase-fixed QR factor); more from _haar_chunk's stacked QR."""
+    """|W|^2 for a `shape` stack of Haar isometries W.  Three or more
+    columns come from _haar_chunk's stacked QR; one or two as a view whose
+    columns are contiguous.  One column's are Dirichlet(1, ..., 1): n standard
+    exponentials over their sum, p.  A second column takes one (real |
+    imaginary, sample, row) normal block g after them and is
+    |g - a (a^T g)|^2 normalized, a = sqrt(p) real.
+
+    Why that is the second column's law: write column 1 as D a, D =
+    diag(e^{i phi}) with phases phi uniform and independent of p.  Column 2
+    is the normalized projection of a CN(0, I) vector g off D a, g - D a
+    (a^T D^H g).  g' = D^H g is again CN(0, I) and independent of (p, phi),
+    and the projection equals D (g' - a (a^T g')), whose moduli are those of
+    g' - a (a^T g'): neither phi nor complex arithmetic is needed, and a
+    real a projects the real and imaginary parts of g' alike.
+    """
     m, n, cols = shape
     if cols >= 3:
         return np.abs(_haar_chunk(rng, shape)) ** 2
-    if cols == 1:
-        p = rng.standard_exponential((1, m, n))
-    else:
-        z = rng.standard_normal((2, 2, m, n))
-        (ar, br), (ai, bi) = z
-        # column 2 minus c times column 1, c = a^H b / |a|^2, in place
-        s = (ar * ar + ai * ai).sum(axis=-1, keepdims=True)
-        cr = (ar * br + ai * bi).sum(axis=-1, keepdims=True) / s
-        ci = (ar * bi - ai * br).sum(axis=-1, keepdims=True) / s
-        br -= ar * cr - ai * ci
-        bi -= ar * ci + ai * cr
-        p = np.square(z, out=z).sum(axis=0)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = np.empty((cols, m, n))
+    p[0] = rng.standard_exponential((m, n))
+    p[0] /= p[0].sum(axis=-1, keepdims=True)
+    if cols == 2:
+        a = np.sqrt(p[0])
+        g = rng.standard_normal((2, m, n))
+        g -= a * np.einsum("kmi,mi->km", g, a)[..., None]
+        np.einsum("kmi,kmi->mi", g, g, out=p[1])
+        p[1] /= p[1].sum(axis=-1, keepdims=True)
     return np.moveaxis(p, 0, -1)
 
 
 def _diag_square_sums(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     """sum_i (lam_0 + sum_k mu_k p_ik)^2 for each n x r moduli table
     p = |w|^2 of an isometry w in the stack, where mu holds the r top gaps
-    lam_k - lam_0."""
-    mu = lam[lam.size - p.shape[-1]:] - lam[0]
-    diag = lam[0] + p @ mu
-    return (diag**2).sum(axis=-1)
+    lam_k - lam_0; built column by column, so r = 0 gives n lam_0^2."""
+    diag = np.full(p.shape[:-1], lam[0])
+    for k, mu in enumerate(lam[lam.size - p.shape[-1]:] - lam[0]):
+        diag += mu * p[..., k]
+    return np.einsum("...i,...i->...", diag, diag)
 
 
 def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:

@@ -130,9 +130,13 @@ class DensityMatrix:
 
     @classmethod
     def from_eigensystem(cls, lam, v) -> "DensityMatrix":
-        """V diag(lam) V^H, keeping (lam, V) as its eigensystem; trusts both."""
-        rho = cls((v * lam) @ v.conj().T)
-        object.__setattr__(rho, "_eigensystem", (_freeze(np.array(lam, dtype=float)), OrthonormalBasis(v)))
+        """V diag(lam) V^H over the columns of nonzero lam, keeping (lam, V)
+        as its eigensystem; trusts both."""
+        lam = np.array(lam, dtype=float)
+        nonzero = lam != 0
+        vn = v[:, nonzero]
+        rho = cls((vn * lam[nonzero]) @ vn.conj().T)
+        object.__setattr__(rho, "_eigensystem", (_freeze(lam), OrthonormalBasis(v)))
         return rho
 
     @classmethod

@@ -717,6 +717,49 @@ def test_wishart_purity_law_at_every_rank(n):
         assert abs(est.z_score((n + r) / (n * r + 1.0))) <= haar.Z_MAX
 
 
+@pytest.mark.parametrize("n, r", [(2, 1), (6, 2), (8, 3), (8, 8)])
+def test_wishart_frames_are_unitary_with_a_haar_top(n, r):
+    # the complete QR of the n x r block gives a unitary whose last r
+    # columns are a Haar isometry: each modulus is Beta(1, n - 1).  The QR's
+    # completion columns are not: they lean to their own unit vectors, so the
+    # last row tells them apart (7 KS tests, so a family-wise bound)
+    from scipy.stats import kstest
+
+    w = experiments._wishart(SeededGenerator(40 + n + r).generator(), n, r, 4000, slice(None))[1]
+    assert np.abs(np.swapaxes(w.conj(), -1, -2) @ w - np.eye(n)).max() < 1e-12
+    for k in {n - r, n - 1}:
+        assert kstest(np.abs(w[:, n - 1, k]) ** 2, "beta", args=(1, n - 1)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n, r", [(4, 1), (6, 2), (8, 3)])
+def test_the_zero_eigenspace_basis_is_never_read(n, r):
+    # a rank-r state is the same matrix, with the same delta and s_rel in
+    # any basis, whichever basis of its zero eigenspace it keeps
+    lam, w = experiments._wishart(SeededGenerator(50 + n).generator(), n, r, 1, 0)
+    turned = w.copy()
+    turned[:, :n - r] = w[:, :n - r] @ sample_haar_unitaries(n - r, 1, SeededGenerator(51 + n))[0]
+    rho, other = DensityMatrix.from_eigensystem(lam, w), DensityMatrix.from_eigensystem(lam, turned)
+    assert (rho.matrix == other.matrix).all()
+    for basis in (random_basis(n, 52 + n), OrthonormalBasis(w), OrthonormalBasis(turned)):
+        for m in (DELTA, "s_rel"):
+            a, b = (evaluate_measure(rewrite_in_basis(s, basis), m) for s in (rho, other))
+            assert abs(a - b) <= 1e-12, (m, a, b)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_low_rank_state_at_n_256(rank):
+    # the largest n a test draws: the state is its r top columns, and its
+    # zero eigenspace is orthogonal to them
+    n = 256
+    rho = random_density_matrix(n, SeededGenerator(rank).generator(), rank)
+    lam, basis = rho.eigensystem()
+    v = basis.vectors
+    assert (lam[:n - rank] == 0.0).all() and abs(lam.sum() - 1.0) < 1e-14
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-12
+    assert np.abs(rho.matrix @ v[:, :n - rank]).max() < 1e-14
+    assert abs(np.trace(rho.matrix).real - 1.0) < 1e-14
+
+
 @pytest.mark.parametrize("n, r", [(8, 3), (8, 8), (16, 5), (6, 2)])
 def test_wishart_spectrum_edges_match_dense_draws(n, r):
     # two-sample KS of the top and the smallest nonzero eigenvalue against
@@ -740,7 +783,9 @@ def test_a_random_state_keeps_its_drawn_eigensystem(monkeypatch, rank):
     rho = random_density_matrix(n, SeededGenerator(3).generator(), rank)
     got, basis = rho.eigensystem()
     assert (got == lam).all() and (basis.vectors == w).all()
-    assert (rho.matrix == (w * lam) @ w.conj().T).all()
+    # the product runs over the r columns of the nonzero levels, which come last
+    top = w[:, n - (rank or n):]
+    assert (rho.matrix == (top * lam[n - (rank or n):]) @ top.conj().T).all()
     assert np.abs(np.linalg.eigvalsh(rho.matrix) - lam).max() < 1e-15
 
 
@@ -798,7 +843,7 @@ GOLDEN = {
     ("prop31", "--n", "2,4", "--trials", "30"):
         "225e369b24c14e7c9be8b60151e0fcf87177e995ef0c3f072657813282ca696a",
     ("purity", "--n", "4,8", "--samples", "300"):
-        "867dec2bcb3a3a1e95cddd7c349b8a5d2ce88dba5b156899172e3182bf529236",
+        "bfaa05cab3fc7c47925f2138e9e2a19f15a9d20f7b0a18e618f528fc99e57479",
     ("srel",):
         "294b7875475bbff4740aaa298ac260a670982a4c0854e10e62ca2b3c20c4bd57",
     # several chunks at both n
@@ -806,14 +851,14 @@ GOLDEN = {
         "33ffe84abfa2a62b9b1de474e3d7ae08d9d7836d833f7b6e1c9abe3c08a14bcc",
     # r = 3 levels above the lowest: the QR moduli path
     ("purity", "--n", "4,8", "--samples", "300", "--rank", "3"):
-        "27c70c3e46bd41ee978c8f345f495e4627a50babaa83af90340f22cadefbc7dd",
+        "faa33cf02dd210c2cafc6100b86b715abc6c12e9a7335bd0f8d14301bf61075f",
     # the default runs
     ("theorem42",):
         "1addad0e18c4e328ec9071f46a9fc4535a142d0b236fcf79823e4df6db0be2fc",
     ("prop31",):
         "0e6b67e32776684370153e63d4c18f727bb8b2f0707abcd3aa2d2f99e5c355b3",
     ("purity",):
-        "2a69cb20f3ca24b0b11e69bd92d56e672ffe658fd8cfc01114c83a9dc78ad059",
+        "88919528e7e386b8ad5b1a65ab06d5150c4977d69bce34f12fddd373cc15e798",
 }
 
 

@@ -95,19 +95,23 @@ class TestSampling:
             return np.concatenate(out)
 
         def moduli_reference(seed, n, cols, count):
-            # the closed form's chunks: one column is n standard exponentials
-            # over their sum; two are a (real | imag, column, sample, row)
-            # normal block, whose moduli the QR gives up to rounding
+            # the closed form's chunks: column 1 is n standard exponentials
+            # over their sum, p; column 2 takes a (real | imag, sample, row)
+            # normal block g after them and is the normalized |g - a a^T g|^2
+            # of the complex g, a = sqrt(p)
             rng, step = SeededGenerator(seed).generator(), max(1, entries // (n * cols))
             out = []
             for start in range(0, count, step):
                 m = min(step, count - start)
-                if cols == 1:
-                    e = rng.standard_exponential((m, n))
-                    out.append((e / e.sum(axis=1, keepdims=True))[..., None])
-                else:
-                    re, im = rng.standard_normal((2, 2, m, n))
-                    out.append(np.abs(np.linalg.qr(np.stack(list(re + 1j * im), axis=-1))[0]) ** 2)
+                e = rng.standard_exponential((m, n))
+                p = e / e.sum(axis=1, keepdims=True)
+                if cols == 2:
+                    a = np.sqrt(p)
+                    re, im = rng.standard_normal((2, m, n))
+                    g = re + 1j * im
+                    q = np.abs(g - a * (a * g).sum(axis=1, keepdims=True)) ** 2
+                    p = np.stack([p, q / q.sum(axis=1, keepdims=True)], axis=-1)
+                out.append(p.reshape(m, n, cols))
             return np.concatenate(out)
 
         assert (sample_haar_unitaries(3, 50, SeededGenerator(5)) == reference(5, 3, 3, 50)).all()
@@ -463,6 +467,24 @@ class TestIsometryEstimator:
         # n = 2: |u_11|^2 of a Haar unitary is Uniform(0, 1)
         p = haar_mod._moduli(SeededGenerator(62).generator(), (5000, 2, 1))
         assert kstest(p[:, 0, 0], "uniform").pvalue > 0.01
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_two_columns_match_the_qr_moduli(self, n):
+        # two-sample KS of the closed form's two columns against the moduli
+        # of _haar_chunk's isometries: every entry, each row's product
+        # p_i1 p_i2 and the second column's sum_i p_i2^2.  Projecting along
+        # p instead of sqrt(p), or not projecting, fails here
+        count = 20_000
+        got = haar_mod._moduli(SeededGenerator(66 + n).generator(), (count, n, 2))
+        want = np.abs(haar_mod._haar_chunk(SeededGenerator(67 + n).generator(), (count, n, 2))) ** 2
+
+        def statistics(p):
+            return [*(p[:, i, k] for i in range(n) for k in range(2)),
+                    *(p[:, i, 0] * p[:, i, 1] for i in range(n)),
+                    (p[:, :, 1] ** 2).sum(axis=1)]
+
+        pvalues = [ks_2samp(a, b).pvalue for a, b in zip(statistics(got), statistics(want))]
+        assert min(pvalues) > 1e-4, pvalues
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     def test_moduli_are_an_isometry(self, n):
