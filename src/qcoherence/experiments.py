@@ -30,13 +30,13 @@ from .haar import (
     SeededGenerator,
     _check_count,
     _ginibre,
+    _haar_chunk,
     _haar_from_ginibre,
     _hermitian,
     as_generator,
     estimate_diag_square_sum,
     exact_expected_diag_square_sum,
     exact_expected_eta2_sq,
-    random_basis,
 )
 from .linalg import DensityMatrix, HermitianObservable, _check_dim, checked_eigh, fourier_basis, purity
 from .measures import (
@@ -105,7 +105,7 @@ def load_report(path) -> ExperimentReport:
     with open(path, newline="") as fh:
         header = None
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             try:
                 if line.startswith("#"):
                     key, _, value = line[1:].partition("=")
@@ -350,7 +350,7 @@ def _unbiased_eigenbasis_pair(n, rng):
 def _near_degenerate_pair(n, rng):
     w = np.sort(rng.standard_normal(n))
     w[1] = w[0] + 1e-13  # gap far below the degeneracy threshold
-    v = random_basis(n, rng).vectors
+    v = _haar_chunk(rng, (n, n))
     return (v * w) @ v.conj().T, _hermitian(_ginibre(rng, (n, n)))
 
 
@@ -369,34 +369,33 @@ def run_proposition31_suite(
     Random Gaussian pairs have non-degenerate spectra almost surely and
     exercise both bounds; the near-degenerate family exercises only the
     upper bound (the lower one's precondition fails by construction, so it
-    writes no lower row).  Each family is one commutator_terms stack.
+    writes no lower row).  One stack per block; a family labels its rows.
     Every n must be at least 2, the smallest dimension with a spectral gap.
     """
     for n in n_list:
         _check_count("n", n, 2)
     _check_count("trials", trials)
     root = SeededGenerator(seed)
+    codes = (1.0, 2.0, 3.0, 4.0)
     rows = []
     for block, n in enumerate(n_list):
         rng = root.substream(block)
-        families = {
-            1.0: _hermitian(_ginibre(rng, (trials, 2, n, n))),
-            2.0: np.array([_commuting_pair(n, rng)]),
-            3.0: np.array([_unbiased_eigenbasis_pair(n, rng)]),
-            4.0: np.array([_near_degenerate_pair(n, rng)]),
-        }
-        for family, pairs in families.items():
-            norm, upper, d, lower, degenerate = commutator_terms(pairs, *checked_eigh(pairs))
-            rows.append(_prop31_row(n, family, 1.0, norm, upper))
-            valid = ~degenerate.any(axis=-1)
-            if valid.any():
-                rows.append(_prop31_row(n, family, 2.0, d[valid], lower[valid]))
+        pairs = np.concatenate([
+            _hermitian(_ginibre(rng, (trials, 2, n, n))),
+            [_commuting_pair(n, rng), _unbiased_eigenbasis_pair(n, rng), _near_degenerate_pair(n, rng)],
+        ])
+        family = np.repeat(codes, (trials, 1, 1, 1))
+        norm, upper, d, lower, degenerate = commutator_terms(pairs, *checked_eigh(pairs))
+        valid = ~degenerate.any(axis=-1)
+        for code in codes:
+            rows.append(_prop31_row(n, code, 1.0, norm[family == code], upper[family == code]))
+            if (both := valid & (family == code)).any():
+                rows.append(_prop31_row(n, code, 2.0, d[both], lower[both]))
     parameters = {"n_list": list(n_list), "trials": trials}
     return ExperimentReport.from_rows("prop31", parameters, rows, seed)
 
 
-_FAMILY_CODES = {"pure": 1.0, "mixed": 2.0, "maximally_mixed": 3.0}
-PURITY_FAMILIES = tuple(_FAMILY_CODES)
+PURITY_FAMILIES = ("pure", "mixed", "maximally_mixed")
 
 
 def run_purity_sweep(
@@ -413,10 +412,10 @@ def run_purity_sweep(
     from the previous dimension of the same family.  n_list must strictly
     increase from n >= 1, so that the previous dimension is the smaller one.
     """
+    for n in n_list:
+        _check_count("n", n, -np.inf)  # integers, before they are ordered
     if any(a >= b for a, b in zip((0, *n_list), n_list)):
         raise ValueError(f"purity needs a strictly increasing list of n >= 1, got {list(n_list)}")
-    for n in n_list:
-        _check_count("n", n, 1)
     _check_count("samples", samples, 2)
     _check_count("rank", rank, 1)
     root = SeededGenerator(seed)
@@ -424,12 +423,9 @@ def run_purity_sweep(
     last_dev: dict[str, float] = {}
     for block, n in enumerate(n_list):
         rng = root.substream(block)
-        ranks = {"pure": 1, "mixed": min(rank, n), "maximally_mixed": n}
-        for family in PURITY_FAMILIES:
-            if family == "maximally_mixed":
-                rho = DensityMatrix.maximally_mixed(n)
-            else:
-                rho = random_density_matrix(n, rng, rank=ranks[family])
+        for code, (family, r) in enumerate(zip(PURITY_FAMILIES, (1, min(rank, n), n)), 1):
+            rho = (DensityMatrix.maximally_mixed(n) if family == "maximally_mixed"
+                   else random_density_matrix(n, rng, r))
             p = purity(rho)
             dev = estimate_diag_square_sum(rho, samples, rng)
             dev_exact = exact_expected_diag_square_sum(rho)
@@ -437,7 +433,7 @@ def run_purity_sweep(
             nonincreasing = dev.mean <= last_dev.get(family, np.inf)
             last_dev[family] = dev.mean
             rows.append({
-                "n": float(n), "family": _FAMILY_CODES[family], "rank": float(ranks[family]),
+                "n": float(n), "family": float(code), "rank": float(r),
                 "purity": p,
                 "eta2sq_mean": p - dev.mean,
                 "eta2sq_exact": exact_expected_eta2_sq(rho),

@@ -40,9 +40,11 @@ from qcoherence.experiments import (
     MEASURE_CODES,
     THEOREM42_MEASURES,
     _chunk_trials,
+    _commuting_pair,
     _draw_chunk,
     _prop31_row,
     _threads,
+    _unbiased_eigenbasis_pair,
     check_subspace_bound,
     random_density_matrix,
     random_hermitian,
@@ -269,10 +271,13 @@ def test_runners_fail_an_empty_list(run):
     assert report.rows == [] and not report.verdict
 
 
-def test_csv_round_trip(tmp_path):
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_csv_round_trip(tmp_path, newline):
     report = run_srel_demo((1.0, 2.0), seed=4)
     path = tmp_path / "srel.csv"
     write_report(report, path)
+    # a CRLF copy read "the header has no ok column": "ok\r" kept its \r
+    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
     loaded = load_report(path)
     assert loaded.experiment_id == report.experiment_id
     assert loaded.verdict == report.verdict
@@ -367,17 +372,44 @@ def test_prop31_zero_trials_writes_failing_zero_check_rows():
     assert not report.verdict
 
 
-def test_prop31_random_family_is_one_ginibre_draw():
+def test_prop31_random_family_is_one_ginibre_draw(monkeypatch):
     # block b's random pairs are the Hermitian parts of one
-    # _ginibre(substream(b), (trials, 2, n, n)) stack, drawn first
+    # _ginibre(substream(b), (trials, 2, n, n)) stack, drawn first, then the
+    # commuting, unbiased and near-degenerate pairs; the block solves them as
+    # one stack, and each family's rows equal a solve of that family alone
+    calls = {"checked_eigh": 0, "commutator_terms": 0}
+
+    def spy(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(experiments, name, counted)
+
+    spy("checked_eigh", checked_eigh)
+    spy("commutator_terms", commutator_terms)
     report = run_proposition31_suite(n_list=(2, 4), trials=30, seed=5)
+    assert calls == {"checked_eigh": 2, "commutator_terms": 2}
+
+    def near_degenerate_pair(n, rng):  # its frame drawn as a random_basis
+        w = np.sort(rng.standard_normal(n))
+        w[1] = w[0] + 1e-13
+        v = random_basis(n, rng).vectors
+        return (v * w) @ v.conj().T, _hermitian(_ginibre(rng, (n, n)))
+
     want = []
     for block, n in enumerate((2, 4)):
-        m = _hermitian(_ginibre(SeededGenerator(5).substream(block), (30, 2, n, n)))
-        norm, upper, d, lower, degenerate = commutator_terms(m, *checked_eigh(m))
-        assert not degenerate.any()
-        want += [_prop31_row(n, 1.0, 1.0, norm, upper), _prop31_row(n, 1.0, 2.0, d, lower)]
-    assert [r for r in report.rows if r["family"] == 1.0] == want
+        rng = SeededGenerator(5).substream(block)
+        families = [_hermitian(_ginibre(rng, (30, 2, n, n)))] + [
+            np.array([pair(n, rng)])
+            for pair in (_commuting_pair, _unbiased_eigenbasis_pair, near_degenerate_pair)
+        ]
+        for family, m in enumerate(families, 1):
+            norm, upper, d, lower, degenerate = commutator_terms(m, *checked_eigh(m))
+            assert degenerate.any() == (family == 4)
+            want.append(_prop31_row(n, float(family), 1.0, norm, upper))
+            if family != 4:
+                want.append(_prop31_row(n, float(family), 2.0, d, lower))
+    assert report.rows == want
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -416,10 +448,13 @@ def test_runners_reject_negative_trials_before_any_draw(monkeypatch, run):
     (lambda: run_theorem42_suite(n_list=(2,), trials=True), "trials", True),
     (lambda: sample_haar_unitaries(2, True, 0), "samples", True),
     (lambda: random_density_matrix(3, 0, rank=True), "rank", True),
+    (lambda: run_purity_sweep(n_list=("4",), samples=10), "n", "'4'"),
+    (lambda: run_purity_sweep(n_list=(None,), samples=10), "n", None),
 ], ids=["srel-seed", "theorem42-trials", "theorem42-seed", "purity-samples", "prop31-trials",
         "sampler-count", "generator-seed", "prop31-n", "prop31-second-n", "theorem42-second-n",
         "purity-second-n", "purity-rank", "state-rank", "state-rank-above-n", "srel-seed-bool",
-        "theorem42-trials-bool", "sampler-count-bool", "state-rank-bool"])
+        "theorem42-trials-bool", "sampler-count-bool", "state-rank-bool", "purity-first-n",
+        "purity-none-n"])
 def test_a_count_that_is_not_an_integer_is_rejected_before_any_draw(monkeypatch, call, name,
                                                                     value):
     # srel wrote "# seed = 1.5"; the others raised an untyped TypeError, from
