@@ -313,7 +313,7 @@ def run_theorem42_suite(n_list=DEFAULT_N_LIST, trials: int = 500, seed: int = 0)
     must be at least 2: at n = 1 the decay path is constant 0, so it
     cannot decrease.
     """
-    for n in n_list:
+    for n in (n_list := tuple(n_list)):  # read once: an iterator is not used up here
         _check_count("n", n, 2)
     _check_count("trials", trials)
     root = SeededGenerator(seed)
@@ -372,7 +372,7 @@ def run_proposition31_suite(
     writes no lower row).  One stack per block; a family labels its rows.
     Every n must be at least 2, the smallest dimension with a spectral gap.
     """
-    for n in n_list:
+    for n in (n_list := tuple(n_list)):  # read once: an iterator is not used up here
         _check_count("n", n, 2)
     _check_count("trials", trials)
     root = SeededGenerator(seed)
@@ -412,7 +412,7 @@ def run_purity_sweep(
     from the previous dimension of the same family.  n_list must strictly
     increase from n >= 1, so that the previous dimension is the smaller one.
     """
-    for n in n_list:
+    for n in (n_list := tuple(n_list)):  # read once: an iterator is not used up here
         _check_count("n", n, -np.inf)  # integers, before they are ordered
     if any(a >= b for a, b in zip((0, *n_list), n_list)):
         raise ValueError(f"purity needs a strictly increasing list of n >= 1, got {list(n_list)}")
@@ -454,7 +454,7 @@ def run_srel_demo(c_list=(0.1, 1.0, 10.0, 100.0), seed: int = 0) -> ExperimentRe
     """Counterexample search for the relative entropy of coherence at each c."""
     _check_count("seed", seed)  # nothing is drawn, but the seed is checked as in every suite
     rows = []
-    for c in c_list:
+    for c in (c_list := tuple(c_list)):  # read once, for the rows and the parameters
         found = srel_counterexample(c)
         rows.append({
             "c": float(c),

@@ -9,7 +9,8 @@ complex array of Gaussians in the package is one _ginibre draw: a
 _hermitian takes the Hermitian part of such a stack.  Batched samplers map
 a statistic over _haar_samples, at most _CHUNK_ENTRIES complex entries a
 chunk, each chunk drawn as Haar isometries or, for the estimator below,
-straight as their moduli.
+straight as the diagonal their moduli give.  The cap is a cache size, not
+only a memory bound: a chunk's draw and scratch stay in cache across passes.
 
 The exact monomial moments over the unitary group,
 
@@ -27,12 +28,12 @@ The Monte Carlo estimates of sum_i rho_ii^2 read the spectrum the state
 keeps (a drawn state carries it: no eigh) and use unitary invariance: the
 statistic depends on the basis only through the r rows of V^H U that belong
 to eigenvalues above the lowest, so each sample draws just the moduli of
-the n x r Haar isometry (Mezzadri, Notices AMS 2007), by _moduli for every
-r: Dirichlet(1, ..., 1) for r = 1, standard exponentials over their sum
-(Bengtsson and Zyczkowski, Geometry of Quantum States, ch. 7); for r = 2
-a second column from 2n real normals projected off the square root of the
-first, n exponentials and 2n normals in all; the stacked QR for r >= 3,
-which beats a numpy Gram-Schmidt loop at full rank (r = n - 1).
+the n x r Haar isometry (Mezzadri, Notices AMS 2007), summed into the
+diagonal by _diagonals: Dirichlet(1, ..., 1) for r = 1, standard
+exponentials over their sum (Bengtsson and Zyczkowski, Geometry of Quantum
+States, ch. 7); for r = 2 a second column from 2n real normals projected
+off the square root of the first, n exponentials and 2n normals in all;
+the stacked QR for r >= 3, which beats a numpy Gram-Schmidt at r = n - 1.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import OrthonormalBasis, _check_dim, _check_same_dim, as_density, purity
 
-# Chunk cap for batched sampling, in complex entries; bounds peak memory.
-_CHUNK_ENTRIES = 2_000_000
+# Chunk cap for batched sampling, in complex entries: cache-sized, which caps memory too.
+_CHUNK_ENTRIES = 32_768
 Z_ATOL = 1e-12  # |mean - expected| that MonteCarloEstimate.z_score scores as 0
 Z_MAX = 4.0  # largest |z| a Monte Carlo check accepts
 
@@ -156,9 +157,9 @@ def _haar_samples(f, draw, n: int, cols: int, count: int, g) -> np.ndarray:
     """f of `count` Haar draws of the first `cols` columns of an n x n
     unitary, stacked.  draw(rng, shape) turns one chunk of shape (m, n, cols)
     into what f takes (_haar_chunk: the isometries), drawing its Gaussians
-    itself, so they are freed before f sees it; chunks come in order, at most
-    _CHUNK_ENTRIES complex entries each.  count = 0 maps one empty chunk, so
-    the result keeps f's trailing shape."""
+    itself, so they are freed before f sees it; chunks come in order, each
+    at most _CHUNK_ENTRIES complex entries (or one sample), so their passes
+    run in cache.  count = 0 maps one empty chunk: f's trailing shape stays."""
     _check_count("samples", count)
     rng = as_generator(g)
     step = max(1, _CHUNK_ENTRIES // (n * cols))
@@ -222,13 +223,14 @@ def _excited_levels(rho) -> tuple[np.ndarray, int]:
     return lam, int((lam - lam[0] > tol).sum())
 
 
-def _moduli(rng: np.random.Generator, shape) -> np.ndarray:
-    """|W|^2 for a `shape` stack of Haar isometries W.  Three or more
-    columns come from _haar_chunk's stacked QR; one or two as a view whose
-    columns are contiguous.  One column's are Dirichlet(1, ..., 1): n standard
-    exponentials over their sum, p.  A second column takes one (real |
-    imaginary, sample, row) normal block g after them and is
-    |g - a (a^T g)|^2 normalized, a = sqrt(p) real.
+def _diagonals(rng: np.random.Generator, shape, lam0: float, mu: np.ndarray) -> np.ndarray:
+    """lam0 + sum_k mu_k |W_ik|^2, shape (m, n), for an (m, n, r) `shape`
+    stack of Haar isometries W, in place: each column normalized, scaled by
+    mu_k and added in turn (mu = e_k and lam0 = 0 give column k from the same
+    variates).  r >= 3 adds _haar_chunk's QR moduli.  Column 1 is
+    Dirichlet(1, ..., 1): n standard exponentials over their sum, p.  Column
+    2, from a (real | imaginary, sample, row) normal block g drawn next, is
+    |g - a (a^T g)|^2 normalized, a = sqrt(p).
 
     Why that is the second column's law: write column 1 as D a, D =
     diag(e^{i phi}) with phases phi uniform and independent of p.  Column 2
@@ -238,29 +240,25 @@ def _moduli(rng: np.random.Generator, shape) -> np.ndarray:
     g' - a (a^T g'): neither phi nor complex arithmetic is needed, and a
     real a projects the real and imaginary parts of g' alike.
     """
-    m, n, cols = shape
-    if cols >= 3:
-        return np.abs(_haar_chunk(rng, shape)) ** 2
-    p = np.empty((cols, m, n))
-    p[0] = rng.standard_exponential((m, n))
-    p[0] /= p[0].sum(axis=-1, keepdims=True)
-    if cols == 2:
-        a = np.sqrt(p[0])
-        g = rng.standard_normal((2, m, n))
-        g -= a * np.einsum("kmi,mi->km", g, a)[..., None]
-        np.einsum("kmi,kmi->mi", g, g, out=p[1])
-        p[1] /= p[1].sum(axis=-1, keepdims=True)
-    return np.moveaxis(p, 0, -1)
-
-
-def _diag_square_sums(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_i (lam_0 + sum_k mu_k p_ik)^2 for each n x r moduli table
-    p = |w|^2 of an isometry w in the stack, where mu holds the r top gaps
-    lam_k - lam_0; built column by column, so r = 0 gives n lam_0^2."""
-    diag = np.full(p.shape[:-1], lam[0])
-    for k, mu in enumerate(lam[lam.size - p.shape[-1]:] - lam[0]):
-        diag += mu * p[..., k]
-    return np.einsum("...i,...i->...", diag, diag)
+    m, n, r = shape
+    if r >= 3:
+        w, diag = _haar_chunk(rng, shape), np.full((m, n), lam0)
+        for k in range(r):
+            diag += mu[k] * np.abs(w[..., k]) ** 2
+        return diag
+    diag = rng.standard_exponential((m, n))
+    diag /= diag.sum(axis=-1, keepdims=True)
+    a = np.sqrt(diag) if r == 2 else None
+    diag *= mu[0]
+    diag += lam0
+    if r == 2:
+        g, scratch = rng.standard_normal((2, m, n)), np.empty((m, n))
+        for gk, c in zip(g, np.einsum("kmi,mi->km", g, a)):
+            gk -= np.multiply(a, c[:, None], out=scratch)
+        q = np.einsum("kmi,kmi->mi", g, g, out=scratch)
+        q /= q.sum(axis=-1, keepdims=True)
+        diag += np.multiply(q, mu[1], out=q)
+    return diag
 
 
 def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
@@ -270,14 +268,15 @@ def _diag_square_sum_samples(rho, samples: int, g) -> np.ndarray:
     (U^H rho U)_ii = lam_0 + sum_k (lam_k - lam_0) |(V^H U)_ki|^2.  V^H U
     and its transpose are Haar, so the r rows with lam_k > lam_0 have the
     law of the first r columns of a Haar unitary: only that n x r isometry's
-    moduli are drawn, by _moduli.  r = 0 (rho a multiple of the identity)
-    needs no draw.
+    moduli enter, by _diagonals, which returns the diagonal itself.  r = 0
+    (rho a multiple of the identity) needs no draw.
     """
     lam, r = _excited_levels(rho)
     if r == 0:
         _check_count("samples", samples)
         return np.full(samples, lam.size * lam[0] ** 2)
-    return _haar_samples(lambda p: _diag_square_sums(lam, p), _moduli, lam.size, r, samples, g)
+    return _haar_samples(lambda d: np.einsum("...i,...i->...", d, d),
+                         lambda rng, shape: _diagonals(rng, shape, lam[0], lam[-r:] - lam[0]), lam.size, r, samples, g)
 
 
 def estimate_diag_square_sum(rho, samples: int, g) -> MonteCarloEstimate:

@@ -31,6 +31,7 @@ per state.
 
 from __future__ import annotations
 
+import numbers
 from functools import cached_property
 from typing import NamedTuple
 
@@ -165,8 +166,8 @@ MEASURE_CODES = {name: float(code) for code, name in enumerate(MEASURES, 1)}
 
 
 def _check_srel_constant(c) -> None:
-    # NaN fails every comparison, so test the range positively.
-    if c is None or not 0.0 < c < np.inf:
+    # NaN fails every comparison, so test the range positively, once c is real.
+    if not isinstance(c, numbers.Real) or not 0.0 < c < np.inf:
         raise ValueError(f"s_rel requires a positive finite constant c, got {c}")
 
 

@@ -271,6 +271,20 @@ def test_runners_fail_an_empty_list(run):
     assert report.rows == [] and not report.verdict
 
 
+@pytest.mark.parametrize("run, values", [
+    (lambda v: run_theorem42_suite(n_list=v, trials=3), (2, 4)),
+    (lambda v: run_proposition31_suite(n_list=v, trials=3), (2, 4)),
+    (lambda v: run_purity_sweep(n_list=v, samples=10), (4, 8)),
+    (lambda v: run_srel_demo(c_list=v), (1.0, 2.0)),
+], ids=["theorem42", "prop31", "purity", "srel"])
+def test_runners_read_a_one_shot_list_once(tmp_path, run, values):
+    # the argument checks consumed an iterator: purity then ran no block
+    # and failed, with n_list: [] in its report
+    write_report(run(values), tmp_path / "tuple.csv")
+    write_report(run(iter(values)), tmp_path / "iter.csv")
+    assert (tmp_path / "iter.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_csv_round_trip(tmp_path, newline):
     report = run_srel_demo((1.0, 2.0), seed=4)
@@ -893,7 +907,7 @@ GOLDEN = {
     ("prop31",):
         "0e6b67e32776684370153e63d4c18f727bb8b2f0707abcd3aa2d2f99e5c355b3",
     ("purity",):
-        "88919528e7e386b8ad5b1a65ab06d5150c4977d69bce34f12fddd373cc15e798",
+        "145d59f0dcc65d2b000dc547284f76dc6cf463abc3756b41605b076211672b39",
 }
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,34 @@ class TestSampling:
             monkeypatch.setattr(haar_mod, "_CHUNK_ENTRIES", entries)
             us = sample_haar_unitaries(3, 0, SeededGenerator(5))
             assert us.shape == (0, 3, 3) and us.dtype == np.complex128
+
+    @pytest.mark.parametrize("entries", [9 * 7, None], ids=["tiny", "default"])
+    def test_every_chunk_fits_the_cap(self, monkeypatch, entries):
+        # every chunk _haar_samples hands to a draw holds at most
+        # _CHUNK_ENTRIES complex entries, or is one sample when one is larger
+        if entries:
+            monkeypatch.setattr(haar_mod, "_CHUNK_ENTRIES", entries)
+        entries = haar_mod._CHUNK_ENTRIES
+        real, shapes = haar_mod._haar_samples, []
+
+        def spying(f, draw, n, cols, count, g):
+            def counted(rng, shape):
+                shapes.append(shape)
+                return draw(rng, shape)
+            return real(f, counted, n, cols, count, g)
+
+        monkeypatch.setattr(haar_mod, "_haar_samples", spying)
+        for sample, count in [
+            *((lambda c, kind=kind: estimate_diag_square_sum(_state(kind, 32), c, 1), 2000)
+              for kind in ("pure", "rank2", "full")),
+            (lambda c: sample_haar_unitaries(200, c, 1), 3),
+            (lambda c: sample_haar_unitaries(5, c, 1), 3000),
+            (lambda c: overlap_moment_check(4, 0, 1, 2, c, 1), 5000),
+        ]:
+            shapes.clear()
+            sample(count)
+            assert sum(m for m, _, _ in shapes) == count
+            assert all(m * n * cols <= entries or m == 1 for m, n, cols in shapes), shapes
 
     def test_random_basis_is_orthonormal(self):
         b = random_basis(6, 3)
@@ -362,6 +391,15 @@ def _direct_diag_square_sums(rho, us):
     return (diag**2).sum(axis=1)
 
 
+def _moduli(seed, shape):
+    """|W|^2 for a `shape` stack of the draw's isometries W: column k is
+    _diagonals at mu = e_k, each from the same seed, so from the same
+    variates and the joint law of the columns is the draw's."""
+    r = shape[-1]
+    return np.stack([haar_mod._diagonals(SeededGenerator(seed).generator(), shape, 0.0, mu)
+                     for mu in np.eye(r)], axis=-1)
+
+
 def _state(kind, n, seed=0):
     rng = np.random.default_rng(seed)
     if kind == "pure":
@@ -381,8 +419,10 @@ class TestIsometryEstimator:
         (DensityMatrix.maximally_mixed(5), 0),
         (DensityMatrix.maximally_mixed(1), 0),
     ], ids=["pure", "rank2", "full", "array", "two-level", "maximally-mixed", "n1"])
-    def test_shifted_spectrum_identity(self, rho, r):
-        # for a fixed Haar U the top r rows of V^H U give the direct value
+    def test_shifted_spectrum_identity(self, monkeypatch, rho, r):
+        # for a fixed Haar U the top r rows of V^H U give the direct value:
+        # handed those rows as its QR isometries, the draw sums to it (at
+        # least 3 columns take the QR path; the extra ones have gap 0)
         lam, got_r = haar_mod._excited_levels(rho)
         assert got_r == r
         matrix = rho.matrix if isinstance(rho, DensityMatrix) else rho
@@ -390,7 +430,10 @@ class TestIsometryEstimator:
         v = hermitian_eigendecomposition(matrix)[1].vectors
         us = sample_haar_unitaries(n, 5, 17)
         w = np.swapaxes(us, 1, 2) @ v.conj()
-        got = haar_mod._diag_square_sums(lam, np.abs(w[:, :, n - r:]) ** 2)
+        cols = min(max(r, 3), n)
+        monkeypatch.setattr(haar_mod, "_haar_chunk", lambda rng, shape: w[:, :, n - cols:])
+        diag = haar_mod._diagonals(np.random.default_rng(0), (5, n, cols), lam[0], lam[n - cols:] - lam[0])
+        got = np.einsum("si,si->s", diag, diag)
         assert np.abs(got - _direct_diag_square_sums(matrix, us)).max() < 1e-12
 
     @pytest.mark.parametrize("rho", [DensityMatrix.maximally_mixed(4),
@@ -454,7 +497,7 @@ class TestIsometryEstimator:
     def test_moduli_moments(self, r, n):
         # E p_ik = 1/n and E p_ik p_il = (delta_kl + 1) / (n (n + 1)), the
         # oracle of overlap_moment_check, for each column and pair in row 0
-        p = haar_mod._moduli(SeededGenerator(60 + n).generator(), (20_000, n, r))
+        p = _moduli(60 + n, (20_000, n, r))
         for k in range(r):
             mean = MonteCarloEstimate.from_samples(p[:, 0, k])
             assert abs(mean.z_score(1.0 / n)) <= haar_mod.Z_MAX, (k, mean)
@@ -465,7 +508,7 @@ class TestIsometryEstimator:
 
     def test_one_column_of_two_is_uniform(self):
         # n = 2: |u_11|^2 of a Haar unitary is Uniform(0, 1)
-        p = haar_mod._moduli(SeededGenerator(62).generator(), (5000, 2, 1))
+        p = _moduli(62, (5000, 2, 1))
         assert kstest(p[:, 0, 0], "uniform").pvalue > 0.01
 
     @pytest.mark.parametrize("n", [2, 3, 8])
@@ -475,7 +518,7 @@ class TestIsometryEstimator:
         # p_i1 p_i2 and the second column's sum_i p_i2^2.  Projecting along
         # p instead of sqrt(p), or not projecting, fails here
         count = 20_000
-        got = haar_mod._moduli(SeededGenerator(66 + n).generator(), (count, n, 2))
+        got = _moduli(66 + n, (count, n, 2))
         want = np.abs(haar_mod._haar_chunk(SeededGenerator(67 + n).generator(), (count, n, 2))) ** 2
 
         def statistics(p):
@@ -492,13 +535,27 @@ class TestIsometryEstimator:
         # at most 1 (exactly 1 when there are n columns): a broken
         # projection fails these
         for r in (1, 2, 3)[:n]:
-            p = haar_mod._moduli(SeededGenerator(63).generator(), (500, n, r))
+            p = _moduli(63, (500, n, r))
             assert p.shape == (500, n, r) and (p >= 0).all()
             assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
             rows = p.sum(axis=2)
             assert rows.max() <= 1.0 + 1e-12
             if r == n:
                 assert np.abs(rows - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind, mib", [("pure", 1), ("rank2", 1), ("full", 4)])
+    def test_estimator_working_set(self, kind, mib):
+        # 2000 samples at n = 32 hold about one cache-sized chunk; a chunk
+        # of the whole run with an (m, n, r) moduli table peaked at 3.5 MB
+        # at rank 2 and 121 MB at full rank
+        rho = _state(kind, 32)
+        tracemalloc.start()
+        try:
+            estimate_diag_square_sum(rho, 2000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20, peak
 
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("kind", ["pure", "rank2", "full"])

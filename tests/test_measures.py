@@ -48,6 +48,7 @@ from qcoherence.experiments import (
     THEOREM42_MEASURES,
     _draw_chunk,
     random_density_matrix,
+    run_srel_demo,
     run_theorem42_suite,
 )
 from qcoherence.linalg import checked_eigh
@@ -667,6 +668,17 @@ class TestSrelCounterexample:
     def test_rejects_non_finite_c(self, c):
         with pytest.raises(ValueError, match="finite"):
             srel_counterexample(c)
+
+    @pytest.mark.parametrize("c", ["1", 1j, 1 + 0j, [1.0], object()],
+                             ids=["str", "complex", "real-complex", "list", "object"])
+    def test_rejects_a_non_real_c(self, c):
+        # "1" raised TypeError: '<' not supported between 'float' and 'str'
+        s = _eps_state()
+        message = "^s_rel requires a positive finite constant c, got "
+        for check in (lambda: srel_counterexample(c), lambda: s_rel(s, c),
+                      lambda: run_srel_demo(c_list=(1.0, c))):
+            with pytest.raises(ValueError, match=message):
+                check()
 
     @pytest.mark.parametrize("c", [1e3, 1e6, 1e9])
     def test_large_c_finds_the_closed_form_scan_epsilon(self, c):
